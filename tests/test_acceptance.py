@@ -21,11 +21,13 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from rmpoly import (ExperimentConfig, RngStream, companion, circulant_split,
-                    evaluate, export_result, finite_eigenvalues,
+                    eigenvalues, evaluate, export_result, finite_eigenvalues,
                     match_distance, mc_pseudoinverse_tail,
                     pseudoinverse_tail_bound, replacement_gap, run_grow_k,
                     run_grow_n, run_verification, sample_monic_gaussian,
-                    tail_log_sum, tail_split_index)
+                    singular_values, spectral_norm, tail_log_sum,
+                    tail_split_index)
+from rmpoly.matpoly import _aberth_eigenvalues
 
 SEED = 7
 
@@ -272,6 +274,46 @@ def test_09_root_finder_oracle_equivalence():
     ok = worst <= 1e-8
     _check(9, "root-finder oracle equivalence", ok,
            f"worst paired distance {worst:.3e} <= 1e-8 over 100 instances")
+
+
+def _backward_error(p, lam) -> float:
+    # sigma_min(P(lam)) / sum_j |lam|^j ||C_j|| with C_k = I [Tisseur 2000].
+    weights = [spectral_norm(c) for c in p.coeffs] + [1.0]
+    denom = sum(w * abs(lam) ** j for j, w in enumerate(weights))
+    return float(singular_values(evaluate(p, lam))[-1]) / denom
+
+
+def test_09_structured_solver_dense_oracle():
+    # The Ehrlich-Aberth solver must agree with dense eigvals on the
+    # companion within 1e-10 after optimal pairing, with every eigenvalue's
+    # backward error <= 100 kn eps.  The grid spans n in {1, 2, 4} and
+    # k in {8, 32, 128}; the last two problems are the seed-101 grow-k
+    # trials that hit an exactly singular P(x) during the iteration.
+    problems = [(f"n={n} k={k}",
+                 sample_monic_gaussian(n, k, RngStream(SEED, (98, n, k))))
+                for n in (1, 2, 4) for k in (8, 32, 128)]
+    problems += [("seed 101 cell 0 trial 13", sample_monic_gaussian(
+                      4, 32, RngStream(101).child(0, 13))),
+                 ("seed 101 cell 1 trial 3", sample_monic_gaussian(
+                      4, 128, RngStream(101).child(1, 3)))]
+    eps = np.finfo(float).eps
+    worst_dist = worst_ratio = 0.0
+    fallbacks = []
+    for label, p in problems:
+        lam = _aberth_eigenvalues(p)
+        if lam is None:
+            fallbacks.append(label)
+            continue
+        kn = p.k * p.n
+        worst_dist = max(worst_dist,
+                         match_distance(lam, eigenvalues(companion(p).m)))
+        worst_ratio = max(worst_ratio, max(_backward_error(p, z)
+                                           for z in lam) / (kn * eps))
+    ok = not fallbacks and worst_dist <= 1e-10 and worst_ratio <= 100.0
+    _check(9, "structured solver dense oracle", ok,
+           f"worst paired distance {worst_dist:.3e} <= 1e-10, worst "
+           f"backward error {worst_ratio:.3g} kn eps <= 100, fallbacks "
+           f"{fallbacks} over {len(problems)} problems")
 
 
 def test_10_byte_determinism(tmp_path):

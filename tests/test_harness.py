@@ -355,6 +355,25 @@ class TestPersistenceAndExport:
         name = "points_grow-n_n8_k2_seed11.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_structured_solver_cell_matches_across_worker_counts(
+            self, tmp_path):
+        # n=2, k=64 is solved by Ehrlich-Aberth iteration, not dense QR.
+        docs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = ExperimentConfig(regime="grow-k", n_values=(2,),
+                                   k_values=(64,), target_points=512,
+                                   seed=11, output_dir=str(out),
+                                   workers=workers)
+            (summary,) = export_result(run_grow_k(cfg), out)
+            docs.append((out, summary.read_bytes()))
+        name = "points_grow-k_n2_k64_seed11.csv"
+        assert (docs[0][0] / name).read_bytes() == \
+            (docs[1][0] / name).read_bytes()
+        # The summary records the worker count; nothing else may differ.
+        assert docs[1][1].replace(b'"workers": 2', b'"workers": 1') == \
+            docs[0][1]
+
     def test_export_json_summary_schema(self, tmp_path):
         cfg = _small_cfg()
         written = export_result(run_grow_n(cfg), tmp_path)

@@ -21,6 +21,7 @@ from rmpoly import (
     sample_monic_gaussian,
     singular_values,
 )
+from rmpoly import matpoly
 
 
 def _scalar_poly(*coeffs):
@@ -177,10 +178,12 @@ class TestCompanion:
     def test_split_is_entrywise_exact(self, n, k):
         p = sample_monic_gaussian(n, k, RngStream(20, (n, k)))
         split = companion(p)
-        assert split.m.shape == (k * n, k * n)
-        assert split.e1.shape == (k * n, n)
-        assert split.c_t.shape == (n, k * n)
-        assert np.array_equal(split.m, split.z_shift + split.e1 @ split.c_t)
+        kn = k * n
+        z_shift = np.eye(kn, k=-n, dtype=np.complex128)
+        e1 = np.eye(kn, n, dtype=np.complex128)
+        assert split.m.shape == (kn, kn)
+        assert split.c_t.shape == (n, kn)
+        assert np.array_equal(split.m, z_shift + e1 @ split.c_t)
 
     def test_top_row_holds_negated_coefficients(self):
         p = sample_monic_gaussian(2, 3, RngStream(21))
@@ -292,6 +295,52 @@ class TestFiniteEigenvalues:
             for lam in finite_eigenvalues(p):
                 smin = singular_values(evaluate(p, lam))[-1]
                 assert smin <= 1e-6 * coeff_norm
+
+    @staticmethod
+    def _count_dense_calls(monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigenvalues(m)
+
+        monkeypatch.setattr(matpoly, "eigenvalues", counted)
+        return calls
+
+    @pytest.mark.parametrize("n,k,dense", [
+        (4, 32, False), (1, 128, False), (8, 16, False),
+        (1, 64, True), (9, 16, True), (17, 34, True)])
+    def test_shape_dispatch(self, monkeypatch, n, k, dense):
+        # Degree-dominated shapes (k >= 2n, n <= 16, kn >= 128) are solved
+        # without the companion matrix; every other shape is dense.
+        p = sample_monic_gaussian(n, k, RngStream(30, (n, k)))
+        calls = self._count_dense_calls(monkeypatch)
+        lams = finite_eigenvalues(p)
+        assert calls == ([(k * n, k * n)] if dense else [])
+        assert lams.shape == (k * n,)
+
+    def test_root_at_origin_converges(self):
+        # A zero column in C_0 puts a simple root at 0, where only the
+        # absolute part of the convergence test can end the iteration.
+        sampled = sample_monic_gaussian(2, 64, RngStream(31))
+        c0 = sampled.coeffs[0].copy()
+        c0[:, 0] = 0.0
+        p = MatrixPolynomial(2, 64, (c0,) + sampled.coeffs[1:])
+        lams = matpoly._aberth_eigenvalues(p)
+        assert lams is not None
+        assert np.min(np.abs(lams)) <= 1e-12
+        assert match_distance(lams, eigenvalues(companion(p).m)) <= 1e-10
+
+    def test_unfinished_iteration_falls_back_to_dense(self, monkeypatch):
+        # P(x) = I x^k: every root is 0 with multiplicity kn, where
+        # Ehrlich-Aberth converges only linearly and runs out of sweeps.
+        n, k = 2, 64
+        p = MatrixPolynomial(n, k, (np.zeros((n, n)),) * k)
+        assert matpoly._aberth_eigenvalues(p) is None
+        calls = self._count_dense_calls(monkeypatch)
+        lams = finite_eigenvalues(p)
+        assert calls == [(k * n, k * n)]
+        np.testing.assert_array_equal(lams, eigenvalues(companion(p).m))
 
 
 # ---------------------------------------------------------------------------
