@@ -17,11 +17,10 @@ import click
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harness import (ExperimentConfig, export_result, read_points_csv,
-                      render_scatter, run_experiment, run_verification,
-                      write_points_csv)
-from .matpoly import (RngStream, finite_eigenvalues, polynomial_to_json,
-                      sample_monic_gaussian)
+from .harness import (ExperimentConfig, export_result, format_points_csv,
+                      pooled_esd, read_points_csv, render_scatter,
+                      run_experiment, run_verification, write_points_csv)
+from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
 from .svgplot import svg_scatter
 from .verify import LemmaCheckConfig  # noqa: F401  (re-exported for configs)
 
@@ -102,20 +101,20 @@ def sample(n, k, seed, out):
               help="Output CSV path (default: stdout).")
 @_guard
 def esd(n, k, trials, seed, regime, out):
-    """Pool scaled eigenvalues over trials and emit them as re,im CSV."""
+    """Pool scaled eigenvalues over trials and emit them as re,im CSV.
+
+    Trial t draws the random numbers of trial t in cell 0 of an experiment
+    with the same seed, so the output equals the points file of a one-cell
+    experiment with the same regime, n, k and trial count.
+    """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     scale = n ** -0.5 if regime == "grow-n" else 1.0
     rng = RngStream(seed)
-    points = []
-    for t in range(trials):
-        p = sample_monic_gaussian(n, k, rng.child(0, t))
-        points.append(scale * finite_eigenvalues(p))
-    pts = np.concatenate(points)
+    pts = pooled_esd(n, k, scale, [rng.child(0, t) for t in range(trials)]
+                     ).points
     if out is None:
-        click.echo("re,im")
-        for z in pts:
-            click.echo(f"{float(z.real)!r},{float(z.imag)!r}")
+        click.echo(format_points_csv(pts), nl=False)
     else:
         write_points_csv(pts, out)
 

@@ -9,9 +9,12 @@ Two experiment regimes mirror the two limit statements:
 
 Cells keep the pooled point count roughly constant: a cell at (n, k) runs
 ``ceil(target_points / (k n))`` trials.  Every trial draws from its own
-addressable RNG stream keyed by (cell index, trial index), so results are
-identical whether trials run sequentially or on a worker pool, and two runs
-with the same config and seed produce byte-identical CSV/JSON outputs.
+addressable RNG stream keyed by (cell index, trial index).  Trials are
+solved in chunks, each one stacked eigensolve (``trial_eigenvalues``), and
+a chunk is also the unit handed to a worker pool; since streams stay per
+trial, results are identical whether chunks run sequentially or on a pool,
+and two runs with the same config and seed produce byte-identical CSV/JSON
+outputs at any worker count.
 Progress and timing go to the ``rmpoly.harness`` logger (stderr in the
 CLI), never into result files.
 """
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   distance_report, merge)
-from .matpoly import RngStream, finite_eigenvalues, sample_monic_gaussian
+from .matpoly import RngStream, trial_eigenvalues
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
@@ -51,6 +54,8 @@ __all__ = [
     "run_experiment",
     "run_verification",
     "export_result",
+    "pooled_esd",
+    "format_points_csv",
     "write_points_csv",
     "read_points_csv",
     "render_scatter",
@@ -68,6 +73,11 @@ ATOM_RADIUS_SWEEP = (0.1, 0.2, 0.3)
 
 #: Half-width of the near-unit-circle annulus reported in grow-k cells.
 ANNULUS_HALFWIDTH = 0.1
+
+#: Entries of the companion stack one chunk of trials may build (512 KB);
+#: a trial with kn > 128 is a chunk of its own.  Solving n in {4, 8, 16},
+#: k = 2 cells took the same time with chunks of 2**12 to 2**18 entries.
+_CHUNK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -213,11 +223,15 @@ class ExperimentResult:
     cells: tuple
 
     def to_json_dict(self) -> dict:
+        # The worker count does not change any result, so it stays out of
+        # the summary, which is byte-identical at any worker count.
+        config = self.config.to_json_dict()
+        del config["workers"]
         return {
             "schema_version": SCHEMA_VERSION,
             "regime": self.regime,
             "seed": self.seed,
-            "config": self.config.to_json_dict(),
+            "config": config,
             "cells": [c.to_json_dict() for c in self.cells],
         }
 
@@ -226,12 +240,16 @@ class ExperimentResult:
 # Points CSV I/O
 
 
+def format_points_csv(points) -> str:
+    """Complex points as ``re,im`` CSV text with full round-trip precision."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    rows = map("{!r},{!r}\n".format, pts.real.tolist(), pts.imag.tolist())
+    return "re,im\n" + "".join(rows)
+
+
 def write_points_csv(points, path) -> None:
     """Write complex points as ``re,im`` CSV with full round-trip precision."""
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    lines = ["re,im"]
-    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in pts)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_points_csv(points))
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -277,9 +295,29 @@ def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
 # Experiment runs
 
 
-def _trial_points(task) -> np.ndarray:
-    n, k, scale, stream = task
-    return scale * finite_eigenvalues(sample_monic_gaussian(n, k, stream))
+def _chunk_points(task) -> np.ndarray:
+    n, k, scale, streams = task
+    return scale * trial_eigenvalues(n, k, streams).ravel()
+
+
+def pooled_esd(n: int, k: int, scale: float, streams, mapper=map
+               ) -> EmpiricalSpectralDistribution:
+    """Pool ``scale`` times the eigenvalues of one trial per stream.
+
+    Trials are solved in chunks whose companion stacks hold at most
+    ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a worker
+    pool's ``map`` runs them in parallel).  Points follow stream order.
+    """
+    if n < 1 or k < 1:
+        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    size = max(1, _CHUNK_ENTRIES // (k * n) ** 2)
+    chunks = [streams[lo:lo + size] for lo in range(0, len(streams), size)]
+    tasks = [(n, k, scale, chunk) for chunk in chunks]
+    return merge([
+        EmpiricalSpectralDistribution(points=pts, scale=scale, n=n, k=k,
+                                      trials=len(chunk))
+        for chunk, pts in zip(chunks, mapper(_chunk_points, tasks))
+    ])
 
 
 def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
@@ -294,14 +332,9 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
             start = time.monotonic()
             trials = cfg.trials_for(n, k)
             scale = scale_of(n, k)
-            tasks = [(n, k, scale, rng.child(idx, t)) for t in range(trials)]
-            mapper = pool.map if pool is not None else map
-            esds = [
-                EmpiricalSpectralDistribution(points=pts, scale=scale,
-                                              n=n, k=k, trials=1)
-                for pts in mapper(_trial_points, tasks)
-            ]
-            esd = merge(esds)
+            streams = [rng.child(idx, t) for t in range(trials)]
+            esd = pooled_esd(n, k, scale, streams,
+                             pool.map if pool is not None else map)
             report = distance_report(esd, law_of(n, k),
                                      atom_radius=cfg.atom_radius)
             points_file = None

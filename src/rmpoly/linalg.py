@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * Matrices are dense 2-D ``numpy.ndarray`` values, dtype ``complex128``,
   row-major layout.  Entries must be finite; NaN/Inf are rejected at the
-  boundary.
+  boundary.  ``eigenvalues`` also accepts a stack ``(..., m, m)`` and
+  validates every matrix in it.
 * Singular values are always reported in descending order.
 * ``svd`` returns factors ``(u, sigma, v)`` with ``x = u @ diag(sigma) @ v``
   -- note ``v`` is the third factor itself, not its conjugate transpose.
@@ -154,15 +155,24 @@ def singular_values(x) -> np.ndarray:
 def eigenvalues(x) -> np.ndarray:
     """Spectrum of a square matrix as an unordered 1-D complex array.
 
-    The returned ordering is whatever the QR iteration produced; treat the
-    result as a multiset.
+    A stack of shape ``(..., m, m)`` gives one spectrum per matrix, shape
+    ``(..., m)``, with the same bits as solving each matrix on its own.
+    The returned ordering is whatever the QR iteration produced; treat each
+    spectrum as a multiset.
     """
-    a = _square(x)
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError(f"empty matrix of shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix contains NaN or Inf entries")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigensolver did not converge for a {a.shape[0]}x{a.shape[0]} "
+            f"eigensolver did not converge for a {a.shape[-1]}x{a.shape[-1]} "
             "matrix", residual=None) from exc
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "circulant_matrix",
     "circulant_b_eigenvalues",
     "finite_eigenvalues",
+    "trial_eigenvalues",
     "polynomial_to_json",
     "polynomial_from_json",
     "complex_gaussian",
@@ -105,7 +106,12 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
     if variance <= 0:
         raise ValidationError("variance must be positive")
     g = _generator(rng)
-    parts = g.standard_normal(tuple(shape) + (2,))
+    return _complex_parts(g.standard_normal(tuple(shape) + (2,)), variance)
+
+
+def _complex_parts(parts: np.ndarray, variance: float) -> np.ndarray:
+    """Standard normal pairs (last axis: real, imaginary) as complex values
+    with ``E|X|^2 = variance``."""
     return (parts[..., 0] + 1j * parts[..., 1]) * np.sqrt(variance / 2.0)
 
 
@@ -395,6 +401,10 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
     return x
 
 
+def _aberth_shape(n: int, k: int) -> bool:
+    return k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN
+
+
 def finite_eigenvalues(p: MatrixPolynomial) -> np.ndarray:
     """The kn finite eigenvalues of P, as an unordered 1-D array.
 
@@ -405,12 +415,40 @@ def finite_eigenvalues(p: MatrixPolynomial) -> np.ndarray:
     which every other shape takes: ``eigenvalues`` of the companion matrix.
     """
     _require_monic(p, "finite_eigenvalues")
-    n, k = p.n, p.k
-    if k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN:
+    if _aberth_shape(p.n, p.k):
         lam = _aberth_eigenvalues(p)
         if lam is not None:
             return lam
     return eigenvalues(companion(p).m)
+
+
+def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
+    """Finite eigenvalues of one monic Gaussian polynomial per stream.
+
+    Returns a ``(len(streams), kn)`` array whose row t has the same bits as
+    ``finite_eigenvalues(sample_monic_gaussian(n, k, streams[t]))``: each
+    trial draws from its own stream exactly as the sampler does.  Dense
+    shapes build all companion matrices as one ``(T, kn, kn)`` stack and
+    solve it with one stacked ``eigenvalues`` call, so callers bound T to
+    bound memory.  Degree-dominated shapes go through
+    ``finite_eigenvalues`` one trial at a time, keeping its fallback.
+    """
+    if n < 1 or k < 1:
+        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    parts = np.empty((len(streams), k, n, n, 2))
+    for t, stream in enumerate(streams):
+        stream.generator().standard_normal(out=parts[t])
+    coeffs = _complex_parts(parts, 1.0)
+    if _aberth_shape(n, k):
+        return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, tuple(c)))
+                         for c in coeffs])
+    kn = k * n
+    stack = np.zeros((len(streams), kn, kn), dtype=np.complex128)
+    # Top block row -[C_{k-1} ... C_0]; identity blocks below the diagonal.
+    stack[:, :n, :] = -coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(-1, n, kn)
+    rows = np.arange(n, kn)
+    stack[:, rows, rows - n] = 1.0
+    return eigenvalues(stack)
 
 
 # ---------------------------------------------------------------------------

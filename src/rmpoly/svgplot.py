@@ -17,6 +17,13 @@ _MARGIN = 48.0
 
 _POINT_STYLE = 'class="pt" r="1.800000" fill="#1f77b4" fill-opacity="0.550000"'
 
+#: One point's element; ``{:.6f}`` formats exactly as ``_fmt`` does.
+_POINT = '<circle ' + _POINT_STYLE + ' cx="{:.6f}" cy="{:.6f}"/>'
+
+#: Point elements joined per block, which keeps the list of element strings
+#: short and lowers the peak memory of a large render.
+_POINT_BLOCK = 4096
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
@@ -40,10 +47,10 @@ def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
     half = max(1.1, 1.02 * extent)
     span = _SIZE - 2.0 * _MARGIN
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN + (x + half) / (2.0 * half) * span
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN + (half - y) / (2.0 * half) * span
 
     out = [
@@ -81,8 +88,12 @@ def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
             f'<circle class="unit-circle" cx="{_fmt(sx(0.0))}" '
             f'cy="{_fmt(sy(0.0))}" r="{_fmt(span / (2.0 * half))}" '
             f'fill="none" stroke="#d62728" stroke-width="1.200000"/>')
-    for z in pts:
-        out.append(f'<circle {_POINT_STYLE} cx="{_fmt(sx(z.real))}" '
-                   f'cy="{_fmt(sy(z.imag))}"/>')
+    # Elementwise, sx and sy give every coordinate the bits they give it as
+    # a scalar.
+    cx, cy = sx(pts.real), sy(pts.imag)
+    for lo in range(0, pts.size, _POINT_BLOCK):
+        hi = lo + _POINT_BLOCK
+        out.append("\n".join(map(_POINT.format, cx[lo:hi].tolist(),
+                                  cy[lo:hi].tolist())))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rmpoly import LemmaReport, polynomial_from_json, read_points_csv
+from rmpoly import (ExperimentConfig, LemmaReport, polynomial_from_json,
+                    read_points_csv, run_grow_n)
 from rmpoly.cli import main
 from rmpoly.harness import VerificationResult
 
@@ -62,6 +63,17 @@ class TestEsd:
         scaled = read_points_csv(a)
         unscaled = read_points_csv(b)
         assert np.array_equal(scaled, 4 ** -0.5 * unscaled)
+
+    def test_stdout_equals_points_file_of_cell_zero(self, runner, tmp_path):
+        res = runner.invoke(main, ["esd", "--n", "4", "--k", "3",
+                                   "--trials", "2", "--seed", "3"])
+        assert res.exit_code == 0
+        cfg = ExperimentConfig(regime="grow-n", n_values=(4,), k_values=(3,),
+                               target_points=24, seed=3,
+                               output_dir=str(tmp_path))
+        (cell,) = run_grow_n(cfg).cells
+        assert cell.trials == 2
+        assert res.stdout_bytes == (tmp_path / cell.points_file).read_bytes()
 
     def test_nonpositive_trials_exit_one(self, runner):
         res = runner.invoke(main, ["esd", "--n", "2", "--k", "2",

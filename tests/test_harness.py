@@ -10,6 +10,7 @@ from rmpoly import (DiscMixture, EmpiricalSpectralDistribution,
                     distance_report, export_result, read_points_csv,
                     render_scatter, run_experiment, run_grow_k, run_grow_n,
                     run_verification, svg_scatter, write_points_csv)
+from rmpoly import harness, svgplot
 from rmpoly.harness import SCHEMA_VERSION
 
 
@@ -181,6 +182,80 @@ class TestPointsCsv:
             read_points_csv(path)
 
 
+def _reference_csv(points) -> str:
+    # The per-point formula write_points_csv used before bulk formatting.
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    lines = ["re,im"]
+    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in pts)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg_points(points) -> list:
+    # The per-point formulas svg_scatter used before bulk formatting.
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    extent = max(float(np.abs(pts.real).max()),
+                 float(np.abs(pts.imag).max()))
+    half = max(1.1, 1.02 * extent)
+    span = svgplot._SIZE - 2.0 * svgplot._MARGIN
+
+    def sx(x):
+        return svgplot._MARGIN + (x + half) / (2.0 * half) * span
+
+    def sy(y):
+        return svgplot._MARGIN + (half - y) / (2.0 * half) * span
+
+    return [f'<circle {svgplot._POINT_STYLE} cx="{svgplot._fmt(sx(z.real))}" '
+            f'cy="{svgplot._fmt(sy(z.imag))}"/>' for z in pts]
+
+
+_EDGE_POINTS = [complex(-0.0, 5e-324), complex(1e300, 0.1 + 0.2),
+                complex(0.1 + 0.2, -0.0), complex(-5e-324, -1e300),
+                complex(-0.0, -0.0), complex(1.2345665, -2.0000005)]
+
+
+def _points_at_count(count, extra=()):
+    """``count`` points in the unit disc, starting with ``extra``.  Then
+    come points within 4 ulps of where an SVG coordinate is a tie at the
+    sixth decimal, where a one-ulp change in its arithmetic shows."""
+    span = svgplot._SIZE - 2.0 * svgplot._MARGIN
+    half = 1.1  # the canvas half-width for points in the unit disc
+    ties = np.array([(100.0 + j * 1e-6 + 5e-7) / span * 2.0 * half - half
+                     for j in range(16)])
+    near = (ties[:, None] + np.arange(-4, 5) * np.spacing(ties)[:, None])
+    g = np.random.default_rng(37)
+    disc = np.sqrt(g.uniform(size=count)) * np.exp(
+        2j * np.pi * g.uniform(size=count))
+    pts = list(extra) + [complex(x, x) for x in near.ravel()] + list(disc)
+    return np.array(pts[:count], dtype=np.complex128)
+
+
+_COUNTS = [1, svgplot._POINT_BLOCK - 1, svgplot._POINT_BLOCK,
+           svgplot._POINT_BLOCK + 1, 2 * svgplot._POINT_BLOCK]
+
+
+class TestBulkFormatting:
+    @pytest.mark.parametrize("count", _COUNTS)
+    def test_csv_matches_per_point_formula(self, tmp_path, count):
+        pts = _points_at_count(count, _EDGE_POINTS)
+        path = tmp_path / "pts.csv"
+        write_points_csv(pts, path)
+        assert path.read_text() == _reference_csv(pts)
+        assert harness.format_points_csv(pts) == _reference_csv(pts)
+
+    @pytest.mark.parametrize("count", _COUNTS)
+    def test_svg_points_match_per_point_formula(self, count):
+        pts = _points_at_count(count)
+        lines = svg_scatter(pts).split("\n")
+        assert lines[-2:] == ["</svg>", ""]
+        assert lines[-2 - count:-2] == _reference_svg_points(pts)
+        assert sum('class="pt"' in line for line in lines) == count
+
+    def test_svg_edge_values_match_per_point_formula(self):
+        pts = np.array(_EDGE_POINTS)
+        lines = svg_scatter(pts).split("\n")
+        assert lines[-2 - pts.size:-2] == _reference_svg_points(pts)
+
+
 class TestRenderScatter:
     def test_four_points_four_glyphs_one_circle(self, tmp_path):
         src = tmp_path / "pts.csv"
@@ -347,13 +422,20 @@ class TestPersistenceAndExport:
         assert (out_a / summary).read_bytes() == (out_b / summary).read_bytes()
 
     def test_worker_pool_matches_sequential_bytes(self, tmp_path):
-        out_a, out_b = tmp_path / "seq", tmp_path / "pool"
-        cfg = _small_cfg(output_dir=str(out_a), target_points=160)
-        run_grow_n(cfg)
-        cfg = _small_cfg(output_dir=str(out_b), target_points=160, workers=2)
-        run_grow_n(cfg)
+        # 300 trials at n=8, k=2: two full chunks of trials and a partial one.
+        docs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = _small_cfg(output_dir=str(out), target_points=4800,
+                             workers=workers)
+            (summary,) = export_result(run_grow_n(cfg), out)
+            docs.append((out, summary.read_bytes()))
+        chunk = harness._CHUNK_ENTRIES // 16 ** 2
+        assert 2 * chunk < cfg.trials_for(8, 2) < 3 * chunk
         name = "points_grow-n_n8_k2_seed11.csv"
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert (docs[0][0] / name).read_bytes() == \
+            (docs[1][0] / name).read_bytes()
+        assert docs[0][1] == docs[1][1]
 
     def test_structured_solver_cell_matches_across_worker_counts(
             self, tmp_path):
@@ -370,9 +452,7 @@ class TestPersistenceAndExport:
         name = "points_grow-k_n2_k64_seed11.csv"
         assert (docs[0][0] / name).read_bytes() == \
             (docs[1][0] / name).read_bytes()
-        # The summary records the worker count; nothing else may differ.
-        assert docs[1][1].replace(b'"workers": 2', b'"workers": 1') == \
-            docs[0][1]
+        assert docs[0][1] == docs[1][1]
 
     def test_export_json_summary_schema(self, tmp_path):
         cfg = _small_cfg()
@@ -382,7 +462,8 @@ class TestPersistenceAndExport:
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["regime"] == "grow-n"
         assert doc["seed"] == 11
-        assert doc["config"] == cfg.to_json_dict()
+        assert "workers" not in doc["config"]
+        assert ExperimentConfig.from_json_dict(doc["config"]) == cfg
         (cell,) = doc["cells"]
         assert cell["n"] == 8 and cell["k"] == 2 and cell["trials"] == 20
         assert set(cell["report"]) == {"radial_ks", "angular_ks",

@@ -148,6 +148,25 @@ class TestEigenvalues:
         with pytest.raises(ValidationError):
             eigenvalues(np.zeros((2, 3)))
 
+    def test_stack_matches_per_matrix_bits(self):
+        stack = complex_gaussian(RngStream(35, (90,)), (4, 6, 6))
+        got = eigenvalues(stack)
+        assert got.shape == (4, 6)
+        for row, m in zip(got, stack):
+            assert np.array_equal(row.view(np.float64),
+                                  eigenvalues(m).view(np.float64))
+
+    def test_nan_in_one_stacked_matrix_rejected(self):
+        stack = complex_gaussian(RngStream(36, (90,)), (3, 4, 4))
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            eigenvalues(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 4, 3), (3,)])
+    def test_non_square_stack_rejected(self, shape):
+        with pytest.raises(ValidationError, match="square"):
+            eigenvalues(np.ones(shape))
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_scalar_companion_matches_root_finder(self, degree):
         # Scalar monic polynomials of degree <= 4: the companion spectrum

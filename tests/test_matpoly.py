@@ -343,6 +343,38 @@ class TestFiniteEigenvalues:
         np.testing.assert_array_equal(lams, eigenvalues(companion(p).m))
 
 
+class TestTrialEigenvalues:
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 2), (16, 2), (32, 4),
+                                     (2, 64), (4, 32)])
+    def test_rows_match_per_trial_oracle(self, n, k):
+        # (2, 64) and (4, 32) take the Ehrlich-Aberth route, the rest the
+        # stacked dense solve; both must keep every bit of the per-trial path.
+        streams = [RngStream(32, (n, k, t)) for t in range(3)]
+        got = matpoly.trial_eigenvalues(n, k, streams)
+        assert got.shape == (3, k * n)
+        for row, stream in zip(got, streams):
+            ref = finite_eigenvalues(sample_monic_gaussian(n, k, stream))
+            assert np.array_equal(row.view(np.float64), ref.view(np.float64))
+
+    @pytest.mark.parametrize("n,k,stacks", [(4, 2, [(5, 8, 8)]),
+                                            (2, 64, [])])
+    def test_dense_shapes_solve_one_stack(self, monkeypatch, n, k, stacks):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigenvalues(m)
+
+        monkeypatch.setattr(matpoly, "eigenvalues", counted)
+        streams = [RngStream(33, (t,)) for t in range(5)]
+        matpoly.trial_eigenvalues(n, k, streams)
+        assert calls == stacks
+
+    def test_invalid_sizes_rejected(self):
+        with pytest.raises(ValidationError):
+            matpoly.trial_eigenvalues(0, 2, [RngStream(34)])
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
