@@ -20,6 +20,7 @@ behaviour on top of those kernels; everything above it is pure Python.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -164,10 +165,8 @@ def eigenvalues(x) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(
             f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.size == 0:
-        raise ValidationError(f"empty matrix of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains NaN or Inf entries")
+    # The stack's rows as one matrix: the checks of ``as_matrix`` cover it.
+    as_matrix(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]))
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -106,12 +106,7 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
     if variance <= 0:
         raise ValidationError("variance must be positive")
     g = _generator(rng)
-    return _complex_parts(g.standard_normal(tuple(shape) + (2,)), variance)
-
-
-def _complex_parts(parts: np.ndarray, variance: float) -> np.ndarray:
-    """Standard normal pairs (last axis: real, imaginary) as complex values
-    with ``E|X|^2 = variance``."""
+    parts = g.standard_normal(tuple(shape) + (2,))
     return (parts[..., 0] + 1j * parts[..., 1]) * np.sqrt(variance / 2.0)
 
 
@@ -193,16 +188,20 @@ def _require_monic(p: MatrixPolynomial, what: str) -> None:
             f"{what} requires a monic polynomial (leading coefficient I_n)")
 
 
-def _companion_dense(p: MatrixPolynomial) -> np.ndarray:
-    n, k = p.n, p.k
-    m = np.zeros((k * n, k * n), dtype=np.complex128)
-    for j, c in enumerate(p.coeffs):
-        # C_j occupies top block column k-1-j, negated.
-        col = (k - 1 - j) * n
-        m[:n, col:col + n] = -c
-    for i in range(1, k):
-        m[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrices of a ``(T, k, n, n)`` stack of coefficients."""
+    t, k, n, _ = coeffs.shape
+    kn = k * n
+    m = np.zeros((t, kn, kn), dtype=np.complex128)
+    # Top block row -[C_{k-1} ... C_0]; identity blocks below the diagonal.
+    m[:, :n, :] = -coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(t, n, kn)
+    rows = np.arange(n, kn)
+    m[:, rows, rows - n] = 1.0
     return m
+
+
+def _companion_dense(p: MatrixPolynomial) -> np.ndarray:
+    return _companion_stack(np.stack(p.coeffs)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -435,20 +434,11 @@ def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
     """
     if n < 1 or k < 1:
         raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    parts = np.empty((len(streams), k, n, n, 2))
-    for t, stream in enumerate(streams):
-        stream.generator().standard_normal(out=parts[t])
-    coeffs = _complex_parts(parts, 1.0)
+    coeffs = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
     if _aberth_shape(n, k):
         return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, tuple(c)))
                          for c in coeffs])
-    kn = k * n
-    stack = np.zeros((len(streams), kn, kn), dtype=np.complex128)
-    # Top block row -[C_{k-1} ... C_0]; identity blocks below the diagonal.
-    stack[:, :n, :] = -coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(-1, n, kn)
-    rows = np.arange(n, kn)
-    stack[:, rows, rows - n] = 1.0
-    return eigenvalues(stack)
+    return eigenvalues(_companion_stack(coeffs))
 
 
 # ---------------------------------------------------------------------------

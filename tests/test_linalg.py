@@ -167,6 +167,11 @@ class TestEigenvalues:
         with pytest.raises(ValidationError, match="square"):
             eigenvalues(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 4, 4)])
+    def test_empty_stack_rejected(self, shape):
+        with pytest.raises(ValidationError, match="empty"):
+            eigenvalues(np.ones(shape))
+
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_scalar_companion_matches_root_finder(self, degree):
         # Scalar monic polynomials of degree <= 4: the companion spectrum
