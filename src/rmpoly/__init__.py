@@ -17,16 +17,14 @@ from .harness import (CellResult, ExperimentConfig, ExperimentResult,
                       VerificationResult, export_result, read_points_csv,
                       render_scatter, run_experiment, run_grow_k, run_grow_n,
                       run_verification, write_points_csv)
-from .linalg import (SvdResult, eigenvalues, frobenius_norm, log_abs_det,
-                     match_distance, norm_inf, norm_one, pseudoinverse,
-                     singular_values, spectral_norm, svd, woodbury_inverse)
+from .linalg import (eigenvalues, log_abs_det, match_distance,
+                     singular_values, spectral_norm, woodbury_inverse)
 from .matpoly import (CompanionSplitK, CompanionSplitN, MatrixPolynomial,
                       RngStream, circulant_b_eigenvalues, circulant_matrix,
                       circulant_split, companion, complex_gaussian, evaluate,
                       finite_eigenvalues, polynomial_from_json,
                       polynomial_to_json, sample_monic_gaussian)
 from .svgplot import svg_scatter
-from .tolerances import DEFAULT, Tolerances
 from .verify import (LemmaCheckConfig, LemmaReport, beta_projection_check,
                      check_circulant_shift_bounds, check_lowrank_interlacing,
                      check_pinv_tail_domination, check_submatrix_interlacing,

@@ -14,15 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative factorization (SVD/QR eigensolver) failed to converge.
-
-    ``residual`` carries a diagnostic residual when one is computable at the
-    failure site, else ``None``.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative factorization (SVD/QR eigensolver) failed to converge."""
 
 
 class SingularUpdateError(NumericalError):

@@ -9,10 +9,10 @@ of one or more sampled polynomials.  Two scalings matter downstream:
 * dimension fixed, degree growing: eigenvalues unscaled; the limit is
   ``UnitCircle``, the uniform (arc-length) measure on the unit circle.
 
-``UnitDisc`` (the circular law) is the k = 1 degenerate case of the mixture
-and is kept as its own law for anchor tests.
+``UnitDisc()`` (the circular law) is the k = 1 case of the mixture and
+returns ``DiscMixture(1)``.
 
-All three laws are rotation invariant, so law masses factor into a radial
+Both laws are rotation invariant, so law masses factor into a radial
 part times uniform angles; the distance diagnostics exploit that.  The
 annulus/sector discrepancy is a binned diagnostic, not a metric with
 distributional guarantees.
@@ -68,12 +68,12 @@ class UnitCircle:
     """Uniform (arc-length) measure on the unit circle."""
 
 
-@dataclass(frozen=True)
-class UnitDisc:
+def UnitDisc() -> DiscMixture:
     """Uniform measure on the closed unit disc (circular law)."""
+    return DiscMixture(1)
 
 
-LimitLaw = Union[DiscMixture, UnitCircle, UnitDisc]
+LimitLaw = Union[DiscMixture, UnitCircle]
 
 
 def radial_cdf(law: LimitLaw, r):
@@ -86,8 +86,6 @@ def radial_cdf(law: LimitLaw, r):
         raise ValidationError("radial_cdf needs r >= 0")
     if isinstance(law, DiscMixture):
         out = (law.k - 1) / law.k + np.minimum(arr, 1.0) ** 2 / law.k
-    elif isinstance(law, UnitDisc):
-        out = np.minimum(arr, 1.0) ** 2
     elif isinstance(law, UnitCircle):
         out = (arr >= 1.0).astype(np.float64)
     else:
@@ -105,8 +103,6 @@ def _radial_cdf_left(law: LimitLaw, r: np.ndarray) -> np.ndarray:
     if isinstance(law, DiscMixture):
         cont = np.minimum(r, 1.0) ** 2 / law.k
         return np.where(r > 0.0, (law.k - 1) / law.k + cont, 0.0)
-    if isinstance(law, UnitDisc):
-        return np.minimum(r, 1.0) ** 2
     if isinstance(law, UnitCircle):
         return (r > 1.0).astype(np.float64)
     raise ValidationError(f"unknown limit law {law!r}")
@@ -120,8 +116,6 @@ def sample_points(law: LimitLaw, count: int, rng) -> np.ndarray:
     theta = 2.0 * np.pi * g.random(count)
     if isinstance(law, UnitCircle):
         radius = np.ones(count)
-    elif isinstance(law, UnitDisc):
-        radius = np.sqrt(g.random(count))
     elif isinstance(law, DiscMixture):
         radius = np.sqrt(g.random(count))
         radius[g.random(count) < (law.k - 1) / law.k] = 0.0

@@ -80,6 +80,37 @@ ANNULUS_HALFWIDTH = 0.1
 _CHUNK_ENTRIES = 2 ** 15
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+#: JSON config fields: (expected type in words, type check).
+_JSON_FIELDS = {
+    "schema_version": ("an integer", _is_int),
+    "regime": ("a string", lambda v: isinstance(v, str)),
+    "n_values": ("a list of integers", _is_list_of(_is_int)),
+    "k_values": ("a list of integers", _is_list_of(_is_int)),
+    "target_points": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "z_values": ("a list of [re, im] number pairs", _is_list_of(
+        lambda z: isinstance(z, list) and len(z) == 2
+        and all(map(_is_number, z)))),
+    "atom_radius": ("a number", _is_number),
+    "output_dir": ("a string or null",
+                   lambda v: v is None or isinstance(v, str)),
+    "format": ("a string", lambda v: isinstance(v, str)),
+    "workers": ("an integer", _is_int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run.
@@ -168,18 +199,21 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
+        unknown = set(doc) - set(_JSON_FIELDS)
+        if unknown:
+            raise ValidationError(
+                f"unknown config fields: {sorted(unknown)}")
+        for name, value in doc.items():
+            expected, check = _JSON_FIELDS[name]
+            if not check(value):
+                raise ValidationError(
+                    f"config field {name!r} must be {expected}, got {value!r}")
         version = doc.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValidationError(
                 f"unsupported config schema_version {version!r} "
                 f"(this build reads {SCHEMA_VERSION})")
-        known = {"regime", "n_values", "k_values", "target_points", "seed",
-                 "z_values", "atom_radius", "output_dir", "format", "workers"}
-        unknown = set(doc) - known - {"schema_version"}
-        if unknown:
-            raise ValidationError(
-                f"unknown config fields: {sorted(unknown)}")
-        kwargs = {k: doc[k] for k in known if k in doc}
+        kwargs = {k: v for k, v in doc.items() if k != "schema_version"}
         if "z_values" in kwargs:
             kwargs["z_values"] = tuple(
                 complex(re, im) for re, im in kwargs["z_values"])

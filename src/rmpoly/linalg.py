@@ -7,41 +7,33 @@ Conventions used throughout the package:
   boundary.  ``eigenvalues`` also accepts a stack ``(..., m, m)`` and
   validates every matrix in it.
 * Singular values are always reported in descending order.
-* ``svd`` returns factors ``(u, sigma, v)`` with ``x = u @ diag(sigma) @ v``
-  -- note ``v`` is the third factor itself, not its conjugate transpose.
 * A "spectrum" is a 1-D complex array representing an unordered eigenvalue
   multiset.  No ordering is promised; compare spectra with
   ``match_distance``, never positionally.
 
-The heavy factorizations (SVD, eigenvalues, determinant) delegate to LAPACK
-through numpy/scipy.  This module pins the contracts, tolerances, and error
-behaviour on top of those kernels; everything above it is pure Python.
+The heavy factorizations (singular values, eigenvalues, determinant)
+delegate to LAPACK through numpy/scipy.  This module pins the contracts,
+tolerances, and error behaviour on top of those kernels; everything above
+it is pure Python.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, SingularUpdateError, ValidationError
-from .tolerances import DEFAULT, Tolerances, rank_cutoff
+from .tolerances import rank_cutoff
 
 __all__ = [
     "as_matrix",
-    "frobenius_norm",
     "spectral_norm",
-    "norm_one",
-    "norm_inf",
-    "SvdResult",
-    "svd",
     "singular_values",
     "eigenvalues",
-    "pseudoinverse",
     "woodbury_inverse",
     "log_abs_det",
     "match_distance",
@@ -71,77 +63,13 @@ def _square(x) -> np.ndarray:
     return a
 
 
-# ---------------------------------------------------------------------------
-# Norms
-
-
-def frobenius_norm(x) -> float:
-    """Entrywise 2-norm, equal to the l2 norm of the singular values."""
-    return float(np.linalg.norm(as_matrix(x), "fro"))
-
-
 def spectral_norm(x) -> float:
     """Largest singular value."""
     return float(singular_values(x)[0])
 
 
-def norm_one(x) -> float:
-    """Maximum absolute column sum."""
-    return float(np.abs(as_matrix(x)).sum(axis=0).max())
-
-
-def norm_inf(x) -> float:
-    """Maximum absolute row sum."""
-    return float(np.abs(as_matrix(x)).sum(axis=1).max())
-
-
-# ---------------------------------------------------------------------------
-# Factorizations
-
-
-class SvdResult(NamedTuple):
-    """Full SVD ``x = u @ diag(sigma) @ v``.
-
-    ``u`` is m x m unitary, ``v`` is n x n unitary, ``sigma`` holds the
-    min(m, n) singular values in descending order.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.u.shape[0], self.v.shape[0]
-        s = np.zeros((m, n), dtype=np.complex128)
-        r = len(self.sigma)
-        s[:r, :r] = np.diag(self.sigma)
-        return self.u @ s @ self.v
-
-
-def svd(x, tol: Tolerances = DEFAULT) -> SvdResult:
-    """Full singular value decomposition.
-
-    Tries the divide-and-conquer driver first and falls back to the slower
-    but more robust one; if both fail, raises ``ConvergenceError``.
-    """
-    a = as_matrix(x)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError:
-        try:
-            u, s, vh = scipy.linalg.svd(a, full_matrices=True,
-                                        lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise ConvergenceError(
-                f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} "
-                f"matrix (Frobenius norm {np.linalg.norm(a, 'fro'):.3e})",
-                residual=None,
-            ) from exc
-    return SvdResult(u, s, vh)
-
-
 def singular_values(x) -> np.ndarray:
-    """Singular values only, descending.  Cheaper than a full ``svd``."""
+    """Singular values, descending; ``ConvergenceError`` if LAPACK fails."""
     a = as_matrix(x)
     try:
         return np.linalg.svd(a, compute_uv=False)
@@ -149,8 +77,7 @@ def singular_values(x) -> np.ndarray:
         try:
             return scipy.linalg.svdvals(a)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise ConvergenceError(
-                "singular values did not converge", residual=None) from exc
+            raise ConvergenceError("singular values did not converge") from exc
 
 
 def eigenvalues(x) -> np.ndarray:
@@ -172,23 +99,10 @@ def eigenvalues(x) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigensolver did not converge for a {a.shape[-1]}x{a.shape[-1]} "
-            "matrix", residual=None) from exc
+            "matrix") from exc
 
 
-def pseudoinverse(x, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD truncation.
-
-    Singular values at or below ``max(m, n) * eps * sigma_1`` are treated as
-    exact zeros, so rank-deficient inputs invert only their numerical range.
-    """
-    a = as_matrix(x)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = rank_cutoff(a.shape, float(s[0]) if s.size else 0.0, tol)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
-
-
-def woodbury_inverse(a_inverse, u, v, tol: Tolerances = DEFAULT) -> np.ndarray:
+def woodbury_inverse(a_inverse, u, v) -> np.ndarray:
     """Inverse of ``A + U @ V`` given ``A^{-1}`` and the low-rank factors.
 
     Uses the identity
@@ -208,7 +122,7 @@ def woodbury_inverse(a_inverse, u, v, tol: Tolerances = DEFAULT) -> np.ndarray:
     p = uu.shape[1]
     small = np.eye(p, dtype=np.complex128) + vv @ ai @ uu
     sv = np.linalg.svd(small, compute_uv=False)
-    cutoff = rank_cutoff(small.shape, float(sv[0]), tol)
+    cutoff = rank_cutoff(small.shape, float(sv[0]))
     if sv[-1] <= cutoff:
         raise SingularUpdateError(
             "capacitance matrix I + V A^-1 U is numerically singular "
@@ -217,7 +131,7 @@ def woodbury_inverse(a_inverse, u, v, tol: Tolerances = DEFAULT) -> np.ndarray:
     return ai - ai @ uu @ np.linalg.solve(small, vv @ ai)
 
 
-def log_abs_det(x, method: str = "svd", tol: Tolerances = DEFAULT) -> float:
+def log_abs_det(x, method: str = "svd") -> float:
     """``log |det(x)|`` for a square matrix.
 
     ``method="svd"`` sums log singular values, which is the numerically
@@ -229,7 +143,7 @@ def log_abs_det(x, method: str = "svd", tol: Tolerances = DEFAULT) -> float:
     a = _square(x)
     if method == "svd":
         s = singular_values(a)
-        if s[-1] <= rank_cutoff(a.shape, float(s[0]), tol):
+        if s[-1] <= rank_cutoff(a.shape, float(s[0])):
             warnings.warn("log_abs_det of a numerically singular matrix; "
                           "returning -inf", RuntimeWarning, stacklevel=2)
             return float("-inf")

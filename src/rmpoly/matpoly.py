@@ -112,17 +112,15 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
 
 @dataclass(eq=False)
 class MatrixPolynomial:
-    """Matrix polynomial with square coefficients ``C_0 ... C_{k-1}``.
+    """Monic matrix polynomial with square coefficients ``C_0 ... C_{k-1}``.
 
-    ``monic=True`` means the degree-k leading coefficient is the identity
-    (the only regime the linearizations below support).  ``seed`` is
+    The degree-k leading coefficient is the identity.  ``seed`` is
     provenance metadata recorded by the sampler, not part of the value.
     """
 
     n: int
     k: int
     coeffs: tuple
-    monic: bool = True
     seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -145,7 +143,6 @@ class MatrixPolynomial:
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         return (self.n == other.n and self.k == other.k
-                and self.monic == other.monic
                 and all(np.array_equal(a, b)
                         for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -161,31 +158,15 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
         raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     entries = complex_gaussian(rng, (k, n, n), variance=1.0)
     seed = rng.seed if isinstance(rng, RngStream) else None
-    return MatrixPolynomial(n, k, tuple(entries), monic=True, seed=seed)
+    return MatrixPolynomial(n, k, tuple(entries), seed=seed)
 
 
 def evaluate(p: MatrixPolynomial, x: complex) -> np.ndarray:
-    """Evaluate ``P(x)`` by Horner's scheme.
-
-    For monic polynomials the leading term is ``I_n x^k``; a non-monic
-    container evaluates just the stored coefficients (degree k-1).
-    """
-    n = p.n
-    if p.monic:
-        acc = np.eye(n, dtype=np.complex128)
-        start = p.k - 1
-    else:
-        acc = np.array(p.coeffs[p.k - 1])
-        start = p.k - 2
-    for j in range(start, -1, -1):
+    """Evaluate ``P(x)``, leading term ``I_n x^k``, by Horner's scheme."""
+    acc = np.eye(p.n, dtype=np.complex128)
+    for j in range(p.k - 1, -1, -1):
         acc = acc * x + p.coeffs[j]
     return acc
-
-
-def _require_monic(p: MatrixPolynomial, what: str) -> None:
-    if not p.monic:
-        raise ValidationError(
-            f"{what} requires a monic polynomial (leading coefficient I_n)")
 
 
 def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
@@ -218,7 +199,6 @@ class CompanionSplitN:
 
 def companion(p: MatrixPolynomial) -> CompanionSplitN:
     """Block companion linearization of a monic polynomial."""
-    _require_monic(p, "companion linearization")
     m = _companion_dense(p)
     c_t = m[:p.n, :].copy()
     for a in (m, c_t):
@@ -259,7 +239,6 @@ def circulant_split(p: MatrixPolynomial) -> CompanionSplitK:
     For k = 1 the circulant corner and the coefficient block collide, so the
     split is not defined.
     """
-    _require_monic(p, "circulant split")
     if p.k < 2:
         raise ValidationError("circulant split requires degree k >= 2")
     n, k = p.n, p.k
@@ -413,7 +392,6 @@ def finite_eigenvalues(p: MatrixPolynomial) -> np.ndarray:
     the trace identity broken) the trial falls back to the dense route,
     which every other shape takes: ``eigenvalues`` of the companion matrix.
     """
-    _require_monic(p, "finite_eigenvalues")
     if _aberth_shape(p.n, p.k):
         lam = _aberth_eigenvalues(p)
         if lam is not None:
@@ -478,5 +456,5 @@ def polynomial_from_json(text: str) -> MatrixPolynomial:
                        dtype=np.complex128).reshape(n, n)
         coeffs.append(arr)
     seed = doc.get("seed")
-    return MatrixPolynomial(n, k, tuple(coeffs), monic=True,
+    return MatrixPolynomial(n, k, tuple(coeffs),
                             seed=None if seed is None else int(seed))

@@ -1,58 +1,28 @@
 """Central numeric tolerance policy.
 
-Every tolerance that a kernel or a theorem check consults lives here, so a
-change in policy is a one-line edit rather than a hunt through call sites.
-Functions accept explicit overrides but default to ``DEFAULT``.
+Every tolerance that a kernel or a theorem check consults is a constant
+here, so a change in policy is a one-line edit rather than a hunt through
+call sites.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 #: Machine epsilon for float64, the working precision of every kernel.
 EPS = float(np.finfo(np.float64).eps)
 
+#: Relative slack granted to checks of exact theorems (interlacing,
+#: perturbation bounds, algebraic identities).  A margin is scaled by the
+#: largest singular value involved before comparison.
+DETERMINISTIC_SLACK = 1e-10
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of the package-wide numeric tolerances.
-
-    deterministic_slack
-        Relative slack granted to checks of exact theorems (interlacing,
-        perturbation bounds, algebraic identities).  A margin is scaled by
-        the largest singular value involved before comparison.
-    rank_eps_factor
-        Factor multiplying ``max(m, n) * sigma_1`` to decide which singular
-        values count as zero (rank decisions, pseudoinverse truncation,
-        log-determinant singularity).
-    svd_reconstruction
-        Relative factor for ``u @ diag(s) @ v`` reconstruction residuals,
-        scaled by ``max(m, n) * sigma_1``.
-    penrose_rel
-        Relative tolerance for the four Penrose identities of the
-        pseudoinverse.
-    pairing
-        Absolute tolerance for matching two spectra after optimal pairing.
-    ks_critical_1pct
-        One-sample Kolmogorov-Smirnov critical coefficient at the 1% level;
-        the statistic threshold for N samples is ``ks_critical_1pct /
-        sqrt(N)`` (statistical checks double it for slack).
-    """
-
-    deterministic_slack: float = 1e-10
-    rank_eps_factor: float = EPS
-    svd_reconstruction: float = 1e-10
-    penrose_rel: float = 1e-9
-    pairing: float = 1e-8
-    ks_critical_1pct: float = 1.63
+#: One-sample Kolmogorov-Smirnov critical coefficient at the 1% level; the
+#: statistic threshold for N samples is ``KS_CRITICAL_1PCT / sqrt(N)``
+#: (statistical checks double it for slack).
+KS_CRITICAL_1PCT = 1.63
 
 
-DEFAULT = Tolerances()
-
-
-def rank_cutoff(shape: tuple[int, int], sigma_max: float,
-                tol: Tolerances = DEFAULT) -> float:
+def rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     """Singular values at or below this threshold are treated as zero."""
-    return max(shape) * tol.rank_eps_factor * sigma_max
+    return max(shape) * EPS * sigma_max

@@ -6,7 +6,8 @@ Two kinds of check live here:
   (Thompson), singular value perturbation (Mirsky), submatrix interlacing,
   the Woodbury identity, and the singular-value range of a shifted block
   circulant.  These are exact statements; a check fails only beyond a
-  relative slack of ``Tolerances.deterministic_slack``.
+  relative slack of ``DETERMINISTIC_SLACK``.  Each ``sweep_*`` runs one of
+  them on many random instances, each instance from its own stream.
 * probabilistic bound checks -- Monte Carlo sweeps confirming that sampled
   quantities respect high-probability bounds at pilot-calibrated constants:
   floors on the smallest singular values of shifted companion matrices,
@@ -31,9 +32,10 @@ import numpy as np
 from .errors import SingularUpdateError, ValidationError
 from .linalg import (log_abs_det, singular_values, spectral_norm,
                      woodbury_inverse)
-from .matpoly import (RngStream, circulant_b_eigenvalues, circulant_matrix,
-                      companion, complex_gaussian, sample_monic_gaussian)
-from .tolerances import DEFAULT, Tolerances, rank_cutoff
+from .matpoly import (RngStream, _generator, circulant_b_eigenvalues,
+                      circulant_matrix, companion, complex_gaussian,
+                      sample_monic_gaussian)
+from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
 __all__ = [
     "LemmaCheckConfig",
@@ -149,7 +151,7 @@ class LemmaReport:
 # Deterministic theorem checks (exact statements, slack-guarded)
 
 
-def check_lowrank_interlacing(a, e, tol: Tolerances = DEFAULT) -> LemmaReport:
+def check_lowrank_interlacing(a, e) -> LemmaReport:
     """Interlacing under additive low-rank perturbation.
 
     With alpha = singular values of ``a``, beta = singular values of
@@ -159,8 +161,8 @@ def check_lowrank_interlacing(a, e, tol: Tolerances = DEFAULT) -> LemmaReport:
     alpha = singular_values(a)
     beta = singular_values(np.asarray(a) + np.asarray(e))
     se = singular_values(e)
-    r = int(np.sum(se > rank_cutoff(np.asarray(e).shape, float(se[0]), tol)))
-    slack = tol.deterministic_slack * max(alpha[0], beta[0], 1.0)
+    r = int(np.sum(se > rank_cutoff(np.asarray(e).shape, float(se[0]))))
+    slack = DETERMINISTIC_SLACK * max(alpha[0], beta[0], 1.0)
     margins = []
     for i in range(len(alpha) - r):
         margins.append(alpha[i] - beta[i + r] + slack)
@@ -170,7 +172,7 @@ def check_lowrank_interlacing(a, e, tol: Tolerances = DEFAULT) -> LemmaReport:
     return LemmaReport("lowrank-interlacing", tuple(margins))
 
 
-def check_mirsky(a, b, tol: Tolerances = DEFAULT) -> LemmaReport:
+def check_mirsky(a, b) -> LemmaReport:
     """Singular values move by at most the spectral norm of the difference:
     ``max_i |sigma_i(a) - sigma_i(b)| <= ||a - b||``."""
     sa = singular_values(a)
@@ -179,12 +181,11 @@ def check_mirsky(a, b, tol: Tolerances = DEFAULT) -> LemmaReport:
         raise ValidationError("sv perturbation check needs equal shapes")
     gap = float(np.max(np.abs(sa - sb)))
     norm = spectral_norm(np.asarray(a) - np.asarray(b))
-    slack = tol.deterministic_slack * max(sa[0], sb[0], 1.0)
+    slack = DETERMINISTIC_SLACK * max(sa[0], sb[0], 1.0)
     return LemmaReport("mirsky-sv-perturbation", (norm - gap + slack,))
 
 
-def check_submatrix_interlacing(a, rows, cols,
-                                tol: Tolerances = DEFAULT) -> LemmaReport:
+def check_submatrix_interlacing(a, rows, cols) -> LemmaReport:
     """A p x q submatrix has no larger top singular value and no smaller
     min(p, q)-th one: ``||a|| >= ||b||`` and ``sigma_{min(p,q)}(a) >=
     sigma_min(b)``."""
@@ -196,14 +197,14 @@ def check_submatrix_interlacing(a, rows, cols,
     b = aa[np.ix_(rows, cols)]
     sa = singular_values(aa)
     sb = singular_values(b)
-    slack = tol.deterministic_slack * max(sa[0], 1.0)
+    slack = DETERMINISTIC_SLACK * max(sa[0], 1.0)
     small = min(b.shape)
     return LemmaReport("submatrix-interlacing",
                        (sa[0] - sb[0] + slack,
                         sa[small - 1] - sb[-1] + slack))
 
 
-def check_woodbury_identity(a, u, v, tol: Tolerances = DEFAULT) -> LemmaReport:
+def check_woodbury_identity(a, u, v) -> LemmaReport:
     """Low-rank update inverse agrees with a true inverse of ``a + u v``.
 
     Verified through both inverse residuals ``||(a+uv) w - I||_F`` and
@@ -217,12 +218,11 @@ def check_woodbury_identity(a, u, v, tol: Tolerances = DEFAULT) -> LemmaReport:
     eye = np.eye(b.shape[0])
     right = np.linalg.norm(b @ w - eye, "fro") / scale
     left = np.linalg.norm(w @ b - eye, "fro") / scale
-    slack = tol.deterministic_slack
-    return LemmaReport("woodbury-identity", (slack - right, slack - left))
+    return LemmaReport("woodbury-identity", (DETERMINISTIC_SLACK - right,
+                                             DETERMINISTIC_SLACK - left))
 
 
-def check_circulant_shift_bounds(n: int, k: int, z: complex,
-                                 tol: Tolerances = DEFAULT) -> LemmaReport:
+def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
     """Singular values of (block circulant - z I) stay in
     ``[|1 - |z||, 1 + |z|]``.
 
@@ -232,7 +232,7 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex,
     s = singular_values(circulant_matrix(n, k) - z * np.eye(k * n))
     lo = abs(1.0 - abs(z))
     hi = 1.0 + abs(z)
-    slack = tol.deterministic_slack * max(s[0], 1.0)
+    slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
     margins = np.concatenate([s - lo + slack, hi - s + slack])
     return LemmaReport("circulant-shift-sv-range", tuple(margins))
 
@@ -241,78 +241,73 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex,
 # Deterministic sweeps: many random instances, worst margin per instance
 
 
-def _min_margin(report: LemmaReport) -> float:
-    return min(report.per_trial_margins)
+def _sweep(lemma_id: str, instances: int, check_instance) -> LemmaReport:
+    """Worst margin of ``check_instance(i)``'s report for each instance i."""
+    return LemmaReport(lemma_id, tuple(
+        min(check_instance(i).per_trial_margins) for i in range(instances)))
 
 
 def sweep_lowrank_interlacing(dim: int, instances: int, rng: RngStream,
                               rank: int = 1) -> LemmaReport:
-    margins = []
-    for i in range(instances):
+    def check(i):
         gg = rng.child(0, i).generator()
         a = complex_gaussian(gg, (dim, dim))
         u = complex_gaussian(gg, (dim, rank))
         v = complex_gaussian(gg, (rank, dim))
-        margins.append(_min_margin(check_lowrank_interlacing(a, u @ v)))
-    return LemmaReport("lowrank-interlacing", tuple(margins))
+        return check_lowrank_interlacing(a, u @ v)
+    return _sweep("lowrank-interlacing", instances, check)
 
 
-def sweep_mirsky(dim: int, instances: int,
-                          rng: RngStream) -> LemmaReport:
-    margins = []
-    for i in range(instances):
+def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
+    def check(i):
         gg = rng.child(1, i).generator()
         a = complex_gaussian(gg, (dim, dim))
         b = complex_gaussian(gg, (dim, dim))
-        margins.append(_min_margin(check_mirsky(a, b)))
-    return LemmaReport("mirsky-sv-perturbation", tuple(margins))
+        return check_mirsky(a, b)
+    return _sweep("mirsky-sv-perturbation", instances, check)
 
 
 def sweep_submatrix_interlacing(dim: int, instances: int,
                                 rng: RngStream) -> LemmaReport:
-    margins = []
-    for i in range(instances):
+    def check(i):
         gg = rng.child(2, i).generator()
         a = complex_gaussian(gg, (dim, dim))
         p = int(gg.integers(1, dim + 1))
         q = int(gg.integers(1, dim + 1))
         rows = gg.choice(dim, size=p, replace=False)
         cols = gg.choice(dim, size=q, replace=False)
-        margins.append(_min_margin(check_submatrix_interlacing(a, rows, cols)))
-    return LemmaReport("submatrix-interlacing", tuple(margins))
+        return check_submatrix_interlacing(a, rows, cols)
+    return _sweep("submatrix-interlacing", instances, check)
 
 
 def sweep_woodbury_identity(dim: int, instances: int, rng: RngStream,
                             rank: int = 1) -> LemmaReport:
-    margins = []
-    for i in range(instances):
+    def check(i):
         for attempt in range(100):
             gg = rng.child(3, i, attempt).generator()
             a = complex_gaussian(gg, (dim, dim))
             u = complex_gaussian(gg, (dim, rank))
             v = complex_gaussian(gg, (rank, dim))
             try:
-                margins.append(_min_margin(check_woodbury_identity(a, u, v)))
-                break
+                return check_woodbury_identity(a, u, v)
             except SingularUpdateError:
                 continue  # precondition failed, redraw
-        else:  # pragma: no cover - probability ~ 0
-            raise ValidationError(
-                "could not draw an invertible low-rank update in 100 tries")
-    return LemmaReport("woodbury-identity", tuple(margins))
+        raise ValidationError(  # pragma: no cover - probability ~ 0
+            "could not draw an invertible low-rank update in 100 tries")
+    return _sweep("woodbury-identity", instances, check)
 
 
 def sweep_circulant_shift_bounds(sizes, instances: int,
                                  rng: RngStream) -> LemmaReport:
     """Range check for random shifts z cycling over the given (n, k) sizes."""
-    margins = []
     sizes = tuple(sizes)
-    for i in range(instances):
+
+    def check(i):
         gg = rng.child(4, i).generator()
         n, k = sizes[i % len(sizes)]
         z = complex(gg.standard_normal(), gg.standard_normal())
-        margins.append(_min_margin(check_circulant_shift_bounds(n, k, z)))
-    return LemmaReport("circulant-shift-sv-range", tuple(margins))
+        return check_circulant_shift_bounds(n, k, z)
+    return _sweep("circulant-shift-sv-range", instances, check)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +360,7 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     if r_d.shape != (n, big_n):
         raise ValidationError(
             f"r_deterministic has shape {r_d.shape}, expected ({n}, {big_n})")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _generator(rng)
     hits = 0
     done = 0
     while done < trials:
@@ -397,7 +392,7 @@ def gaussian_norm_tail(n: int, a_threshold: float, trials: int, rng,
     complex Gaussian matrices (entry variance 1)."""
     if n < 1 or trials < 1:
         raise ValidationError("need n >= 1 and trials >= 1")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _generator(rng)
     hits = 0
     done = 0
     thr = a_threshold * math.sqrt(n)
@@ -410,8 +405,7 @@ def gaussian_norm_tail(n: int, a_threshold: float, trials: int, rng,
     return hits / trials
 
 
-def beta_projection_check(big_n: int, trials: int, rng,
-                          tol: Tolerances = DEFAULT) -> LemmaReport:
+def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
     """Squared modulus of one coordinate of a uniform unit vector in C^N
     follows ``P(|v_1|^2 <= lam) = 1 - (1 - lam)^(N-1)``.
 
@@ -421,7 +415,7 @@ def beta_projection_check(big_n: int, trials: int, rng,
         raise ValidationError("beta projection check needs N >= 2")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _generator(rng)
     vecs = complex_gaussian(g, (trials, big_n), variance=1.0)
     lam = np.sort(np.abs(vecs[:, 0]) ** 2
                   / np.sum(np.abs(vecs) ** 2, axis=1))
@@ -429,7 +423,7 @@ def beta_projection_check(big_n: int, trials: int, rng,
     i = np.arange(1, trials + 1)
     stat = max(float(np.max(i / trials - cdf)),
                float(np.max(cdf - (i - 1) / trials)), 0.0)
-    threshold = 2.0 * tol.ks_critical_1pct / math.sqrt(trials)
+    threshold = 2.0 * KS_CRITICAL_1PCT / math.sqrt(trials)
     return LemmaReport("unit-vector-projection-beta", (threshold - stat,))
 
 
@@ -607,8 +601,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     ]
 
 
-def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream,
-                       tol: Tolerances = DEFAULT) -> list:
+def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     """Bound sweep for the degree-growing regime.
 
     Per trial, with T = M - zI (companion matrix, unscaled):
@@ -645,7 +638,7 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream,
         for t in range(cfg.trials):
             p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
             s = singular_values(companion(p).m - z * eye)
-            slack = tol.deterministic_slack * max(s[0], 1.0)
+            slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
             cap.append(cap_value - s[0])
             floor_block.append(s[n - 1] - abs(1.0 - az) + slack)
             floor_min.append(s[-1] - floor_value)

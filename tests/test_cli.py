@@ -131,6 +131,19 @@ class TestExperiment:
         assert res.exit_code == 1
         assert "cannot load config" in res.stderr
 
+    def test_mistyped_config_field_exits_one(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"regime": "grow-n", "n_values": [4],
+                                        "k_values": [2],
+                                        "z_values": [1]}))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg_path),
+                                   "--out", str(tmp_path)])
+        # A raw exception would also give exit code 1 under CliRunner; a
+        # clean exit is SystemExit from the CLI's ValidationError handler.
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "'z_values' must be" in res.stderr
+
     def test_missing_axes_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, ["experiment", "--regime", "grow-n",
                                    "--out", str(tmp_path)])

@@ -59,9 +59,16 @@ class TestRadialCdf:
         assert vals[-1] == 1.0
 
     def test_degenerate_mixture_is_unit_disc(self):
+        assert UnitDisc() == DiscMixture(1)
         r = np.linspace(0.0, 2.0, 1000)
+        # The circular law's own formulas, bit for bit.
         np.testing.assert_array_equal(radial_cdf(DiscMixture(1), r),
-                                      radial_cdf(UnitDisc(), r))
+                                      np.minimum(r, 1.0) ** 2)
+        pts = sample_points(DiscMixture(1), 1000, RngStream(42))
+        g = RngStream(42).generator()
+        theta = 2.0 * np.pi * g.random(1000)
+        disc = np.sqrt(g.random(1000)) * np.exp(1j * theta)
+        assert np.array_equal(pts.view(np.float64), disc.view(np.float64))
 
     def test_circle_is_a_step_at_one(self):
         assert radial_cdf(UnitCircle(), 0.999) == 0.0

@@ -126,6 +126,28 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_json_dict(doc, seed=None)
         assert cfg.seed == 11
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_values", "16"),
+        ("n_values", [16.9]),
+        ("k_values", [True]),
+        ("workers", True),
+        ("seed", 1.5),
+        ("target_points", 20000.0),
+        ("z_values", [1]),
+        ("z_values", [[0.5, "0"]]),
+        ("atom_radius", "0.2"),
+        ("atom_radius", False),
+        ("regime", 1),
+        ("format", None),
+        ("output_dir", 3),
+        ("schema_version", True),
+    ])
+    def test_from_json_rejects_mistyped_fields(self, field, value):
+        doc = _small_cfg().to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValidationError, match=f"'{field}' must be"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_z_values_parsed_from_pairs(self):
         doc = _small_cfg().to_json_dict()
         doc["z_values"] = [[0.25, -0.5]]

@@ -102,9 +102,9 @@ class TestSampleMonicGaussian:
         b = sample_monic_gaussian(3, 4, RngStream(15, (1,)))
         assert a != b
 
-    def test_shapes_and_monic_flag(self):
+    def test_shapes_and_seed(self):
         p = sample_monic_gaussian(2, 3, RngStream(16))
-        assert p.n == 2 and p.k == 3 and p.monic
+        assert p.n == 2 and p.k == 3
         assert len(p.coeffs) == 3
         assert all(c.shape == (2, 2) for c in p.coeffs)
         assert p.seed == 16
@@ -191,11 +191,6 @@ class TestCompanion:
         np.testing.assert_array_equal(split.c_t[:, 4:6], -p.coeffs[0])
         np.testing.assert_array_equal(split.c_t[:, 2:4], -p.coeffs[1])
         np.testing.assert_array_equal(split.c_t[:, 0:2], -p.coeffs[2])
-
-    def test_non_monic_rejected(self):
-        p = MatrixPolynomial(1, 1, (np.array([[1.0]]),), monic=False)
-        with pytest.raises(ValidationError):
-            companion(p)
 
 
 class TestCirculantSplit:

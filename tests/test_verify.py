@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rmpoly import (
-    DEFAULT,
     LemmaCheckConfig,
     LemmaReport,
     RngStream,
@@ -38,8 +37,7 @@ from rmpoly import (
     tail_log_sum,
     tail_split_index,
 )
-
-SLACK = DEFAULT.deterministic_slack
+from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
 
 
 def _lowrank_companion_pair(n, k, seed):
