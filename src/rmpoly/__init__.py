@@ -11,19 +11,19 @@ from .errors import (ConvergenceError, NumericalError, SingularUpdateError,
 from .esd import (DiscMixture, DistanceReport, EmpiricalSpectralDistribution,
                   LimitLaw, UnitCircle, UnitDisc, angular_ks,
                   annulus_sector_discrepancy, atom_mass, distance_report,
-                  empirical_radial_cdf, esd_of_polynomial, merge, radial_cdf,
-                  radial_ks, sample_points)
+                  esd_of_polynomial, merge, radial_cdf, radial_ks,
+                  sample_points)
 from .harness import (CellResult, ExperimentConfig, ExperimentResult,
                       VerificationResult, export_result, read_points_csv,
                       render_scatter, run_experiment, run_grow_k, run_grow_n,
                       run_verification, write_points_csv)
 from .linalg import (eigenvalues, log_abs_det, match_distance,
                      singular_values, spectral_norm, woodbury_inverse)
-from .matpoly import (CompanionSplitK, CompanionSplitN, MatrixPolynomial,
-                      RngStream, circulant_b_eigenvalues, circulant_matrix,
-                      circulant_split, companion, complex_gaussian, evaluate,
-                      finite_eigenvalues, polynomial_from_json,
-                      polynomial_to_json, sample_monic_gaussian)
+from .matpoly import (CompanionSplitN, MatrixPolynomial, RngStream,
+                      circulant_b_eigenvalues, circulant_matrix, companion,
+                      complex_gaussian, evaluate, finite_eigenvalues,
+                      polynomial_from_json, polynomial_to_json,
+                      sample_monic_gaussian)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, LemmaReport, beta_projection_check,
                      check_circulant_shift_bounds, check_lowrank_interlacing,

@@ -21,8 +21,6 @@ from .harness import (ExperimentConfig, export_result, format_points_csv,
                       pooled_esd, read_points_csv, render_scatter,
                       run_experiment, run_verification, write_points_csv)
 from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
-from .svgplot import svg_scatter
-from .verify import LemmaCheckConfig  # noqa: F401  (re-exported for configs)
 
 
 def _guard(fn):

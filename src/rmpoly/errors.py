@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes: validation failures exit 1,
 numerical failures exit 2, verification-gate failures exit 3.
 """
 
+__all__ = ["ValidationError", "NumericalError", "ConvergenceError",
+           "SingularUpdateError"]
+
 
 class ValidationError(ValueError):
     """Raised when inputs, shapes, or configuration violate a precondition."""

@@ -37,7 +37,6 @@ __all__ = [
     "esd_of_polynomial",
     "merge",
     "radial_cdf",
-    "empirical_radial_cdf",
     "radial_ks",
     "angular_ks",
     "annulus_sector_discrepancy",
@@ -192,16 +191,6 @@ def merge(esds: Sequence[EmpiricalSpectralDistribution]
 # Distances
 
 
-def empirical_radial_cdf(esd: EmpiricalSpectralDistribution, r):
-    """Fraction of points with modulus <= r (scalar or array r)."""
-    arr = np.asarray(r, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValidationError("empirical_radial_cdf needs r >= 0")
-    radii = np.sort(np.abs(esd.points))
-    out = np.searchsorted(radii, arr, side="right") / radii.size
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
-
-
 def _ks_statistic(sorted_cdf: np.ndarray,
                   sorted_cdf_left: np.ndarray | None = None) -> float:
     # One-sample KS for F evaluated at the sorted sample points.  For an F
@@ -334,16 +323,22 @@ class DistanceReport:
         }
 
 
+#: Points with modulus at or below this radius have no meaningful angle, so
+#: ``distance_report`` leaves them out of ``angular_ks``.
+ANGULAR_EXCLUSION = 0.5
+
+
 def distance_report(esd: EmpiricalSpectralDistribution, law: LimitLaw,
-                    atom_radius: float = 0.2, radial_bins: int = 8,
-                    angular_bins: int = 16,
-                    angular_exclusion: float = 0.5) -> DistanceReport:
-    """Bundle the four distance diagnostics for one ESD/law pair."""
+                    atom_radius: float = 0.2) -> DistanceReport:
+    """Bundle the four distance diagnostics for one ESD/law pair.
+
+    The discrepancy uses the default 8 ring x 16 sector grid, and
+    ``angular_ks`` drops moduli at or below ``ANGULAR_EXCLUSION``.
+    """
     return DistanceReport(
         radial_ks=radial_ks(esd, law, atom_proxy=atom_radius),
-        angular_ks=angular_ks(esd, angular_exclusion),
-        discrepancy=annulus_sector_discrepancy(esd, law, radial_bins,
-                                               angular_bins),
+        angular_ks=angular_ks(esd, ANGULAR_EXCLUSION),
+        discrepancy=annulus_sector_discrepancy(esd, law),
         atom_mass_observed=atom_mass(esd, atom_radius),
         atom_radius=atom_radius,
     )

@@ -26,7 +26,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,8 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   distance_report, merge)
-from .matpoly import RngStream, trial_eigenvalues
+from .matpoly import (RngStream, _is_int, _is_number, _is_pair,
+                      trial_eigenvalues)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
@@ -80,35 +81,35 @@ ANNULUS_HALFWIDTH = 0.1
 _CHUNK_ENTRIES = 2 ** 15
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is_seq_of(check):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(check, v))
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_list_of(check):
-    return lambda v: isinstance(v, list) and all(map(check, v))
-
-
-#: JSON config fields: (expected type in words, type check).
-_JSON_FIELDS = {
-    "schema_version": ("an integer", _is_int),
+#: Config fields: (expected type in words, type check).  The constructor
+#: checks every field against it; ``from_json_dict`` also checks a config
+#: document's own fields before command-line overrides replace them.
+_FIELDS = {
     "regime": ("a string", lambda v: isinstance(v, str)),
-    "n_values": ("a list of integers", _is_list_of(_is_int)),
-    "k_values": ("a list of integers", _is_list_of(_is_int)),
+    "n_values": ("a list of integers", _is_seq_of(_is_int)),
+    "k_values": ("a list of integers", _is_seq_of(_is_int)),
     "target_points": ("an integer", _is_int),
     "seed": ("an integer", _is_int),
-    "z_values": ("a list of [re, im] number pairs", _is_list_of(
-        lambda z: isinstance(z, list) and len(z) == 2
-        and all(map(_is_number, z)))),
+    "z_values": ("a list of complex numbers", _is_seq_of(
+        lambda z: _is_number(z) or isinstance(z, complex))),
     "atom_radius": ("a number", _is_number),
     "output_dir": ("a string or null",
                    lambda v: v is None or isinstance(v, str)),
     "format": ("a string", lambda v: isinstance(v, str)),
     "workers": ("an integer", _is_int),
 }
+
+
+def _check_types(values: dict) -> None:
+    for name, value in values.items():
+        expected, check = _FIELDS[name]
+        if not check(value):
+            raise ValidationError(
+                f"config field {name!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values",
-                           tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "k_values",
-                           tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "z_values",
-                           tuple(complex(z) for z in self.z_values))
+        _check_types({name: getattr(self, name) for name in _FIELDS})
+        for name in ("n_values", "k_values", "z_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.regime not in _REGIMES:
             raise ValidationError(
                 f"regime must be one of {_REGIMES}, got {self.regime!r}")
@@ -199,24 +197,27 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
-        unknown = set(doc) - set(_JSON_FIELDS)
+        unknown = set(doc) - set(_FIELDS) - {"schema_version"}
         if unknown:
             raise ValidationError(
                 f"unknown config fields: {sorted(unknown)}")
-        for name, value in doc.items():
-            expected, check = _JSON_FIELDS[name]
-            if not check(value):
-                raise ValidationError(
-                    f"config field {name!r} must be {expected}, got {value!r}")
         version = doc.get("schema_version", SCHEMA_VERSION)
+        if not _is_int(version):
+            raise ValidationError("config field 'schema_version' must be an "
+                                  f"integer, got {version!r}")
         if version != SCHEMA_VERSION:
             raise ValidationError(
                 f"unsupported config schema_version {version!r} "
                 f"(this build reads {SCHEMA_VERSION})")
         kwargs = {k: v for k, v in doc.items() if k != "schema_version"}
         if "z_values" in kwargs:
-            kwargs["z_values"] = tuple(
-                complex(re, im) for re, im in kwargs["z_values"])
+            pairs = kwargs["z_values"]
+            if not (isinstance(pairs, list) and all(map(_is_pair, pairs))):
+                raise ValidationError(
+                    "config field 'z_values' must be a list of [re, im] "
+                    f"number pairs, got {pairs!r}")
+            kwargs["z_values"] = tuple(complex(re, im) for re, im in pairs)
+        _check_types(kwargs)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         missing = {"regime", "n_values", "k_values"} - set(kwargs)
         if missing:
@@ -226,9 +227,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of one (n, k) cell.  ``wallclock`` is diagnostic only and is
-    deliberately excluded from serialized output to keep reruns
-    byte-identical."""
+    """Outcome of one (n, k) cell."""
 
     n: int
     k: int
@@ -236,7 +235,6 @@ class CellResult:
     report: object
     extras: dict
     points_file: str | None
-    wallclock: float = field(compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -376,13 +374,12 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
                 name = (f"points_{cfg.regime}_n{n}_k{k}_seed{cfg.seed}.csv")
                 write_points_csv(esd.points, out_dir / name)
                 points_file = name
-            elapsed = time.monotonic() - start
             logger.info("cell %s n=%d k=%d trials=%d points=%d "
                         "wallclock=%.2fs", cfg.regime, n, k, trials,
-                        esd.points.size, elapsed)
+                        esd.points.size, time.monotonic() - start)
             cells.append(CellResult(n=n, k=k, trials=trials, report=report,
-                                    extras=extras_of(esd), points_file=points_file,
-                                    wallclock=elapsed))
+                                    extras=extras_of(esd),
+                                    points_file=points_file))
     finally:
         if pool is not None:
             pool.shutdown()

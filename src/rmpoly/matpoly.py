@@ -20,15 +20,16 @@ takes the spectrum of the block companion matrix
         [   ...                             ]
         [    0         0      ...   I_n    0  ].
 
-Two exact additive splittings of M drive the asymptotic diagnostics:
-
-* ``companion``:       M = Z + E_1 C^T with Z the block down-shift,
-  E_1^T = [I_n 0 ... 0], and C^T = -[C_{k-1} ... C_0] (returned as
-  ``c_t``).  The rank of the random part is at most n, which is what
-  degree-growing arguments exploit.
-* ``circulant_split``: M = B + E_1 Chat^T with B the block circulant
-  (down-shift plus an identity corner block) whose spectrum is exactly the
-  k-th roots of unity, each with multiplicity n.
+``companion`` returns M with the top block row ``c_t = -[C_{k-1} ... C_0]``
+of the exact splitting M = Z + E_1 c_t, Z the block down-shift and
+E_1^T = [I_n 0 ... 0]; the random part has rank at most n, which is what
+degree-growing arguments exploit.  Moving the identity corner block of B =
+``circulant_matrix(n, k)`` into the random part gives the second exact
+splitting M = B + (M - B): B is the block circulant whose spectrum is the
+k-th roots of unity (``circulant_b_eigenvalues``), and M - B is nonzero
+only in its top block row, so it too has rank at most n.  The
+verification suites and the replacement-gap diagnostics compare M against
+B directly.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
@@ -51,9 +52,7 @@ __all__ = [
     "sample_monic_gaussian",
     "evaluate",
     "CompanionSplitN",
-    "CompanionSplitK",
     "companion",
-    "circulant_split",
     "circulant_matrix",
     "circulant_b_eigenvalues",
     "finite_eigenvalues",
@@ -181,10 +180,6 @@ def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-def _companion_dense(p: MatrixPolynomial) -> np.ndarray:
-    return _companion_stack(np.stack(p.coeffs)[None])[0]
-
-
 @dataclass(frozen=True)
 class CompanionSplitN:
     """Companion matrix with the random factor of ``m = Z + E_1 @ c_t``.
@@ -199,26 +194,11 @@ class CompanionSplitN:
 
 def companion(p: MatrixPolynomial) -> CompanionSplitN:
     """Block companion linearization of a monic polynomial."""
-    m = _companion_dense(p)
+    m = _companion_stack(np.stack(p.coeffs)[None])[0]
     c_t = m[:p.n, :].copy()
     for a in (m, c_t):
         a.setflags(write=False)
     return CompanionSplitN(m=m, c_t=c_t)
-
-
-@dataclass(frozen=True)
-class CompanionSplitK:
-    """Companion matrix split against the block circulant: ``m = b + a``.
-
-    ``b`` carries the block down-shift plus an identity corner block, so its
-    spectrum is the k-th roots of unity (each multiplicity n); ``a = e1 @
-    c_hat_t`` has rank at most n.
-    """
-
-    m: np.ndarray        # kn x kn companion
-    b: np.ndarray        # kn x kn block circulant
-    a: np.ndarray        # kn x kn, nonzero only in the top block row
-    c_hat_t: np.ndarray  # n x kn: [-C_{k-1} ... -C_1  -(C_0 + I_n)]
 
 
 def circulant_matrix(n: int, k: int) -> np.ndarray:
@@ -231,31 +211,6 @@ def circulant_matrix(n: int, k: int) -> np.ndarray:
         b[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
     b[:n, (k - 1) * n:] = np.eye(n)
     return b
-
-
-def circulant_split(p: MatrixPolynomial) -> CompanionSplitK:
-    """Split the companion matrix against the block circulant (needs k >= 2).
-
-    For k = 1 the circulant corner and the coefficient block collide, so the
-    split is not defined.
-    """
-    if p.k < 2:
-        raise ValidationError("circulant split requires degree k >= 2")
-    n, k = p.n, p.k
-    m = _companion_dense(p)
-    b = circulant_matrix(n, k)
-    c_hat_t = m[:n, :].copy()
-    c_hat_t[:, (k - 1) * n:] -= np.eye(n)
-    a = np.zeros_like(m)
-    a[:n, :] = c_hat_t
-    # The split is exact in the subtraction direction: m - b == a holds
-    # bit-for-bit, since the corner diagonal of a is computed as exactly
-    # that difference.  Re-adding (b + a) can round the corner diagonal by
-    # one ulp of 1 -- float grids near -(c+1) are coarser than near -c --
-    # so consumers needing bitwise m should use the stored m, never b + a.
-    for arr in (m, b, a, c_hat_t):
-        arr.setflags(write=False)
-    return CompanionSplitK(m=m, b=b, a=a, c_hat_t=c_hat_t)
 
 
 def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
@@ -434,27 +389,51 @@ def polynomial_to_json(p: MatrixPolynomial) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    """A JSON ``[re, im]`` pair of numbers."""
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+
+
 def polynomial_from_json(text: str) -> MatrixPolynomial:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid polynomial JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("polynomial JSON must be an object")
     try:
-        n, k = int(doc["n"]), int(doc["k"])
-        raw = doc["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, k, raw = doc["n"], doc["k"], doc["coeffs"]
+    except KeyError as exc:
         raise ValidationError(f"polynomial JSON missing field: {exc}") from exc
-    if len(raw) != k:
+    seed = doc.get("seed")
+    for name, value in (("n", n), ("k", k)):
+        if not _is_int(value) or value < 1:
+            raise ValidationError(
+                f"polynomial JSON {name!r} must be a positive integer, "
+                f"got {value!r}")
+    if seed is not None and not _is_int(seed):
         raise ValidationError(
-            f"polynomial JSON has {len(raw)} coefficients, expected k={k}")
+            f"polynomial JSON 'seed' must be an integer or null, got {seed!r}")
+    if not isinstance(raw, list) or len(raw) != k:
+        raise ValidationError(
+            f"polynomial JSON 'coeffs' must be a list of k={k} coefficients")
     coeffs = []
     for j, flat in enumerate(raw):
-        if len(flat) != n * n:
+        if not isinstance(flat, list) or len(flat) != n * n:
             raise ValidationError(
-                f"coefficient {j} has {len(flat)} entries, expected {n * n}")
+                f"coefficient {j} must be a list of {n * n} entries")
+        if not all(map(_is_pair, flat)):
+            raise ValidationError(
+                f"coefficient {j} entries must be [re, im] number pairs")
         arr = np.array([complex(re, im) for re, im in flat],
                        dtype=np.complex128).reshape(n, n)
         coeffs.append(arr)
-    seed = doc.get("seed")
-    return MatrixPolynomial(n, k, tuple(coeffs),
-                            seed=None if seed is None else int(seed))
+    return MatrixPolynomial(n, k, tuple(coeffs), seed=seed)

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+__all__ = ["svg_scatter"]
+
 _SIZE = 640.0
 _MARGIN = 48.0
 

@@ -68,36 +68,44 @@ __all__ = [
 # Configuration and report types
 
 
+#: Bound constants of the probabilistic suites, pilot-calibrated.  Floors
+#: scale like ``n**-(EXPONENT_A + 2)`` and ``CONSTANT_T * k**-2``, the
+#: spectral-norm cap is ``CONSTANT_D`` (dimension-grown suite) or
+#: ``CONSTANT_R * sqrt(k) + 1 + |z|`` (degree-grown suite), and the
+#: intermediate-index floor is ``CONSTANT_T * n**(EPSILON - 1/2)`` at split
+#: index floor(kn - n**(1 - DELTA)).  The lemmas need
+#: ``0 < DELTA < 1/2``, ``0 < EPSILON < 1/2 - DELTA`` and
+#: ``0 < CONSTANT_T <= 1``.
+DELTA = 0.3
+EPSILON = 0.1
+EXPONENT_A = 1.0
+CONSTANT_T = 1e-3
+CONSTANT_D = 6.0
+CONSTANT_R = 3.0
+
+#: Rank of the random low-rank updates in the interlacing and Woodbury
+#: sweeps.
+_UPDATE_RANK = 1
+
+#: Matrices per batched SVD in the Monte Carlo tail checks; this bounds
+#: their temporaries, and the draws do not depend on it.
+_PINV_TAIL_CHUNK = 8192
+_NORM_TAIL_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class LemmaCheckConfig:
-    """Constants and sweep layout for the probabilistic lemma suites.
+    """Sweep layout for the probabilistic lemma suites.
 
-    ``sizes`` lists (n, k) cells; ``z`` is the spectral shift.  The
-    remaining fields are the bound constants: floors scale like
-    ``n**-(exponent_a + 2)`` and ``constant_t * k**-2``, the spectral-norm
-    cap is ``constant_d`` (dimension-grown suite) or ``constant_r * sqrt(k)
-    + 1 + |z|`` (degree-grown suite), and the intermediate-index floor uses
-    ``constant_t * n**(epsilon - 1/2)`` at split index floor(kn -
-    n**(1 - delta)).  Requires ``epsilon < 1/2 - delta``.
+    ``sizes`` lists (n, k) cells, each run for ``trials`` trials; ``z`` is
+    the spectral shift.  The bound constants are the module constants above.
     """
 
     z: complex
     sizes: tuple
     trials: int = 200
-    delta: float = 0.3
-    epsilon: float = 0.1
-    exponent_a: float = 1.0
-    constant_t: float = 1e-3
-    constant_d: float = 6.0
-    constant_r: float = 3.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValidationError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not 0.0 < self.epsilon < 0.5 - self.delta:
-            raise ValidationError(
-                f"epsilon must lie in (0, 1/2 - delta) = (0, {0.5 - self.delta}), "
-                f"got {self.epsilon}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not self.sizes:
@@ -105,11 +113,6 @@ class LemmaCheckConfig:
         for n, k in self.sizes:
             if n < 1 or k < 1:
                 raise ValidationError(f"invalid size (n={n}, k={k})")
-        if not 0.0 < self.constant_t <= 1.0:
-            raise ValidationError(
-                f"constant_t must lie in (0, 1], got {self.constant_t}")
-        if self.constant_d <= 0 or self.constant_r <= 0 or self.exponent_a <= 0:
-            raise ValidationError("constants d, r and exponent a must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,13 +250,13 @@ def _sweep(lemma_id: str, instances: int, check_instance) -> LemmaReport:
         min(check_instance(i).per_trial_margins) for i in range(instances)))
 
 
-def sweep_lowrank_interlacing(dim: int, instances: int, rng: RngStream,
-                              rank: int = 1) -> LemmaReport:
+def sweep_lowrank_interlacing(dim: int, instances: int,
+                              rng: RngStream) -> LemmaReport:
     def check(i):
         gg = rng.child(0, i).generator()
         a = complex_gaussian(gg, (dim, dim))
-        u = complex_gaussian(gg, (dim, rank))
-        v = complex_gaussian(gg, (rank, dim))
+        u = complex_gaussian(gg, (dim, _UPDATE_RANK))
+        v = complex_gaussian(gg, (_UPDATE_RANK, dim))
         return check_lowrank_interlacing(a, u @ v)
     return _sweep("lowrank-interlacing", instances, check)
 
@@ -280,14 +283,14 @@ def sweep_submatrix_interlacing(dim: int, instances: int,
     return _sweep("submatrix-interlacing", instances, check)
 
 
-def sweep_woodbury_identity(dim: int, instances: int, rng: RngStream,
-                            rank: int = 1) -> LemmaReport:
+def sweep_woodbury_identity(dim: int, instances: int,
+                            rng: RngStream) -> LemmaReport:
     def check(i):
         for attempt in range(100):
             gg = rng.child(3, i, attempt).generator()
             a = complex_gaussian(gg, (dim, dim))
-            u = complex_gaussian(gg, (dim, rank))
-            v = complex_gaussian(gg, (rank, dim))
+            u = complex_gaussian(gg, (dim, _UPDATE_RANK))
+            v = complex_gaussian(gg, (_UPDATE_RANK, dim))
             try:
                 return check_woodbury_identity(a, u, v)
             except SingularUpdateError:
@@ -345,7 +348,7 @@ def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
 
 
 def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
-                          trials: int, rng, chunk: int = 8192) -> float:
+                          trials: int, rng) -> float:
     """Empirical frequency of ``sigma_n(R_D + G) <= tau`` over i.i.d. draws.
 
     ``G`` has i.i.d. complex Gaussian entries of variance 1/n (matching the
@@ -364,7 +367,7 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     hits = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_PINV_TAIL_CHUNK, trials - done)
         batch = complex_gaussian(g, (m, n, big_n), variance=1.0 / n) + r_d
         smin = np.linalg.svd(batch, compute_uv=False)[:, -1]
         hits += int(np.sum(smin <= tau))
@@ -386,8 +389,8 @@ def check_pinv_tail_domination(n: int, big_n: int, tau: float,
     return LemmaReport("pinv-tail-domination", (bound + 3.0 * sd - freq,))
 
 
-def gaussian_norm_tail(n: int, a_threshold: float, trials: int, rng,
-                       chunk: int = 4096) -> float:
+def gaussian_norm_tail(n: int, a_threshold: float, trials: int,
+                       rng) -> float:
     """Frequency of ``||X|| > a_threshold * sqrt(n)`` for n x n standard
     complex Gaussian matrices (entry variance 1)."""
     if n < 1 or trials < 1:
@@ -397,7 +400,7 @@ def gaussian_norm_tail(n: int, a_threshold: float, trials: int, rng,
     done = 0
     thr = a_threshold * math.sqrt(n)
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_NORM_TAIL_CHUNK, trials - done)
         batch = complex_gaussian(g, (m, n, n), variance=1.0)
         top = np.linalg.svd(batch, compute_uv=False)[:, 0]
         hits += int(np.sum(top > thr))
@@ -546,11 +549,13 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     Per trial, with S_M = n**-0.5 * M - zI and S_E = n**-0.5 * (E_1 C^T) -
     zI (M the companion matrix of a sampled polynomial):
 
-    * ``sigma-min-companion-floor``: sigma_kn(S_M) >= n**-(a+2)
-    * ``sigma-min-lowrank-floor``:   sigma_kn(S_E) >= n**-(a+2)
-    * ``spectral-norm-cap``:         max(sigma_1(S_M), sigma_1(S_E)) <= d
-    * ``tail-index-floor``:          sigma_f(S_E) >= t * n**(epsilon - 1/2)
-      with f = floor(kn - n**(1 - delta)).
+    * ``sigma-min-companion-floor``: sigma_kn(S_M) >= n**-(A+2)
+    * ``sigma-min-lowrank-floor``:   sigma_kn(S_E) >= n**-(A+2)
+    * ``spectral-norm-cap``:         max(sigma_1(S_M), sigma_1(S_E)) <= D
+    * ``tail-index-floor``:          sigma_f(S_E) >= T * n**(EPSILON - 1/2)
+      with f = floor(kn - n**(1 - DELTA)).
+
+    A, D and T are ``EXPONENT_A``, ``CONSTANT_D`` and ``CONSTANT_T``.
 
     Needs z != 0 and k >= 2 for every size.
     """
@@ -562,16 +567,16 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         if k < 2:
             raise ValidationError(
                 f"dimension-grown suite needs degree k >= 2, got k={k}")
-        tail_split_index(n, k, cfg.delta)  # reject sizes with f(n) < n
+        tail_split_index(n, k, DELTA)  # reject sizes with f(n) < n
     z = cfg.z
     floor_m, floor_e, cap, tail = [], [], [], []
     med_m, med_e, ns = [], [], []
     for s_idx, (n, k) in enumerate(cfg.sizes):
         kn = k * n
-        f = tail_split_index(n, k, cfg.delta)
+        f = tail_split_index(n, k, DELTA)
         sm_mins, se_mins = [], []
-        n_floor = n ** -(cfg.exponent_a + 2.0)
-        tail_floor = cfg.constant_t * n ** (cfg.epsilon - 0.5)
+        n_floor = n ** -(EXPONENT_A + 2.0)
+        tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5
         eye = np.eye(kn)
         for t in range(cfg.trials):
@@ -583,7 +588,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
             se = singular_values(scale * e1ct - z * eye)
             floor_m.append(sm[-1] - n_floor)
             floor_e.append(se[-1] - n_floor)
-            cap.append(min(cfg.constant_d - sm[0], cfg.constant_d - se[0]))
+            cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))
             tail.append(se[f - 1] - tail_floor)
             sm_mins.append(sm[-1])
             se_mins.append(se[-1])
@@ -606,14 +611,14 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
 
     Per trial, with T = M - zI (companion matrix, unscaled):
 
-    * ``top-sv-cap``:        sigma_1(T) <= r sqrt(k) + 1 + |z|
+    * ``top-sv-cap``:        sigma_1(T) <= R sqrt(k) + 1 + |z|
     * ``block-sv-floor``:    sigma_n(T) >= |1 - |z||            (deterministic)
-    * ``sigma-min-floor``:   sigma_kn(T) >= t * k**-2
+    * ``sigma-min-floor``:   sigma_kn(T) >= CONSTANT_T * k**-2
     * ``interlacing-chain``: sigma_{i+n}(B - zI) <= sigma_i(T) <=
       sigma_{i-n}(B - zI) for n < i <= kn - n, against the analytic
       singular values of the shifted block circulant  (deterministic).
 
-    Needs |z| not in {0, 1} and k > 2 for every size.
+    R is ``CONSTANT_R``.  Needs |z| not in {0, 1} and k > 2 for every size.
     """
     az = abs(cfg.z)
     if az == 0.0 or az == 1.0:
@@ -632,8 +637,8 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         kn = k * n
         eye = np.eye(kn)
         sv_b = np.sort(np.abs(circulant_b_eigenvalues(n, k) - z))[::-1]
-        cap_value = cfg.constant_r * math.sqrt(k) + 1.0 + az
-        floor_value = cfg.constant_t / k ** 2
+        cap_value = CONSTANT_R * math.sqrt(k) + 1.0 + az
+        floor_value = CONSTANT_T / k ** 2
         mins = []
         for t in range(cfg.trials):
             p = sample_monic_gaussian(n, k, rng.child(s_idx, t))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
-from rmpoly import (ExperimentConfig, RngStream, companion, circulant_split,
+from rmpoly import (ExperimentConfig, RngStream, circulant_matrix, companion,
                     eigenvalues, evaluate, export_result, finite_eigenvalues,
                     match_distance, mc_pseudoinverse_tail,
                     pseudoinverse_tail_bound, replacement_gap, run_grow_k,
@@ -122,7 +122,7 @@ def test_04_replacement_gap_vanishes():
         for t in range(20):
             p = sample_monic_gaussian(2, k, RngStream(SEED, (96, k_idx, t)))
             gaps.append(abs(replacement_gap(companion(p).m,
-                                            circulant_split(p).b,
+                                            circulant_matrix(2, k),
                                             0.5, method="lu")))
         medians.append(float(np.median(gaps)))
     ok = medians[0] > medians[1] > medians[2] and medians[2] <= 0.05

@@ -16,7 +16,6 @@ from rmpoly import (
     annulus_sector_discrepancy,
     atom_mass,
     distance_report,
-    empirical_radial_cdf,
     esd_of_polynomial,
     merge,
     radial_cdf,
@@ -183,14 +182,6 @@ class TestMerge:
 
 
 class TestRadialDistances:
-    def test_empirical_cdf_of_origin_points(self):
-        esd = _esd_from_points([0.0, 0.0])
-        assert empirical_radial_cdf(esd, 0.0) == 1.0
-
-    def test_empirical_cdf_counts_inclusive(self):
-        esd = _esd_from_points([0.5, 1.0, 2.0])
-        assert empirical_radial_cdf(esd, 1.0) == pytest.approx(2.0 / 3.0)
-
     def test_ks_null_calibration(self):
         law = DiscMixture(4)
         esd = _esd_from_points(sample_points(law, 10_000, RngStream(47)))
@@ -342,6 +333,7 @@ class TestDistanceReport:
         rep = distance_report(esd, law)
         assert rep.radial_ks == radial_ks(esd, law)
         assert rep.angular_ks == angular_ks(esd, 0.5)
+        assert rep.discrepancy == annulus_sector_discrepancy(esd, law, 8, 16)
         assert rep.atom_mass_observed == atom_mass(esd, 0.2)
         assert rep.atom_radius == 0.2
 

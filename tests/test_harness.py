@@ -148,6 +148,19 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=f"'{field}' must be"):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_values", [16.9]),
+        ("k_values", ["3"]),
+        ("n_values", "16"),
+        ("seed", 1.5),
+        ("workers", True),
+        ("atom_radius", "0.2"),
+        ("z_values", ("0.5",)),
+    ])
+    def test_constructor_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(ValidationError, match=f"'{field}' must be"):
+            _small_cfg(**{field: value})
+
     def test_z_values_parsed_from_pairs(self):
         doc = _small_cfg().to_json_dict()
         doc["z_values"] = [[0.25, -0.5]]

@@ -1,4 +1,6 @@
-"""Tests for polynomial sampling, evaluation, and the two companion splits."""
+"""Tests for polynomial sampling, evaluation, and the companion splittings."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from rmpoly import (
     ValidationError,
     circulant_b_eigenvalues,
     circulant_matrix,
-    circulant_split,
     companion,
     complex_gaussian,
     eigenvalues,
@@ -155,7 +156,7 @@ class TestEvaluate:
 
 
 # ---------------------------------------------------------------------------
-# Companion linearization and the low-rank split
+# Companion linearization and its low-rank splittings
 
 
 class TestCompanion:
@@ -194,52 +195,37 @@ class TestCompanion:
 
 
 class TestCirculantSplit:
-    def test_same_companion_matrix_both_routes(self):
-        for seed in range(10):
-            p = sample_monic_gaussian(3, 4, RngStream(22, (seed,)))
-            assert np.array_equal(companion(p).m, circulant_split(p).m)
+    """M = B + (M - B) with B = ``circulant_matrix(n, k)``."""
 
     def test_scalar_quadratic_zero_coefficients(self):
-        p = _scalar_poly(0.0, 0.0)
-        split = circulant_split(p)
-        np.testing.assert_array_equal(split.b, [[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(split.a, [[0.0, -1.0], [0.0, 0.0]])
+        m = companion(_scalar_poly(0.0, 0.0)).m
+        b = circulant_matrix(1, 2)
+        np.testing.assert_array_equal(b, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(m - b, [[0.0, -1.0], [0.0, 0.0]])
 
     def test_subtraction_direction_is_bitwise(self):
+        # M - B is exactly the top block row of M with I_n taken off its
+        # corner block: the float subtraction rounds like the formula.
         for seed in range(10):
             p = sample_monic_gaussian(2, 5, RngStream(23, (seed,)))
-            split = circulant_split(p)
-            assert np.array_equal(split.m - split.b, split.a)
-
-    def test_additive_reassembly_within_one_ulp(self):
-        p = sample_monic_gaussian(2, 5, RngStream(24))
-        split = circulant_split(p)
-        np.testing.assert_allclose(split.b + split.a, split.m,
-                                   rtol=0.0, atol=5e-16)
+            sp = companion(p)
+            top = sp.c_t.copy()
+            top[:, 8:10] -= np.eye(2)
+            a = np.zeros_like(sp.m)
+            a[:2, :] = top
+            assert np.array_equal(sp.m - circulant_matrix(2, 5), a)
 
     def test_a_is_top_block_row_of_rank_at_most_n(self):
         p = sample_monic_gaussian(3, 4, RngStream(25))
-        split = circulant_split(p)
-        assert np.all(split.a[3:, :] == 0.0)
-        np.testing.assert_array_equal(split.a[:3, :], split.c_hat_t)
-        s = singular_values(split.a)
+        a = companion(p).m - circulant_matrix(3, 4)
+        assert np.all(a[3:, :] == 0.0)
+        s = singular_values(a)
         assert s[3] == 0.0
-
-    def test_perturbation_rank_at_most_n(self):
-        p = sample_monic_gaussian(3, 4, RngStream(26))
-        split = circulant_split(p)
-        s = singular_values(split.m - split.b)
-        assert s[3] <= 1e-12 * s[0]
 
     def test_corner_block_shifted_by_identity(self):
         p = sample_monic_gaussian(2, 3, RngStream(27))
-        split = circulant_split(p)
-        np.testing.assert_array_equal(split.c_hat_t[:, 4:6],
-                                      -p.coeffs[0] - np.eye(2))
-
-    def test_degree_one_rejected(self):
-        with pytest.raises(ValidationError):
-            circulant_split(_scalar_poly(1.0))
+        a = companion(p).m - circulant_matrix(2, 3)
+        np.testing.assert_array_equal(a[:2, 4:6], -p.coeffs[0] - np.eye(2))
 
 
 class TestCirculantEigenvalues:
@@ -404,3 +390,20 @@ class TestPolynomialJson:
         doc = '{"n": 2, "k": 1, "coeffs": [[[0, 0]]]}'
         with pytest.raises(ValidationError):
             polynomial_from_json(doc)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 1.9), ("n", "1"), ("n", True), ("k", "1"), ("k", 1.0),
+        ("seed", 2.5), ("seed", "2"),
+    ])
+    def test_mistyped_size_or_seed_rejected(self, field, value):
+        doc = {"n": 1, "k": 1, "seed": 2, "coeffs": [[[1, 0]]]}
+        doc[field] = value
+        with pytest.raises(ValidationError, match=f"'{field}' must be"):
+            polynomial_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", [[1, 0, 3], [1], [1, "0"], 1,
+                                       [True, 0], None])
+    def test_malformed_coefficient_entry_rejected(self, entry):
+        doc = {"n": 1, "k": 1, "seed": None, "coeffs": [[entry]]}
+        with pytest.raises(ValidationError, match=r"\[re, im\]"):
+            polynomial_from_json(json.dumps(doc))

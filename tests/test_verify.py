@@ -18,9 +18,9 @@ from rmpoly import (
     check_pinv_tail_domination,
     check_submatrix_interlacing,
     check_woodbury_identity,
+    circulant_matrix,
     companion,
     complex_gaussian,
-    circulant_split,
     gaussian_norm_tail,
     lemma_suite_grow_k,
     lemma_suite_grow_n,
@@ -38,6 +38,8 @@ from rmpoly import (
     tail_split_index,
 )
 from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
+from rmpoly.verify import (CONSTANT_D, CONSTANT_R, CONSTANT_T, DELTA,
+                           EPSILON, EXPONENT_A)
 
 
 def _lowrank_companion_pair(n, k, seed):
@@ -56,21 +58,7 @@ def _lowrank_companion_pair(n, k, seed):
 class TestLemmaCheckConfig:
     def test_defaults_accepted(self):
         cfg = LemmaCheckConfig(z=0.5, sizes=((2, 8),))
-        assert cfg.delta == 0.3 and cfg.epsilon == 0.1
-        assert cfg.exponent_a == 1.0 and cfg.constant_t == 1e-3
-        assert cfg.constant_d == 6.0 and cfg.constant_r == 3.0
-
-    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9, -0.1])
-    def test_delta_range_enforced(self, delta):
-        with pytest.raises(ValidationError):
-            LemmaCheckConfig(z=0.5, sizes=((2, 8),), delta=delta,
-                             epsilon=0.01)
-
-    def test_epsilon_must_leave_room_below_half(self):
-        # epsilon < 1/2 - delta is required, so 0.25 fails at delta = 0.3.
-        with pytest.raises(ValidationError):
-            LemmaCheckConfig(z=0.5, sizes=((2, 8),), delta=0.3, epsilon=0.25)
-        LemmaCheckConfig(z=0.5, sizes=((2, 8),), delta=0.3, epsilon=0.19)
+        assert cfg.trials == 200
 
     def test_sizes_validated(self):
         with pytest.raises(ValidationError):
@@ -78,11 +66,11 @@ class TestLemmaCheckConfig:
         with pytest.raises(ValidationError):
             LemmaCheckConfig(z=0.5, sizes=((0, 3),))
 
-    def test_constant_t_range(self):
-        with pytest.raises(ValidationError):
-            LemmaCheckConfig(z=0.5, sizes=((2, 8),), constant_t=0.0)
-        with pytest.raises(ValidationError):
-            LemmaCheckConfig(z=0.5, sizes=((2, 8),), constant_t=1.5)
+    def test_bound_constants_in_range(self):
+        assert 0.0 < DELTA < 0.5
+        assert 0.0 < EPSILON < 0.5 - DELTA
+        assert 0.0 < CONSTANT_T <= 1.0
+        assert CONSTANT_D > 0 and CONSTANT_R > 0 and EXPONENT_A > 0
 
 
 class TestLemmaReport:
@@ -324,8 +312,8 @@ class TestReplacementGap:
     def test_degree_grown_pair_is_small(self):
         # Companion vs block circulant at n=2, k=256, z=0.5.
         p = sample_monic_gaussian(2, 256, RngStream(93))
-        sp = circulant_split(p)
-        assert abs(replacement_gap(sp.m, sp.b, 0.5, method="lu")) <= 0.05
+        assert abs(replacement_gap(companion(p).m, circulant_matrix(2, 256),
+                                   0.5, method="lu")) <= 0.05
 
     def test_scaled_entry_point_matches_manual_scaling(self):
         a = complex_gaussian(RngStream(94), (5, 5))
