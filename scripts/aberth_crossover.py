@@ -1,0 +1,90 @@
+"""Time Ehrlich-Aberth against the dense companion route at one BLAS thread.
+
+For each shape it draws a few monic Gaussian polynomials and measures, in
+process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
+companion matrix and running dense ``eigvals`` on it.  A solve that falls
+back to dense is charged both times, as ``finite_eigenvalues`` would be.
+Its table is the measurement behind ``matpoly._ABERTH_MIN_KN`` and
+``_ABERTH_MAX_N``.  Run it from the repository root; it imports rmpoly
+from ``src/``:
+
+    python3 scripts/aberth_crossover.py                # all shapes, 3 draws
+    python3 scripts/aberth_crossover.py --skip-large   # without n=32, k=64
+
+The ``n=32, k=64`` shape (kn = 2048) takes about a minute per draw.
+"""
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+# OpenBLAS reads these when it is loaded, so they are set before numpy.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from rmpoly.linalg import eigenvalues  # noqa: E402
+from rmpoly.matpoly import (RngStream, _aberth_eigenvalues,  # noqa: E402
+                            companion, sample_monic_gaussian)
+
+#: Shapes with k >= 2n at kn in {64, 96, 128, 256}.
+SHAPES = [(1, 64), (2, 32), (4, 16),
+          (1, 96), (2, 48), (4, 24),
+          (1, 128), (2, 64), (4, 32), (8, 16),
+          (1, 256), (2, 128), (4, 64), (8, 32)]
+
+#: The k = 2n shape where the sweep count grows with n.
+LARGE_SHAPE = (32, 64)
+
+#: Small solves are repeated until they add up to this many CPU seconds,
+#: and their mean is reported.
+MIN_TOTAL_S = 0.2
+
+
+def _cpu_seconds(fn):
+    runs, start = 0, time.process_time()
+    while True:
+        out = fn()
+        runs += 1
+        total = time.process_time() - start
+        if total >= MIN_TOTAL_S:
+            return total / runs, out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--draws", type=int, default=3,
+                        help="polynomials drawn per shape (default 3)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="root seed; draw d of shape (n, k) uses "
+                             "RngStream(seed, (n, k, d))")
+    parser.add_argument("--skip-large", action="store_true",
+                        help="leave out the n=32, k=64 shape")
+    args = parser.parse_args(argv)
+    shapes = SHAPES if args.skip_large else SHAPES + [LARGE_SHAPE]
+    print(f"{'n':>3} {'k':>4} {'kn':>5}  {'aberth_s':>9} {'dense_s':>9} "
+          f"{'dense/aberth':>12}")
+    for n, k in shapes:
+        ratios = []
+        for d in range(args.draws):
+            p = sample_monic_gaussian(n, k, RngStream(args.seed, (n, k, d)))
+            t_aberth, lam = _cpu_seconds(lambda: _aberth_eigenvalues(p))
+            t_dense, _ = _cpu_seconds(lambda: eigenvalues(companion(p).m))
+            note = ""
+            if lam is None:
+                t_aberth += t_dense
+                note = "  (fell back)"
+            ratios.append(t_dense / t_aberth)
+            print(f"{n:>3} {k:>4} {k * n:>5}  {t_aberth:>9.4f} "
+                  f"{t_dense:>9.4f} {ratios[-1]:>12.2f}{note}", flush=True)
+        print(f"{n:>3} {k:>4} {k * n:>5}  median dense/aberth "
+              f"{np.median(ratios):.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

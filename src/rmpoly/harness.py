@@ -14,7 +14,9 @@ solved in chunks, each one stacked eigensolve (``trial_eigenvalues``), and
 a chunk is also the unit handed to a worker pool; since streams stay per
 trial, results are identical whether chunks run sequentially or on a pool,
 and two runs with the same config and seed produce byte-identical CSV/JSON
-outputs at any worker count.
+outputs at any worker count, for a fixed BLAS build and BLAS thread count.
+Another thread count may round differently: the dense eigensolves and the
+matrix products of the Ehrlich-Aberth evaluation both go through BLAS.
 Progress and timing go to the ``rmpoly.harness`` logger (stderr in the
 CLI), never into result files.
 """

@@ -8,11 +8,13 @@ stored as the coefficient list ``C_0, ..., C_{k-1}`` with the leading
 coefficient implicitly the identity.  Its kn finite eigenvalues are the
 roots of ``det P(x)``.  ``finite_eigenvalues`` dispatches on the shape.
 Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 128``) are
-solved by Ehrlich-Aberth iteration on ``det P`` itself, at O(k^2 n^3) per
-sweep, which is cheaper there than dense QR at O((kn)^3); the crossover
-kn = 128 and the cap on n are measured (see ``_ABERTH_MIN_KN``).  A solve
-that fails its self-check falls back to the dense route.  Every other shape
-takes the spectrum of the block companion matrix
+solved by Ehrlich-Aberth iteration on ``det P`` itself.  A sweep evaluates
+P and P' at all kn roots as two matrix products against the flattened
+coefficients, then solves kn small n x n systems, which is cheaper there
+than dense QR at O((kn)^3); both thresholds are measured (see
+``_ABERTH_MIN_KN``).  A solve that fails its self-check falls back to the
+dense route.  Every other shape takes the spectrum of the block companion
+matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -39,12 +41,14 @@ through ``RngStream`` so that any draw is addressable and reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import eigenvalues
+from .linalg import eigenvalues, singular_values, spectral_norm
+from .tolerances import EPS
 
 __all__ = [
     "RngStream",
@@ -57,10 +61,29 @@ __all__ = [
     "circulant_b_eigenvalues",
     "finite_eigenvalues",
     "trial_eigenvalues",
+    "trace_error",
+    "backward_error",
     "polynomial_to_json",
     "polynomial_from_json",
     "complex_gaussian",
 ]
+
+
+def _index(v, what: str) -> int:
+    """``v`` as a Python int: any integer type but bool is accepted."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {v!r}")
+
+
+def _sizes(n, k) -> tuple[int, int]:
+    n, k = _index(n, "n"), _index(k, "k")
+    if n < 1 or k < 1:
+        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    return n, k
 
 
 @dataclass(frozen=True)
@@ -77,11 +100,15 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.seed < 0 or any(i < 0 for i in self.key):
+        seed = _index(self.seed, "RngStream seed")
+        key = tuple(_index(i, "RngStream key index") for i in self.key)
+        if seed < 0 or any(i < 0 for i in key):
             raise ValidationError("RngStream seed and key must be non-negative")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "key", key)
 
     def child(self, *indices: int) -> "RngStream":
-        return RngStream(self.seed, self.key + tuple(int(i) for i in indices))
+        return RngStream(self.seed, self.key + indices)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
@@ -153,8 +180,7 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     coefficient order ``C_0, ..., C_{k-1}``, row-major within each matrix,
     so the stream fully determines the polynomial.
     """
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     entries = complex_gaussian(rng, (k, n, n), variance=1.0)
     seed = rng.seed if isinstance(rng, RngStream) else None
     return MatrixPolynomial(n, k, tuple(entries), seed=seed)
@@ -203,8 +229,7 @@ def companion(p: MatrixPolynomial) -> CompanionSplitN:
 
 def circulant_matrix(n: int, k: int) -> np.ndarray:
     """Block circulant B: identity blocks on the down-shift and top-right."""
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     kn = k * n
     b = np.zeros((kn, kn), dtype=np.complex128)
     for i in range(1, k):
@@ -215,20 +240,21 @@ def circulant_matrix(n: int, k: int) -> np.ndarray:
 
 def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
     """Spectrum of the block circulant: k-th roots of unity, multiplicity n."""
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     roots = np.exp(2j * np.pi * np.arange(k) / k)
     return np.repeat(roots, n)
 
 
 #: Shapes solved by Ehrlich-Aberth iteration: ``k >= 2n``, ``n`` at most
-#: ``_ABERTH_MAX_N`` and ``kn`` at least ``_ABERTH_MIN_KN``.  Measured with
-#: one BLAS thread against building the companion and running dense
-#: ``eigvals`` on it, three draws per shape: at kn = 64 the iteration took
-#: 1.1-2.3x as long, at kn = 96 results were mixed (0.75-1.85x), at
-#: kn = 128 it was 0.9-2.5x as fast (parity only at n = 8, k = 16), and at
-#: n = 4, k = 512 about 14x as fast.  At k = 2n its sweep count grows with
-#: n: 28 at n = 16 (1.7x as fast), 61 at n = 32 (1.2x slower).
+#: ``_ABERTH_MAX_N`` and ``kn`` at least ``_ABERTH_MIN_KN``.  Both were set
+#: when the iteration evaluated P by Horner's scheme and took 1.1-2.3x as
+#: long as dense at kn = 64.  ``scripts/aberth_crossover.py`` (one BLAS
+#: thread, three draws per shape, against building the companion and
+#: running dense ``eigvals`` on it) now gives, as dense time over Aberth
+#: time (medians): kn = 64: 1.35-1.73; kn = 96: 3.1-4.2; kn = 128: 2.3-6.1
+#: (2.3 at n = 8, k = 16); kn = 256: 5.5-14; n = 4, k = 512: about 40.
+#: At k = 2n the sweep count grows with n: 28 at n = 16, more than 60 at
+#: n = 32, k = 64, which falls back to dense and loses (0.78).
 _ABERTH_MIN_KN = 128
 _ABERTH_MAX_N = 16
 
@@ -241,27 +267,39 @@ _ABERTH_TOL = 1e-10
 #: shapes above need 9-31.
 _ABERTH_MAX_ITER = 60
 
-#: Rows per block of the Aberth sum, which bounds its temporaries at
-#: ``_ABERTH_BLOCK * kn`` entries.
+#: Rows per block of the Aberth sum and of the power table, which bounds
+#: their buffers at ``_ABERTH_BLOCK * kn`` and ``_ABERTH_BLOCK * (k + 1)``
+#: entries.
 _ABERTH_BLOCK = 256
 
 
 def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
-    """``tr(P(x)^{-1} P'(x))`` at every point of ``x``, by batched Horner.
+    """``tr(P(x)^{-1} P'(x))`` at every point of ``x``, by matrix products.
 
     ``P = sum_j stack[j] x^j``; ``reverse`` evaluates the reversed
-    polynomial ``sum_j stack[k - j] x^j`` instead.  The second result flags
-    the points where ``P(x)`` is exactly singular, whose trace is left 0.
+    polynomial ``sum_j stack[k - j] x^j`` instead.  Per block of
+    ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V, so
+    ``P(x) = V C`` and ``P'(x) = V[:, :k] (j C_j)_{j=1..k}`` are two
+    matrix products against the flattened coefficients.  Callers keep
+    ``|x| <= 1``, so every power is at most 1 and the rounding error is of
+    the order of Horner's.  The second result flags the points where
+    ``P(x)`` is exactly singular, whose trace is left 0.
     """
-    k = stack.shape[0] - 1
-    xs = x[:, None, None]
-    val = np.repeat(stack[0 if reverse else k][None], x.size, axis=0)
-    der = np.zeros_like(val)
-    for j in (range(1, k + 1) if reverse else range(k - 1, -1, -1)):
-        der *= xs
-        der += val
-        val *= xs
-        val += stack[j]
+    k, n = stack.shape[0] - 1, stack.shape[1]
+    coeffs = (stack[::-1] if reverse else stack).reshape(k + 1, n * n)
+    slopes = np.arange(1, k + 1)[:, None] * coeffs[1:]
+    val = np.empty((x.size, n * n), dtype=np.complex128)
+    der = np.empty_like(val)
+    for lo in range(0, x.size, _ABERTH_BLOCK):
+        xb = x[lo:lo + _ABERTH_BLOCK]
+        powers = np.empty((xb.size, k + 1), dtype=np.complex128)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = xb[:, None]
+        np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+        np.matmul(powers, coeffs, out=val[lo:lo + xb.size])
+        np.matmul(powers[:, :k], slopes, out=der[lo:lo + xb.size])
+    val = val.reshape(x.size, n, n)
+    der = der.reshape(x.size, n, n)
     singular = np.zeros(x.size, dtype=bool)
     try:
         return np.einsum("mii->m", np.linalg.solve(val, der)), singular
@@ -297,6 +335,7 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + 0.25) / kn)
     active = np.ones(kn, dtype=bool)
+    buffer = np.empty((min(kn, _ABERTH_BLOCK), kn), dtype=np.complex128)
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
             idx = np.flatnonzero(active)
@@ -317,9 +356,11 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
             pull = np.empty(idx.size, dtype=np.complex128)
             for lo in range(0, idx.size, _ABERTH_BLOCK):
                 rows = idx[lo:lo + _ABERTH_BLOCK]
-                diff = x[rows, None] - x
+                diff = buffer[:rows.size]
+                np.subtract(x[rows, None], x, out=diff)
                 diff[np.arange(rows.size), rows] = np.inf
-                pull[lo:lo + rows.size] = (1.0 / diff).sum(axis=1)
+                np.divide(1.0, diff, out=diff)
+                pull[lo:lo + rows.size] = diff.sum(axis=1)
             step = newton / (1.0 - newton * pull)
             if not np.all(np.isfinite(step)):
                 return None
@@ -328,10 +369,36 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
             active[idx[done]] = False
     if active.any():
         return None
-    trace_error = abs(x.sum() + np.trace(p.coeffs[k - 1]))
-    if not trace_error <= 100.0 * kn * np.finfo(float).eps * np.abs(x).sum():
+    if not trace_error(p, x) <= 100.0 * kn * EPS * np.abs(x).sum():
         return None
     return x
+
+
+def trace_error(p: MatrixPolynomial, lam: np.ndarray) -> float:
+    """``|sum(lam) + tr(C_{k-1})|``: zero for the exact spectrum of monic P.
+
+    It costs O(kn) and catches a duplicated or lost root, which keeps the
+    root count and moves the sum by about one root's size.  Rounding makes
+    it a small multiple of ``kn * eps * sum|lam|``.
+    """
+    return float(abs(np.sum(lam) + np.trace(p.coeffs[p.k - 1])))
+
+
+def backward_error(p: MatrixPolynomial, lam) -> np.ndarray:
+    """Normwise backward error of each point of ``lam`` as an eigenvalue.
+
+    ``sigma_min(P(lam)) / sum_j |lam|^j ||C_j||_2`` with ``C_k = I``
+    [Tisseur, LAA 309 (2000) 339-361]: the smallest relative perturbation
+    of the coefficients that makes ``lam`` an exact eigenvalue.  Each point
+    costs one n x n SVD.
+    """
+    weights = [spectral_norm(c) for c in p.coeffs] + [1.0]
+    lam = np.ravel(lam)
+    out = np.empty(lam.size)
+    for i, z in enumerate(lam):
+        denom = sum(w * abs(z) ** j for j, w in enumerate(weights))
+        out[i] = singular_values(evaluate(p, z))[-1] / denom
+    return out
 
 
 def _aberth_shape(n: int, k: int) -> bool:
@@ -365,8 +432,7 @@ def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
     bound memory.  Degree-dominated shapes go through
     ``finite_eigenvalues`` one trial at a time, keeping its fallback.
     """
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     coeffs = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
     if _aberth_shape(n, k):
         return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, tuple(c)))

@@ -32,9 +32,9 @@ import numpy as np
 from .errors import SingularUpdateError, ValidationError
 from .linalg import (log_abs_det, singular_values, spectral_norm,
                      woodbury_inverse)
-from .matpoly import (RngStream, _generator, circulant_b_eigenvalues,
-                      circulant_matrix, companion, complex_gaussian,
-                      sample_monic_gaussian)
+from .matpoly import (RngStream, _generator, _index, _sizes,
+                      circulant_b_eigenvalues, circulant_matrix, companion,
+                      complex_gaussian, sample_monic_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
 __all__ = [
@@ -106,13 +106,14 @@ class LemmaCheckConfig:
     trials: int = 200
 
     def __post_init__(self):
-        if self.trials < 1:
+        if _index(self.trials, "trials") < 1:
             raise ValidationError("trials must be >= 1")
         if not self.sizes:
             raise ValidationError("sizes must be nonempty")
-        for n, k in self.sizes:
-            if n < 1 or k < 1:
-                raise ValidationError(f"invalid size (n={n}, k={k})")
+        for size in self.sizes:
+            if not (isinstance(size, (tuple, list)) and len(size) == 2):
+                raise ValidationError(f"size {size!r} is not an (n, k) pair")
+            _sizes(*size)
 
 
 @dataclass(frozen=True)

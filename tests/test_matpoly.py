@@ -9,6 +9,7 @@ from rmpoly import (
     MatrixPolynomial,
     RngStream,
     ValidationError,
+    backward_error,
     circulant_b_eigenvalues,
     circulant_matrix,
     companion,
@@ -21,6 +22,7 @@ from rmpoly import (
     polynomial_to_json,
     sample_monic_gaussian,
     singular_values,
+    trace_error,
 )
 from rmpoly import matpoly
 
@@ -56,6 +58,25 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValidationError):
             RngStream(0, (-2,))
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("index", [1.5, False, np.bool_(True), "1"])
+    def test_non_integer_child_index_rejected(self, index):
+        # int() used to turn child(1.5) into child(1) silently.
+        with pytest.raises(ValidationError):
+            RngStream(1).child(index)
+
+    def test_numpy_integers_become_python_ints(self):
+        s = RngStream(np.int64(3)).child(np.int32(4), np.uint8(5))
+        assert s == RngStream(3, (4, 5))
+        assert type(s.seed) is int and all(type(i) is int for i in s.key)
+        np.testing.assert_array_equal(
+            s.generator().standard_normal(4),
+            RngStream(3, (4, 5)).generator().standard_normal(4))
 
 
 class TestComplexGaussian:
@@ -115,6 +136,11 @@ class TestSampleMonicGaussian:
             sample_monic_gaussian(0, 2, RngStream(1))
         with pytest.raises(ValidationError):
             sample_monic_gaussian(2, 0, RngStream(1))
+
+    @pytest.mark.parametrize("n,k", [(2.5, 2), (2, 3.0), (True, 2)])
+    def test_non_integer_sizes_rejected(self, n, k):
+        with pytest.raises(ValidationError):
+            sample_monic_gaussian(n, k, RngStream(1))
 
     def test_coefficients_are_write_locked(self):
         p = sample_monic_gaussian(2, 2, RngStream(17))
@@ -322,6 +348,88 @@ class TestFiniteEigenvalues:
         lams = finite_eigenvalues(p)
         assert calls == [(k * n, k * n)]
         np.testing.assert_array_equal(lams, eigenvalues(companion(p).m))
+
+
+class TestLogDerivative:
+    @staticmethod
+    def _stack(p):
+        return np.stack(p.coeffs + (np.eye(p.n),))
+
+    @staticmethod
+    def _points(seed, size, radius):
+        g = np.random.default_rng(seed)
+        return radius * np.sqrt(g.random(size)) * np.exp(
+            2j * np.pi * g.random(size))
+
+    def test_forward_matches_reference(self):
+        # 300 points span one full block of 256 and a partial one.
+        p = sample_monic_gaussian(3, 20, RngStream(32))
+        stack = self._stack(p)
+        x = self._points(0, 300, 0.8)
+        trace, singular = matpoly._log_derivative(stack, x, reverse=False)
+        assert not singular.any()
+        for xi, t in zip(x, trace):
+            ref = np.trace(np.linalg.solve(evaluate(p, xi), sum(
+                j * stack[j] * xi ** (j - 1) for j in range(1, p.k + 1))))
+            assert abs(t - ref) <= 1e-12 * abs(ref)
+
+    def test_reversed_matches_reference(self):
+        # The reversed polynomial sum_j C_{k-j} y^j is y^k P(1/y).
+        p = sample_monic_gaussian(3, 20, RngStream(33))
+        stack = self._stack(p)
+        y = self._points(1, 300, 0.8)
+        trace, singular = matpoly._log_derivative(stack, y, reverse=True)
+        assert not singular.any()
+        rev = stack[::-1]
+        for yi, t in zip(y, trace):
+            val = yi ** p.k * evaluate(p, 1.0 / yi)
+            der = sum(j * rev[j] * yi ** (j - 1) for j in range(1, p.k + 1))
+            ref = np.trace(np.linalg.solve(val, der))
+            assert abs(t - ref) <= 1e-12 * abs(ref)
+
+    def test_exactly_singular_point_is_flagged(self):
+        # A zero column in C_0 makes P(0) exactly singular.
+        sampled = sample_monic_gaussian(2, 8, RngStream(34))
+        c0 = sampled.coeffs[0].copy()
+        c0[:, 1] = 0.0
+        stack = np.stack((c0,) + sampled.coeffs[1:] + (np.eye(2),))
+        trace, singular = matpoly._log_derivative(
+            stack, np.array([0.5, 0.0, 0.25j]), reverse=False)
+        np.testing.assert_array_equal(singular, [False, True, False])
+        assert trace[1] == 0.0 and trace[0] != 0.0 and trace[2] != 0.0
+
+    def test_partial_block_shape_matches_dense(self):
+        # kn = 300: the first sweep evaluates one block of 256 roots and a
+        # partial block of 44.
+        p = sample_monic_gaussian(3, 100, RngStream(35))
+        lam = matpoly._aberth_eigenvalues(p)
+        assert lam is not None
+        assert match_distance(lam, eigenvalues(companion(p).m)) <= 1e-10
+        kn_eps = p.k * p.n * np.finfo(float).eps
+        assert backward_error(p, lam).max() <= 100.0 * kn_eps
+
+
+class TestAccuracyChecks:
+    def test_trace_error_of_exact_roots_is_zero(self):
+        p = _scalar_poly(2.0, -3.0)  # (x - 1)(x - 2)
+        assert trace_error(p, np.array([1.0, 2.0])) == 0.0
+
+    def test_trace_error_sees_a_duplicated_root(self):
+        p = _scalar_poly(2.0, -3.0)
+        assert trace_error(p, np.array([1.0, 1.0])) == 1.0
+
+    def test_backward_error_values(self):
+        # x^2 - 1: exact at +-1; at 0, sigma_min(P(0)) = 1 over weights
+        # ||C_0|| = 1, |x| ||C_1|| = 0, |x|^2 = 0.
+        p = _scalar_poly(-1.0, 0.0)
+        np.testing.assert_array_equal(
+            backward_error(p, np.array([1.0, -1.0, 0.0])), [0.0, 0.0, 1.0])
+
+    def test_backward_error_of_dense_spectrum_is_small(self):
+        p = sample_monic_gaussian(3, 4, RngStream(36))
+        ratios = backward_error(p, eigenvalues(companion(p).m))
+        assert ratios.shape == (12,)
+        assert ratios.max() <= 100 * 12 * np.finfo(float).eps
 
 
 class TestTrialEigenvalues:

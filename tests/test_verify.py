@@ -66,6 +66,17 @@ class TestLemmaCheckConfig:
         with pytest.raises(ValidationError):
             LemmaCheckConfig(z=0.5, sizes=((0, 3),))
 
+    @pytest.mark.parametrize("sizes", [((2.5, 8),), ((2, True),), ((2,),),
+                                       (8,)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(ValidationError):
+            LemmaCheckConfig(z=0.5, sizes=sizes)
+
+    @pytest.mark.parametrize("trials", [2.5, "200", True])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ValidationError):
+            LemmaCheckConfig(z=0.5, sizes=((2, 8),), trials=trials)
+
     def test_bound_constants_in_range(self):
         assert 0.0 < DELTA < 0.5
         assert 0.0 < EPSILON < 0.5 - DELTA
