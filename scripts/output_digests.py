@@ -1,0 +1,94 @@
+"""Print one sha256 digest per rmpoly output, at one BLAS thread.
+
+Two checkouts that print the same lines write the same bytes, so a change
+that must keep every output can be checked with ``diff``.  Run it from the
+root of the checkout to digest: it imports rmpoly from ``./src``, so one
+copy of the script digests any checkout.
+
+    python3 scripts/output_digests.py --seed 7 > change.txt
+    (cd ../parent && python3 ../repo/scripts/output_digests.py --seed 7) \\
+        > parent.txt
+    diff parent.txt change.txt
+
+The outputs are the points CSV, scatter SVG and summary JSON of three
+``experiment`` runs at the benchmark's sizes (grow-n, grow-k, small-many),
+the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape and
+``n = k = 1``, and the ``verify`` JSON lines at default sizes.  A run takes
+about half a minute of CPU time per seed.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# OpenBLAS reads these when it is loaded, so they are set before numpy.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+SRC = Path.cwd() / "src"
+if not (SRC / "rmpoly" / "__init__.py").is_file():
+    sys.exit(f"error: no rmpoly sources under {SRC}")
+sys.path.insert(0, str(SRC))
+
+from click.testing import CliRunner  # noqa: E402
+
+from rmpoly.cli import main as rmpoly_main  # noqa: E402
+
+#: ``experiment`` runs: (label, regime, n values, k values, target points).
+EXPERIMENTS = (
+    ("grow-n", "grow-n", (32, 64, 128), (4,), 4096),
+    ("grow-k", "grow-k", (4,), (32, 128, 512), 2048),
+    ("small-many", "grow-n", (4, 8, 16), (2,), 100000),
+)
+
+#: ``esd`` runs: (label, extra arguments).
+ESD_RUNS = (
+    ("esd-dense", ["--n", "4", "--k", "8", "--trials", "3"]),
+    ("esd-aberth", ["--n", "2", "--k", "64", "--trials", "2",
+                    "--regime", "grow-k"]),
+    ("esd-n1-k1", ["--n", "1", "--k", "1"]),
+)
+
+
+def _run(argv) -> bytes:
+    """Stdout of ``rmpoly argv``; a nonzero exit aborts the script."""
+    res = CliRunner().invoke(rmpoly_main, ["--quiet", *argv])
+    if res.exit_code != 0:
+        sys.exit(f"error: rmpoly {' '.join(argv)} exited with "
+                 f"{res.exit_code}: {res.stderr.strip() or res.exception!r}")
+    return res.stdout_bytes
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    seed = str(args.seed)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, regime, ns, ks, target in EXPERIMENTS:
+            out = Path(tmp) / label
+            cmd = ["experiment", "--regime", regime, "--target-points",
+                   str(target), "--seed", seed, "--format", "svg",
+                   "--out", str(out)]
+            for n in ns:
+                cmd += ["--n", str(n)]
+            for k in ks:
+                cmd += ["--k", str(k)]
+            _run(cmd)
+            for path in sorted(out.iterdir()):
+                print(f"{_digest(path.read_bytes())}  {label}/{path.name}")
+    for label, extra in ESD_RUNS:
+        print(f"{_digest(_run(['esd', '--seed', seed, *extra]))}  {label}")
+    print(f"{_digest(_run(['verify', '--seed', seed]))}  verify.jsonl")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

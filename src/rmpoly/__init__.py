@@ -32,9 +32,8 @@ from .verify import (LemmaCheckConfig, LemmaReport, beta_projection_check,
                      gaussian_norm_tail, lemma_suite_grow_k,
                      lemma_suite_grow_n, mc_pseudoinverse_tail,
                      pseudoinverse_tail_bound, replacement_gap,
-                     replacement_gap_prescaled, sweep_circulant_shift_bounds,
-                     sweep_lowrank_interlacing, sweep_mirsky,
-                     sweep_submatrix_interlacing, sweep_woodbury_identity,
-                     tail_log_sum, tail_split_index)
+                     sweep_circulant_shift_bounds, sweep_lowrank_interlacing,
+                     sweep_mirsky, sweep_submatrix_interlacing,
+                     sweep_woodbury_identity, tail_log_sum, tail_split_index)
 
 __version__ = "0.1.0"

@@ -107,9 +107,8 @@ def esd(n, k, trials, seed, regime, out):
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    scale = n ** -0.5 if regime == "grow-n" else 1.0
     rng = RngStream(seed)
-    pts = pooled_esd(n, k, scale, [rng.child(0, t) for t in range(trials)]
+    pts = pooled_esd(regime, n, k, [rng.child(0, t) for t in range(trials)]
                      ).points
     if out is None:
         click.echo(format_points_csv(pts), nl=False)

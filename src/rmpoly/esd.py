@@ -12,6 +12,12 @@ of one or more sampled polynomials.  Two scalings matter downstream:
 ``UnitDisc()`` (the circular law) is the k = 1 case of the mixture and
 returns ``DiscMixture(1)``.
 
+Each law carries its radial CDF and sampler: ``atom`` (the mass at the
+origin), ``cdf(r)`` (the right-continuous radial CDF) and its left limit
+``cdf_left(r)``, and ``radii(g, count)`` (the moduli of ``count`` i.i.d.
+draws from generator ``g``).  The functions below call these members and
+never branch on the law's type.
+
 Both laws are rotation invariant, so law masses factor into a radial
 part times uniform angles; the distance diagnostics exploit that.  The
 annulus/sector discrepancy is a binned diagnostic, not a metric with
@@ -61,10 +67,36 @@ class DiscMixture:
         if self.k < 1:
             raise ValidationError(f"DiscMixture needs k >= 1, got {self.k}")
 
+    @property
+    def atom(self) -> float:
+        return (self.k - 1) / self.k
+
+    def cdf(self, r: np.ndarray) -> np.ndarray:
+        return self.atom + np.minimum(r, 1.0) ** 2 / self.k
+
+    def cdf_left(self, r: np.ndarray) -> np.ndarray:
+        return np.where(r > 0.0, self.cdf(r), 0.0)
+
+    def radii(self, g: np.random.Generator, count: int) -> np.ndarray:
+        radius = np.sqrt(g.random(count))
+        radius[g.random(count) < self.atom] = 0.0
+        return radius
+
 
 @dataclass(frozen=True)
 class UnitCircle:
     """Uniform (arc-length) measure on the unit circle."""
+
+    atom = 0.0
+
+    def cdf(self, r: np.ndarray) -> np.ndarray:
+        return (r >= 1.0).astype(np.float64)
+
+    def cdf_left(self, r: np.ndarray) -> np.ndarray:
+        return (r > 1.0).astype(np.float64)
+
+    def radii(self, g: np.random.Generator, count: int) -> np.ndarray:
+        return np.ones(count)
 
 
 def UnitDisc() -> DiscMixture:
@@ -83,28 +115,8 @@ def radial_cdf(law: LimitLaw, r):
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr < 0):
         raise ValidationError("radial_cdf needs r >= 0")
-    if isinstance(law, DiscMixture):
-        out = (law.k - 1) / law.k + np.minimum(arr, 1.0) ** 2 / law.k
-    elif isinstance(law, UnitCircle):
-        out = (arr >= 1.0).astype(np.float64)
-    else:
-        raise ValidationError(f"unknown limit law {law!r}")
+    out = law.cdf(arr)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
-
-
-def _radial_cdf_left(law: LimitLaw, r: np.ndarray) -> np.ndarray:
-    """Left limits of the radial CDF, needed where the law has an atom.
-
-    The mixture carries an atom at 0 and the circle law one at 1; the KS
-    statistic below must compare the empirical CDF just below such a point
-    against the law's left limit, not its (right-continuous) value.
-    """
-    if isinstance(law, DiscMixture):
-        cont = np.minimum(r, 1.0) ** 2 / law.k
-        return np.where(r > 0.0, (law.k - 1) / law.k + cont, 0.0)
-    if isinstance(law, UnitCircle):
-        return (r > 1.0).astype(np.float64)
-    raise ValidationError(f"unknown limit law {law!r}")
 
 
 def sample_points(law: LimitLaw, count: int, rng) -> np.ndarray:
@@ -113,14 +125,7 @@ def sample_points(law: LimitLaw, count: int, rng) -> np.ndarray:
         raise ValidationError("count must be >= 1")
     g = _generator(rng)
     theta = 2.0 * np.pi * g.random(count)
-    if isinstance(law, UnitCircle):
-        radius = np.ones(count)
-    elif isinstance(law, DiscMixture):
-        radius = np.sqrt(g.random(count))
-        radius[g.random(count) < (law.k - 1) / law.k] = 0.0
-    else:
-        raise ValidationError(f"unknown limit law {law!r}")
-    return radius * np.exp(1j * theta)
+    return law.radii(g, count) * np.exp(1j * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +223,13 @@ def radial_ks(esd: EmpiricalSpectralDistribution, law: LimitLaw,
     proxy, so the statistic is the plain one-sample KS there.
     """
     radii = np.abs(esd.points)
-    if isinstance(law, DiscMixture) and law.k >= 2:
+    if law.atom > 0:
         if not 0.0 < atom_proxy <= 1.0:
             raise ValidationError(
                 f"atom_proxy must lie in (0, 1], got {atom_proxy}")
         radii = np.where(radii <= atom_proxy, 0.0, radii)
     radii.sort()
-    return _ks_statistic(radial_cdf(law, radii), _radial_cdf_left(law, radii))
+    return _ks_statistic(law.cdf(radii), law.cdf_left(radii))
 
 
 def angular_ks(esd: EmpiricalSpectralDistribution,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
-                  distance_report, merge)
+                  atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _is_int, _is_number, _is_pair,
                       trial_eigenvalues)
 from .svgplot import svg_scatter
@@ -137,8 +138,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_types({name: getattr(self, name) for name in _FIELDS})
-        for name in ("n_values", "k_values", "z_values"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # Integers are stored as Python ints, so that the config serializes.
+        for name in ("target_points", "seed", "workers"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("n_values", "k_values"):
+            object.__setattr__(self, name,
+                               tuple(map(operator.index, getattr(self, name))))
+        object.__setattr__(self, "z_values", tuple(self.z_values))
         if self.regime not in _REGIMES:
             raise ValidationError(
                 f"regime must be one of {_REGIMES}, got {self.regime!r}")
@@ -301,8 +307,18 @@ def read_points_csv(path) -> np.ndarray:
         raise ValidationError(
             f"{path}:1: expected header 're,im', got "
             f"{lines[0].strip() if lines else '<empty file>'!r}")
+    body, xy = lines[1:], None
+    if any(body):  # loadtxt warns on a body of empty lines
+        try:
+            xy = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if xy is not None and xy.shape[1] == 2:
+        # Viewed, not rebuilt as re + 1j*im, which would lose the sign of -0.0.
+        return xy.view(np.complex128).ravel()
+    # The line loop parses what loadtxt rejects, or names the line at fault.
     values = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -334,16 +350,22 @@ def _chunk_points(task) -> np.ndarray:
     return scale * trial_eigenvalues(n, k, streams).ravel()
 
 
-def pooled_esd(n: int, k: int, scale: float, streams, mapper=map
+def pooled_esd(regime: str, n: int, k: int, streams, mapper=map
                ) -> EmpiricalSpectralDistribution:
-    """Pool ``scale`` times the eigenvalues of one trial per stream.
+    """Pool the scaled eigenvalues of one trial per stream.
 
-    Trials are solved in chunks whose companion stacks hold at most
-    ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a worker
-    pool's ``map`` runs them in parallel).  Points follow stream order.
+    The regime sets the scale: ``n**-0.5`` for ``grow-n``, 1 for
+    ``grow-k``.  Trials are solved in chunks whose companion stacks hold at
+    most ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a
+    worker pool's ``map`` runs them in parallel).  Points follow stream
+    order.
     """
     if n < 1 or k < 1:
         raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if regime not in _REGIMES:
+        raise ValidationError(
+            f"regime must be one of {_REGIMES}, got {regime!r}")
+    scale = n ** -0.5 if regime == "grow-n" else 1.0
     size = max(1, _CHUNK_ENTRIES // (k * n) ** 2)
     chunks = [streams[lo:lo + size] for lo in range(0, len(streams), size)]
     tasks = [(n, k, scale, chunk) for chunk in chunks]
@@ -354,8 +376,9 @@ def pooled_esd(n: int, k: int, scale: float, streams, mapper=map
     ])
 
 
-def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
+def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
                extras_of) -> ExperimentResult:
+    rng = RngStream(cfg.seed) if rng is None else rng
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,12 +388,10 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
         for idx, (n, k) in enumerate(cfg.cells()):
             start = time.monotonic()
             trials = cfg.trials_for(n, k)
-            scale = scale_of(n, k)
             streams = [rng.child(idx, t) for t in range(trials)]
-            esd = pooled_esd(n, k, scale, streams,
+            esd = pooled_esd(cfg.regime, n, k, streams,
                              pool.map if pool is not None else map)
-            report = distance_report(esd, law_of(n, k),
-                                     atom_radius=cfg.atom_radius)
+            report = distance_report(esd, law, atom_radius=cfg.atom_radius)
             points_file = None
             if out_dir is not None:
                 name = (f"points_{cfg.regime}_n{n}_k{k}_seed{cfg.seed}.csv")
@@ -390,9 +411,7 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream, scale_of, law_of,
 
 
 def _atom_sweep(esd: EmpiricalSpectralDistribution) -> dict:
-    radii = np.abs(esd.points)
-    return {f"atom_mass_r{r}": float(np.mean(radii <= r))
-            for r in ATOM_RADIUS_SWEEP}
+    return {f"atom_mass_r{r}": atom_mass(esd, r) for r in ATOM_RADIUS_SWEEP}
 
 
 def _annulus_extras(esd: EmpiricalSpectralDistribution) -> dict:
@@ -406,12 +425,7 @@ def run_grow_n(cfg: ExperimentConfig, rng: RngStream | None = None
     against the disc mixture with atom weight (k-1)/k."""
     if cfg.regime != "grow-n":
         raise ValidationError(f"config regime is {cfg.regime!r}, not 'grow-n'")
-    rng = RngStream(cfg.seed) if rng is None else rng
-    k = cfg.k_values[0]
-    return _run_cells(cfg, rng,
-                      scale_of=lambda n, _k: n ** -0.5,
-                      law_of=lambda _n, _k: DiscMixture(k),
-                      extras_of=_atom_sweep)
+    return _run_cells(cfg, rng, DiscMixture(cfg.k_values[0]), _atom_sweep)
 
 
 def run_grow_k(cfg: ExperimentConfig, rng: RngStream | None = None
@@ -419,11 +433,7 @@ def run_grow_k(cfg: ExperimentConfig, rng: RngStream | None = None
     """Sweep k at fixed n; unscaled eigenvalues against the unit circle."""
     if cfg.regime != "grow-k":
         raise ValidationError(f"config regime is {cfg.regime!r}, not 'grow-k'")
-    rng = RngStream(cfg.seed) if rng is None else rng
-    return _run_cells(cfg, rng,
-                      scale_of=lambda _n, _k: 1.0,
-                      law_of=lambda _n, _k: UnitCircle(),
-                      extras_of=_annulus_extras)
+    return _run_cells(cfg, rng, UnitCircle(), _annulus_extras)
 
 
 def run_experiment(cfg: ExperimentConfig, rng: RngStream | None = None

@@ -11,10 +11,10 @@ Conventions used throughout the package:
   multiset.  No ordering is promised; compare spectra with
   ``match_distance``, never positionally.
 
-The heavy factorizations (singular values, eigenvalues, determinant)
-delegate to LAPACK through numpy/scipy.  This module pins the contracts,
-tolerances, and error behaviour on top of those kernels; everything above
-it is pure Python.
+The heavy factorizations (singular values, eigenvalues, and the LU
+factorization behind the log-determinant) delegate to LAPACK through
+numpy/scipy.  This module pins the contracts, tolerances, and error
+behaviour on top of those kernels; everything above it is pure Python.
 """
 
 from __future__ import annotations
@@ -131,31 +131,19 @@ def woodbury_inverse(a_inverse, u, v) -> np.ndarray:
     return ai - ai @ uu @ np.linalg.solve(small, vv @ ai)
 
 
-def log_abs_det(x, method: str = "svd") -> float:
-    """``log |det(x)|`` for a square matrix.
+def log_abs_det(x) -> float:
+    """``log |det(x)|`` for a square matrix, from its LU factorization.
 
-    ``method="svd"`` sums log singular values, which is the numerically
-    careful route; ``method="lu"`` uses an LU factorization and is much
-    faster on large matrices.  A numerically singular input warns and
-    returns ``-inf`` rather than raising: downstream consumers flag infinite
+    An exactly singular input (a zero pivot) warns and returns ``-inf``
+    rather than raising: downstream consumers flag infinite
     log-determinant gaps explicitly.
     """
-    a = _square(x)
-    if method == "svd":
-        s = singular_values(a)
-        if s[-1] <= rank_cutoff(a.shape, float(s[0])):
-            warnings.warn("log_abs_det of a numerically singular matrix; "
-                          "returning -inf", RuntimeWarning, stacklevel=2)
-            return float("-inf")
-        return float(np.sum(np.log(s)))
-    if method == "lu":
-        sign, logdet = np.linalg.slogdet(a)
-        if sign == 0:
-            warnings.warn("log_abs_det of an exactly singular matrix; "
-                          "returning -inf", RuntimeWarning, stacklevel=2)
-            return float("-inf")
-        return float(logdet)
-    raise ValidationError(f"unknown log_abs_det method {method!r}")
+    sign, logdet = np.linalg.slogdet(_square(x))
+    if sign == 0:
+        warnings.warn("log_abs_det of an exactly singular matrix; "
+                      "returning -inf", RuntimeWarning, stacklevel=2)
+        return float("-inf")
+    return float(logdet)
 
 
 def match_distance(a, b) -> float:

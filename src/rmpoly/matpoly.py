@@ -69,14 +69,20 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """Any integer type but bool: Python and numpy integers pass."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return not isinstance(v, bool)
+
+
 def _index(v, what: str) -> int:
     """``v`` as a Python int: any integer type but bool is accepted."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what} must be an integer, got {v!r}")
+    if not _is_int(v):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return operator.index(v)
 
 
 def _sizes(n, k) -> tuple[int, int]:
@@ -453,10 +459,6 @@ def polynomial_to_json(p: MatrixPolynomial) -> str:
               for c in p.coeffs]
     doc = {"n": p.n, "k": p.k, "seed": p.seed, "coeffs": coeffs}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:

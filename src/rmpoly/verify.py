@@ -15,6 +15,11 @@ Two kinds of check live here:
   and tail bounds for Gaussian matrix norms and smallest singular values of
   shifted rectangular Gaussians.
 
+The log-determinant diagnostics of the replacement principle follow them:
+``replacement_gap`` takes both log-determinants from one LU factorization
+each (``linalg.log_abs_det``), and ``tail_log_sum`` sums the logs of the
+smallest singular values.
+
 Margins follow one sign convention: >= 0 passes.  For an upper bound the
 margin is (bound - observed); for a lower bound it is (observed - bound).
 Checks covering several inequalities per trial record the worst (smallest)
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularUpdateError, ValidationError
+from .esd import _ks_statistic
 from .linalg import (log_abs_det, singular_values, spectral_norm,
                      woodbury_inverse)
 from .matpoly import (RngStream, _generator, _index, _sizes,
@@ -56,7 +62,6 @@ __all__ = [
     "gaussian_norm_tail",
     "beta_projection_check",
     "replacement_gap",
-    "replacement_gap_prescaled",
     "tail_split_index",
     "tail_log_sum",
     "lemma_suite_grow_n",
@@ -247,6 +252,8 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
 
 def _sweep(lemma_id: str, instances: int, check_instance) -> LemmaReport:
     """Worst margin of ``check_instance(i)``'s report for each instance i."""
+    if instances < 1:
+        raise ValidationError(f"instances must be >= 1, got {instances}")
     return LemmaReport(lemma_id, tuple(
         min(check_instance(i).per_trial_margins) for i in range(instances)))
 
@@ -423,10 +430,7 @@ def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
     vecs = complex_gaussian(g, (trials, big_n), variance=1.0)
     lam = np.sort(np.abs(vecs[:, 0]) ** 2
                   / np.sum(np.abs(vecs) ** 2, axis=1))
-    cdf = 1.0 - (1.0 - lam) ** (big_n - 1)
-    i = np.arange(1, trials + 1)
-    stat = max(float(np.max(i / trials - cdf)),
-               float(np.max(cdf - (i - 1) / trials)), 0.0)
+    stat = _ks_statistic(1.0 - (1.0 - lam) ** (big_n - 1))
     threshold = 2.0 * KS_CRITICAL_1PCT / math.sqrt(trials)
     return LemmaReport("unit-vector-projection-beta", (threshold - stat,))
 
@@ -442,14 +446,15 @@ def _shifted(x, z: complex) -> np.ndarray:
     return a - z * np.eye(a.shape[0])
 
 
-def replacement_gap(a, b, z: complex, method: str = "svd") -> float:
+def replacement_gap(a, b, z: complex) -> float:
     """Normalized log-determinant gap with internal ``m**-0.5`` scaling:
 
-        (1/m) * (log|det(a/sqrt(m) - zI)| - log|det(b/sqrt(m) - zI)|).
+        (1/m) * (log|det(a/sqrt(m) - zI)| - log|det(b/sqrt(m) - zI)|),
 
-    Use this form when ``a`` and ``b`` carry the raw (unscaled) entries.  A
-    numerically singular shifted matrix makes the gap infinite; that is
-    reported as ``inf`` with a warning, never dropped.
+    each log-determinant from an LU factorization (``log_abs_det``).  Pass
+    the raw (unscaled) entries; to study ``n**-0.5 * M`` for an M of size
+    kn, pass ``sqrt(k) * M``.  An exactly singular shifted matrix makes the
+    gap infinite; that is reported as ``inf`` with a warning, never dropped.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
@@ -458,27 +463,8 @@ def replacement_gap(a, b, z: complex, method: str = "svd") -> float:
             f"replacement gap needs equal shapes, got {aa.shape} vs {bb.shape}")
     m = aa.shape[0]
     scale = 1.0 / math.sqrt(m)
-    return replacement_gap_prescaled(scale * aa, scale * bb, z, method)
-
-
-def replacement_gap_prescaled(a, b, z: complex, method: str = "svd") -> float:
-    """Normalized log-determinant gap with no internal scaling:
-
-        (1/m) * (log|det(a - zI)| - log|det(b - zI)|).
-
-    Use this form when the matrices are already on the scale under study
-    (for example a companion matrix against its block circulant, or
-    matrices pre-multiplied by ``n**-0.5``).  Keeping both entry points
-    explicit avoids double-scaling mistakes.
-    """
-    aa = np.asarray(a, dtype=np.complex128)
-    bb = np.asarray(b, dtype=np.complex128)
-    if aa.shape != bb.shape:
-        raise ValidationError(
-            f"replacement gap needs equal shapes, got {aa.shape} vs {bb.shape}")
-    m = aa.shape[0]
-    la = log_abs_det(_shifted(aa, z), method=method)
-    lb = log_abs_det(_shifted(bb, z), method=method)
+    la = log_abs_det(_shifted(scale * aa, z))
+    lb = log_abs_det(_shifted(scale * bb, z))
     if not (math.isfinite(la) and math.isfinite(lb)):
         warnings.warn("replacement gap hit a singular shifted matrix; "
                       "reporting an infinite gap", RuntimeWarning,

@@ -121,8 +121,7 @@ def test_04_replacement_gap_vanishes():
         for t in range(20):
             p = sample_monic_gaussian(2, k, RngStream(SEED, (96, k_idx, t)))
             gaps.append(abs(replacement_gap(companion(p).m,
-                                            circulant_matrix(2, k),
-                                            0.5, method="lu")))
+                                            circulant_matrix(2, k), 0.5)))
         medians.append(float(np.median(gaps)))
     ok = medians[0] > medians[1] > medians[2] and medians[2] <= 0.05
     _check(4, "replacement gap vanishes", ok,

@@ -81,6 +81,14 @@ class TestEsd:
         assert res.exit_code == 1
         assert "trials" in res.stderr
 
+    def test_zero_dimension_exits_one(self, runner):
+        res = runner.invoke(main, ["esd", "--n", "0", "--k", "2"])
+        assert res.exit_code == 1
+        # A raw exception would also exit 1; the guard exits by SystemExit.
+        assert isinstance(res.exception, SystemExit)
+        assert any(line.startswith("error: ")
+                   for line in res.stderr.splitlines())
+
 
 class TestExperiment:
     BASE = ["experiment", "--regime", "grow-n", "--n", "8", "--k", "2",
@@ -210,6 +218,15 @@ class TestVerify:
         res = runner.invoke(main, self.SMALL + ["--z", "0.6,0.2",
                                                 "--z", "0.4"])
         assert res.exit_code == 0
+
+    def test_zero_instances_exit_one(self, runner):
+        res = runner.invoke(main, ["verify", "--trials", "2", "--instances",
+                                   "0", "--mc-trials", "50"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert any(line.startswith("error: ")
+                   for line in res.stderr.splitlines())
+        assert "instances" in res.stderr
 
     def test_zero_shift_exits_one(self, runner):
         res = runner.invoke(main, self.SMALL + ["--z", "0", "--z", "0.5"])

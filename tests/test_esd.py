@@ -27,6 +27,20 @@ from rmpoly import (
 ALL_LAWS = [DiscMixture(4), DiscMixture(1), UnitDisc(), UnitCircle()]
 
 
+def _mixture_cdf(r, k=4):
+    return (k - 1) / k + np.minimum(r, 1.0) ** 2 / k
+
+
+def _mixture_cdf_left(r, k=4):
+    return np.where(r > 0.0, _mixture_cdf(r, k), 0.0)
+
+
+def _mixture_radii(g, count, k=4):
+    radius = np.sqrt(g.random(count))
+    radius[g.random(count) < (k - 1) / k] = 0.0
+    return radius
+
+
 def _esd_from_points(points):
     pts = np.asarray(points, dtype=np.complex128)
     return EmpiricalSpectralDistribution(points=pts, scale=1.0, n=1, k=1,
@@ -59,15 +73,30 @@ class TestRadialCdf:
 
     def test_degenerate_mixture_is_unit_disc(self):
         assert UnitDisc() == DiscMixture(1)
+
+    @pytest.mark.parametrize("law,reference", [
+        # The circular law: CDF r**2, radius sqrt(U).
+        (DiscMixture(1), (lambda r: np.minimum(r, 1.0) ** 2,
+                          lambda r: np.minimum(r, 1.0) ** 2,
+                          lambda g, m: np.sqrt(g.random(m)))),
+        (DiscMixture(4), (_mixture_cdf, _mixture_cdf_left, _mixture_radii)),
+        (UnitCircle(), (lambda r: (r >= 1.0).astype(np.float64),
+                        lambda r: (r > 1.0).astype(np.float64),
+                        lambda g, m: np.ones(m))),
+    ], ids=["disc", "mixture", "circle"])
+    def test_law_matches_reference_formulas(self, law, reference):
+        # Bit for bit: the CDF and its left limit on a grid, and draws
+        # that take theta first, then the radius.
+        cdf, cdf_left, radii = reference
         r = np.linspace(0.0, 2.0, 1000)
-        # The circular law's own formulas, bit for bit.
-        np.testing.assert_array_equal(radial_cdf(DiscMixture(1), r),
-                                      np.minimum(r, 1.0) ** 2)
-        pts = sample_points(DiscMixture(1), 1000, RngStream(42))
+        np.testing.assert_array_equal(radial_cdf(law, r), cdf(r))
+        np.testing.assert_array_equal(law.cdf_left(r), cdf_left(r))
+        assert law.atom == radial_cdf(law, 0.0) - law.cdf_left(np.zeros(1))[0]
+        pts = sample_points(law, 1000, RngStream(42))
         g = RngStream(42).generator()
         theta = 2.0 * np.pi * g.random(1000)
-        disc = np.sqrt(g.random(1000)) * np.exp(1j * theta)
-        assert np.array_equal(pts.view(np.float64), disc.view(np.float64))
+        expected = radii(g, 1000) * np.exp(1j * theta)
+        assert np.array_equal(pts.view(np.float64), expected.view(np.float64))
 
     def test_circle_is_a_step_at_one(self):
         assert radial_cdf(UnitCircle(), 0.999) == 0.0

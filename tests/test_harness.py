@@ -156,10 +156,23 @@ class TestExperimentConfig:
         ("workers", True),
         ("atom_radius", "0.2"),
         ("z_values", ("0.5",)),
+        ("seed", np.True_),
     ])
     def test_constructor_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValidationError, match=f"'{field}' must be"):
             _small_cfg(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = _small_cfg(n_values=[np.int64(8)], k_values=(np.int32(2),),
+                         target_points=np.int64(320), seed=np.uint8(11),
+                         workers=np.int16(1))
+        twin = _small_cfg()
+        assert cfg == twin
+        assert all(type(v) is int for v in (
+            *cfg.n_values, *cfg.k_values, cfg.target_points, cfg.seed,
+            cfg.workers))
+        assert json.dumps(run_grow_n(cfg).to_json_dict()) == \
+            json.dumps(run_grow_n(twin).to_json_dict())
 
     def test_z_values_parsed_from_pairs(self):
         doc = _small_cfg().to_json_dict()
@@ -196,6 +209,13 @@ class TestPointsCsv:
         path = tmp_path / "pts.csv"
         path.write_text("re,im\n1.0,2.0\n3.0\n")
         with pytest.raises(ValidationError, match=r":3:"):
+            read_points_csv(path)
+
+    def test_one_field_per_line_reports_line(self, tmp_path):
+        # One field on every line parses in bulk as a single column.
+        path = tmp_path / "pts.csv"
+        path.write_text("re,im\n1.0\n2.0\n")
+        with pytest.raises(ValidationError, match=r":2:"):
             read_points_csv(path)
 
     def test_non_numeric_field_reports_line(self, tmp_path):

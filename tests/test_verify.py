@@ -27,7 +27,6 @@ from rmpoly import (
     mc_pseudoinverse_tail,
     pseudoinverse_tail_bound,
     replacement_gap,
-    replacement_gap_prescaled,
     sample_monic_gaussian,
     sweep_circulant_shift_bounds,
     sweep_lowrank_interlacing,
@@ -308,12 +307,10 @@ class TestReplacementGap:
     def test_zero_matrices_gap_zero(self):
         z0 = np.zeros((4, 4))
         assert replacement_gap(z0, z0, 1.0) == 0.0
-        assert replacement_gap_prescaled(z0, z0, 1.0) == 0.0
 
     def test_singular_shift_flagged_infinite(self):
-        eye = np.eye(3)
         with pytest.warns(RuntimeWarning):
-            gap = replacement_gap_prescaled(eye, 2.0 * np.eye(3), 1.0)
+            gap = replacement_gap(np.zeros((3, 3)), np.eye(3), 0.0)
         assert math.isinf(gap)
 
     def test_shape_mismatch_rejected(self):
@@ -324,14 +321,7 @@ class TestReplacementGap:
         # Companion vs block circulant at n=2, k=256, z=0.5.
         p = sample_monic_gaussian(2, 256, RngStream(93))
         assert abs(replacement_gap(companion(p).m, circulant_matrix(2, 256),
-                                   0.5, method="lu")) <= 0.05
-
-    def test_scaled_entry_point_matches_manual_scaling(self):
-        a = complex_gaussian(RngStream(94), (5, 5))
-        b = complex_gaussian(RngStream(95), (5, 5))
-        s = 5 ** -0.5
-        assert replacement_gap(a, b, 0.3) == pytest.approx(
-            replacement_gap_prescaled(s * a, s * b, 0.3), abs=1e-12)
+                                   0.5)) <= 0.05
 
     def test_dimension_grown_medians_decrease(self):
         # Companion vs its top-row form, scaled by n**-0.5, at fixed z.
@@ -344,9 +334,9 @@ class TestReplacementGap:
                 sp = companion(p)
                 e1ct = np.zeros((3 * n, 3 * n), dtype=np.complex128)
                 e1ct[:n, :] = sp.c_t
-                s = n ** -0.5
-                gaps.append(abs(replacement_gap_prescaled(
-                    s * sp.m, s * e1ct, z, method="lu")))
+                # The gap scales by (3n)**-0.5; sqrt(3) makes it n**-0.5.
+                s = math.sqrt(3)
+                gaps.append(abs(replacement_gap(s * sp.m, s * e1ct, z)))
             medians.append(float(np.median(gaps)))
         assert medians[0] > medians[1] > medians[2]
 
