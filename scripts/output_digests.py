@@ -13,12 +13,14 @@ copy of the script digests any checkout.
 The outputs are the points CSV, scatter SVG and summary JSON of three
 ``experiment`` runs at the benchmark's sizes (grow-n, grow-k, small-many),
 the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape and
-``n = k = 1``, and the ``verify`` JSON lines at default sizes.  A run takes
-about half a minute of CPU time per seed.
+``n = k = 1``, and the ``verify`` JSON lines at default sizes, one digest
+per check family (``verify/<lemma_id>``), so a ``diff`` names the families
+that changed.  A run takes about half a minute of CPU time per seed.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -86,7 +88,9 @@ def main(argv=None) -> int:
                 print(f"{_digest(path.read_bytes())}  {label}/{path.name}")
     for label, extra in ESD_RUNS:
         print(f"{_digest(_run(['esd', '--seed', seed, *extra]))}  {label}")
-    print(f"{_digest(_run(['verify', '--seed', seed]))}  verify.jsonl")
+    for line in _run(["verify", "--seed", seed]).splitlines(keepends=True):
+        lemma_id = json.loads(line)["lemma_id"]
+        print(f"{_digest(line)}  verify/{lemma_id}")
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
-from .matpoly import (RngStream, _is_int, _is_number, _is_pair,
+from .matpoly import (RngStream, _count, _is_int, _is_number, _is_pair,
                       trial_eigenvalues)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, beta_projection_check,
@@ -98,7 +99,7 @@ _FIELDS = {
     "target_points": ("an integer", _is_int),
     "seed": ("an integer", _is_int),
     "z_values": ("a list of complex numbers", _is_seq_of(
-        lambda z: _is_number(z) or isinstance(z, complex))),
+        lambda z: isinstance(z, numbers.Complex) and not isinstance(z, bool))),
     "atom_radius": ("a number", _is_number),
     "output_dir": ("a string or null",
                    lambda v: v is None or isinstance(v, str)),
@@ -144,7 +145,10 @@ class ExperimentConfig:
         for name in ("n_values", "k_values"):
             object.__setattr__(self, name,
                                tuple(map(operator.index, getattr(self, name))))
-        object.__setattr__(self, "z_values", tuple(self.z_values))
+        # Numbers likewise, as Python complex and float.
+        object.__setattr__(self, "z_values",
+                           tuple(map(complex, self.z_values)))
+        object.__setattr__(self, "atom_radius", float(self.atom_radius))
         if self.regime not in _REGIMES:
             raise ValidationError(
                 f"regime must be one of {_REGIMES}, got {self.regime!r}")
@@ -510,8 +514,12 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
 
     ``z_values[0]`` shifts the dimension-grown suite (needs z != 0),
     ``z_values[1]`` -- falling back to ``z_values[0]`` -- the degree-grown
-    suite (needs |z| not in {0, 1}).
+    suite (needs |z| not in {0, 1}).  All three counts must be >= 1.
     """
+    for name, count in (("suite_trials", suite_trials),
+                        ("deterministic_instances", deterministic_instances),
+                        ("mc_trials", mc_trials)):
+        _count(count, name)
     rng = RngStream(cfg.seed) if rng is None else rng
     z_n = cfg.z_values[0]
     z_k = cfg.z_values[1] if len(cfg.z_values) > 1 else cfg.z_values[0]

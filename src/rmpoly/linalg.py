@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * Matrices are dense 2-D ``numpy.ndarray`` values, dtype ``complex128``,
   row-major layout.  Entries must be finite; NaN/Inf are rejected at the
-  boundary.  ``eigenvalues`` also accepts a stack ``(..., m, m)`` and
-  validates every matrix in it.
+  boundary.  ``singular_values`` and ``eigenvalues`` also accept a stack
+  ``(..., m, p)`` and validate every matrix in it.
 * Singular values are always reported in descending order.
 * A "spectrum" is a 1-D complex array representing an unordered eigenvalue
   multiset.  No ordering is promised; compare spectra with
@@ -64,20 +64,39 @@ def _square(x) -> np.ndarray:
 
 
 def spectral_norm(x) -> float:
-    """Largest singular value."""
-    return float(singular_values(x)[0])
+    """Largest singular value of a matrix."""
+    return float(singular_values(as_matrix(x))[0])
+
+
+def _stack(x) -> np.ndarray:
+    """Coerce ``x`` to a finite, non-empty stack ``(..., m, p)`` of complex
+    matrices; one check covers the whole stack."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValidationError(
+            f"expected a matrix or a stack of them, got ndim={a.ndim}")
+    # The stack's rows as one matrix: the checks of ``as_matrix`` cover it.
+    as_matrix(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]))
+    return a
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values, descending; ``ConvergenceError`` if LAPACK fails."""
-    a = as_matrix(x)
+    """Singular values, descending; ``ConvergenceError`` if LAPACK fails.
+
+    A stack of shape ``(..., m, p)`` gives one descending row per matrix,
+    shape ``(..., min(m, p))``, with the same bits as each matrix on its
+    own.
+    """
+    a = _stack(x)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
         try:
-            return scipy.linalg.svdvals(a)
+            rows = [scipy.linalg.svdvals(m)
+                    for m in a.reshape((-1,) + a.shape[-2:])]
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise ConvergenceError("singular values did not converge") from exc
+        return np.reshape(rows, a.shape[:-2] + (min(a.shape[-2:]),))
 
 
 def eigenvalues(x) -> np.ndarray:
@@ -92,8 +111,7 @@ def eigenvalues(x) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(
             f"expected a square matrix or a stack of them, got shape {a.shape}")
-    # The stack's rows as one matrix: the checks of ``as_matrix`` cover it.
-    as_matrix(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]))
+    _stack(a)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -41,6 +41,7 @@ through ``RngStream`` so that any draw is addressable and reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -83,6 +84,14 @@ def _index(v, what: str) -> int:
     if not _is_int(v):
         raise ValidationError(f"{what} must be an integer, got {v!r}")
     return operator.index(v)
+
+
+def _count(v, what: str) -> int:
+    """``v`` as a Python int >= 1."""
+    v = _index(v, what)
+    if v < 1:
+        raise ValidationError(f"{what} must be >= 1, got {v}")
+    return v
 
 
 def _sizes(n, k) -> tuple[int, int]:
@@ -146,37 +155,42 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
 class MatrixPolynomial:
     """Monic matrix polynomial with square coefficients ``C_0 ... C_{k-1}``.
 
-    The degree-k leading coefficient is the identity.  ``seed`` is
-    provenance metadata recorded by the sampler, not part of the value.
+    The degree-k leading coefficient is the identity.  The coefficients are
+    copied into one read-only ``(k, n, n)`` array, ``stack``, and
+    ``coeffs`` holds its k views.  ``seed`` is provenance metadata recorded
+    by the sampler, not part of the value.
     """
 
     n: int
     k: int
     coeffs: tuple
     seed: int | None = field(default=None, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = tuple(np.asarray(c, dtype=np.complex128)
-                            for c in self.coeffs)
         if self.k != len(self.coeffs) or self.k < 1:
             raise ValidationError(
                 f"degree k={self.k} does not match {len(self.coeffs)} "
                 "coefficients (need k >= 1)")
-        for j, c in enumerate(self.coeffs):
-            if c.shape != (self.n, self.n):
+        for j, shape in enumerate(map(np.shape, self.coeffs)):
+            if shape != (self.n, self.n):
                 raise ValidationError(
-                    f"coefficient {j} has shape {c.shape}, expected "
+                    f"coefficient {j} has shape {shape}, expected "
                     f"({self.n}, {self.n})")
-            if not np.all(np.isfinite(c)):
-                raise ValidationError(f"coefficient {j} has non-finite entries")
-            c.setflags(write=False)
+        stack = np.array(self.coeffs, dtype=np.complex128)
+        finite = np.isfinite(stack).reshape(self.k, -1).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"coefficient {int(np.argmin(finite))} has non-finite entries")
+        stack.setflags(write=False)
+        self.stack = stack
+        self.coeffs = tuple(stack)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
         return (self.n == other.n and self.k == other.k
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.coeffs, other.coeffs)))
+                and np.array_equal(self.stack, other.stack))
 
 
 def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
@@ -189,7 +203,7 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     n, k = _sizes(n, k)
     entries = complex_gaussian(rng, (k, n, n), variance=1.0)
     seed = rng.seed if isinstance(rng, RngStream) else None
-    return MatrixPolynomial(n, k, tuple(entries), seed=seed)
+    return MatrixPolynomial(n, k, entries, seed=seed)
 
 
 def evaluate(p: MatrixPolynomial, x: complex) -> np.ndarray:
@@ -226,7 +240,7 @@ class CompanionSplitN:
 
 def companion(p: MatrixPolynomial) -> CompanionSplitN:
     """Block companion linearization of a monic polynomial."""
-    m = _companion_stack(np.stack(p.coeffs)[None])[0]
+    m = _companion_stack(p.stack[None])[0]
     c_t = m[:p.n, :].copy()
     for a in (m, c_t):
         a.setflags(write=False)
@@ -335,7 +349,7 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
     n, k = p.n, p.k
     kn = k * n
     stack = np.empty((k + 1, n, n), dtype=np.complex128)
-    stack[:k] = p.coeffs
+    stack[:k] = p.stack
     stack[k] = np.eye(n)
     sign, logdet = np.linalg.slogdet(stack[0])
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
@@ -441,7 +455,7 @@ def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
     n, k = _sizes(n, k)
     coeffs = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
     if _aberth_shape(n, k):
-        return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, tuple(c)))
+        return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, c))
                          for c in coeffs])
     return eigenvalues(_companion_stack(coeffs))
 
@@ -462,7 +476,8 @@ def polynomial_to_json(p: MatrixPolynomial) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Any real number type but bool: Python and numpy reals pass."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _is_pair(v) -> bool:

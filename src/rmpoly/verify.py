@@ -7,7 +7,9 @@ Two kinds of check live here:
   the Woodbury identity, and the singular-value range of a shifted block
   circulant.  These are exact statements; a check fails only beyond a
   relative slack of ``DETERMINISTIC_SLACK``.  Each ``sweep_*`` runs one of
-  them on many random instances, each instance from its own stream.
+  them on many random instances, each instance from its own stream.  The
+  Mirsky and low-rank sweeps stack their instances and share the margin
+  formula of the single check, with the same bits.
 * probabilistic bound checks -- Monte Carlo sweeps confirming that sampled
   quantities respect high-probability bounds at pilot-calibrated constants:
   floors on the smallest singular values of shifted companion matrices,
@@ -36,9 +38,8 @@ import numpy as np
 
 from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
-from .linalg import (log_abs_det, singular_values, spectral_norm,
-                     woodbury_inverse)
-from .matpoly import (RngStream, _generator, _index, _sizes,
+from .linalg import log_abs_det, singular_values, woodbury_inverse
+from .matpoly import (RngStream, _count, _generator, _sizes,
                       circulant_b_eigenvalues, circulant_matrix, companion,
                       complex_gaussian, sample_monic_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
@@ -111,8 +112,7 @@ class LemmaCheckConfig:
     trials: int = 200
 
     def __post_init__(self):
-        if _index(self.trials, "trials") < 1:
-            raise ValidationError("trials must be >= 1")
+        _count(self.trials, "trials")
         if not self.sizes:
             raise ValidationError("sizes must be nonempty")
         for size in self.sizes:
@@ -160,6 +160,34 @@ class LemmaReport:
 # Deterministic theorem checks (exact statements, slack-guarded)
 
 
+def _lowrank_interlacing_margins(a, e):
+    """Interlacing margins of ``a`` against ``a + e`` for stacks of pairs.
+
+    ``a`` and ``e`` have shape ``(T, m, p)``.  Yields, once per numerical
+    rank r of ``e`` in the stack, the indices of the pairs with that rank
+    and their margins, one row per pair: ``alpha_i - beta_{i+r}`` and
+    ``beta_i - alpha_{i+r}`` for i = 1 .. min(m, p) - r, interleaved, each
+    plus the pair's slack.  A pair whose r saturates the dimension has no
+    inequality; its one margin is its slack.
+    """
+    alpha = singular_values(a)
+    beta = singular_values(a + e)
+    se = singular_values(e)
+    rank = np.sum(se > rank_cutoff(e.shape[-2:], se[:, :1]), axis=1)
+    slack = DETERMINISTIC_SLACK * np.maximum(
+        np.maximum(alpha[:, 0], beta[:, 0]), 1.0)
+    d = alpha.shape[1]
+    for r in np.unique(rank):
+        idx = np.flatnonzero(rank == r)
+        if r == d:  # the perturbation's rank saturates the dimension
+            margins = np.zeros((idx.size, 1))
+        else:
+            margins = np.stack([alpha[idx, :d - r] - beta[idx, r:],
+                                beta[idx, :d - r] - alpha[idx, r:]],
+                               axis=-1).reshape(idx.size, -1)
+        yield idx, margins + slack[idx, None]
+
+
 def check_lowrank_interlacing(a, e) -> LemmaReport:
     """Interlacing under additive low-rank perturbation.
 
@@ -167,31 +195,33 @@ def check_lowrank_interlacing(a, e) -> LemmaReport:
     ``a + e`` and r = numerical rank of ``e``:
     ``alpha_i >= beta_{i+r}`` and ``beta_i >= alpha_{i+r}`` for all valid i.
     """
-    alpha = singular_values(a)
-    beta = singular_values(np.asarray(a) + np.asarray(e))
-    se = singular_values(e)
-    r = int(np.sum(se > rank_cutoff(np.asarray(e).shape, float(se[0]))))
-    slack = DETERMINISTIC_SLACK * max(alpha[0], beta[0], 1.0)
-    margins = []
-    for i in range(len(alpha) - r):
-        margins.append(alpha[i] - beta[i + r] + slack)
-        margins.append(beta[i] - alpha[i + r] + slack)
-    if not margins:
-        margins = [slack]  # perturbation rank saturates the dimension
-    return LemmaReport("lowrank-interlacing", tuple(margins))
+    aa = np.asarray(a, dtype=np.complex128)[None]
+    ee = np.asarray(e, dtype=np.complex128)[None]
+    [(_, margins)] = _lowrank_interlacing_margins(aa, ee)
+    return LemmaReport("lowrank-interlacing", tuple(margins[0]))
+
+
+def _mirsky_margins(a, b) -> np.ndarray:
+    """Mirsky margin ``||a - b|| - max_i |sigma_i(a) - sigma_i(b)|`` plus
+    slack, one per pair of the stacks ``a`` and ``b`` of shape
+    ``(..., m, p)``."""
+    aa = np.asarray(a, dtype=np.complex128)
+    bb = np.asarray(b, dtype=np.complex128)
+    if aa.shape != bb.shape:
+        raise ValidationError("sv perturbation check needs equal shapes")
+    sa = singular_values(aa)
+    sb = singular_values(bb)
+    gap = np.max(np.abs(sa - sb), axis=-1)
+    norm = singular_values(aa - bb)[..., 0]
+    slack = DETERMINISTIC_SLACK * np.maximum(
+        np.maximum(sa[..., 0], sb[..., 0]), 1.0)
+    return norm - gap + slack
 
 
 def check_mirsky(a, b) -> LemmaReport:
     """Singular values move by at most the spectral norm of the difference:
     ``max_i |sigma_i(a) - sigma_i(b)| <= ||a - b||``."""
-    sa = singular_values(a)
-    sb = singular_values(b)
-    if sa.shape != sb.shape:
-        raise ValidationError("sv perturbation check needs equal shapes")
-    gap = float(np.max(np.abs(sa - sb)))
-    norm = spectral_norm(np.asarray(a) - np.asarray(b))
-    slack = DETERMINISTIC_SLACK * max(sa[0], sb[0], 1.0)
-    return LemmaReport("mirsky-sv-perturbation", (norm - gap + slack,))
+    return LemmaReport("mirsky-sv-perturbation", (_mirsky_margins(a, b),))
 
 
 def check_submatrix_interlacing(a, rows, cols) -> LemmaReport:
@@ -252,30 +282,41 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
 
 def _sweep(lemma_id: str, instances: int, check_instance) -> LemmaReport:
     """Worst margin of ``check_instance(i)``'s report for each instance i."""
-    if instances < 1:
-        raise ValidationError(f"instances must be >= 1, got {instances}")
     return LemmaReport(lemma_id, tuple(
-        min(check_instance(i).per_trial_margins) for i in range(instances)))
+        min(check_instance(i).per_trial_margins)
+        for i in range(_count(instances, "instances"))))
+
+
+def _pair_stacks(dim: int, instances: int) -> np.ndarray:
+    # Filled in place by the batched sweeps: no per-instance array
+    # outlives its draw.
+    return np.empty((2, _count(instances, "instances"), dim, dim),
+                    dtype=np.complex128)
 
 
 def sweep_lowrank_interlacing(dim: int, instances: int,
                               rng: RngStream) -> LemmaReport:
-    def check(i):
+    a, e = _pair_stacks(dim, instances)
+    for i in range(instances):
         gg = rng.child(0, i).generator()
-        a = complex_gaussian(gg, (dim, dim))
+        a[i] = complex_gaussian(gg, (dim, dim))
         u = complex_gaussian(gg, (dim, _UPDATE_RANK))
         v = complex_gaussian(gg, (_UPDATE_RANK, dim))
-        return check_lowrank_interlacing(a, u @ v)
-    return _sweep("lowrank-interlacing", instances, check)
+        e[i] = u @ v
+    worst = np.empty(instances)
+    for idx, margins in _lowrank_interlacing_margins(a, e):
+        worst[idx] = margins.min(axis=1)
+    return LemmaReport("lowrank-interlacing", tuple(worst))
 
 
 def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
-    def check(i):
+    a, b = _pair_stacks(dim, instances)
+    for i in range(instances):
         gg = rng.child(1, i).generator()
-        a = complex_gaussian(gg, (dim, dim))
-        b = complex_gaussian(gg, (dim, dim))
-        return check_mirsky(a, b)
-    return _sweep("mirsky-sv-perturbation", instances, check)
+        a[i] = complex_gaussian(gg, (dim, dim))
+        b[i] = complex_gaussian(gg, (dim, dim))
+    return LemmaReport("mirsky-sv-perturbation",
+                       tuple(_mirsky_margins(a, b)))
 
 
 def sweep_submatrix_interlacing(dim: int, instances: int,
@@ -377,7 +418,10 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     while done < trials:
         m = min(_PINV_TAIL_CHUNK, trials - done)
         batch = complex_gaussian(g, (m, n, big_n), variance=1.0 / n) + r_d
-        smin = np.linalg.svd(batch, compute_uv=False)[:, -1]
+        # The n singular values of an n x N draw are those of the n x n R
+        # factor of its transpose, a smaller SVD.
+        r = np.linalg.qr(batch.transpose(0, 2, 1), mode="r")
+        smin = np.linalg.svd(r, compute_uv=False)[:, -1]
         hits += int(np.sum(smin <= tau))
         done += m
     return hits / trials
@@ -522,6 +566,31 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
 # Probabilistic lemma suites
 
 
+def _top_row_shift_singular_values(c_t, scale: float,
+                                   z: complex) -> np.ndarray:
+    """Singular values, descending, of S_E = scale * E_1 c_t - zI from a
+    2n x 2n core.
+
+    ``c_t`` is n x kn with k >= 2.  S_E = [[X, Y], [0, -zI]] with
+    X = scale * c_t[:, :n] - zI_n and Y = scale * c_t[:, n:].  If
+    Y^* = QR (R n x n), S_E is unitarily equivalent to diag(K, -zI) with
+    K = [[X, R^*], [0, -zI_n]], so kn - 2n of its singular values equal
+    |z| and the other 2n are those of K.  On vectors supported on the last
+    n coordinates K stretches by at least |z| and K^* by exactly |z|, so
+    sigma_n(K) >= |z| >= sigma_{n+1}(K): the copies fill positions
+    n+1 .. kn-n.
+    """
+    n, kn = c_t.shape
+    core = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    core[:n, :n] = scale * c_t[:, :n] - z * np.eye(n)
+    core[:n, n:] = np.linalg.qr((scale * c_t[:, n:]).conj().T,
+                                mode="r").conj().T
+    core[n:, n:] = -z * np.eye(n)
+    merged = np.concatenate([singular_values(core),
+                             np.full(kn - 2 * n, abs(z))])
+    return np.sort(merged)[::-1]
+
+
 def _fit_exponent(sizes: np.ndarray, medians: np.ndarray) -> float | None:
     # Least-squares slope of log(median) against log(size).
     if len(set(sizes.tolist())) < 2 or np.any(medians <= 0):
@@ -534,7 +603,8 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     """Bound sweep for the dimension-growing regime.
 
     Per trial, with S_M = n**-0.5 * M - zI and S_E = n**-0.5 * (E_1 C^T) -
-    zI (M the companion matrix of a sampled polynomial):
+    zI (M the companion matrix of a sampled polynomial, E_1 C^T its top
+    block row):
 
     * ``sigma-min-companion-floor``: sigma_kn(S_M) >= n**-(A+2)
     * ``sigma-min-lowrank-floor``:   sigma_kn(S_E) >= n**-(A+2)
@@ -543,6 +613,9 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
       with f = floor(kn - n**(1 - DELTA)).
 
     A, D and T are ``EXPONENT_A``, ``CONSTANT_D`` and ``CONSTANT_T``.
+    S_E is -zI plus a rank-n top block row, so kn - 2n of its singular
+    values equal |z| and the other 2n are those of a 2n x 2n core
+    (``_top_row_shift_singular_values``); S_M takes a full SVD.
 
     Needs z != 0 and k >= 2 for every size.
     """
@@ -569,10 +642,8 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         for t in range(cfg.trials):
             p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
             sp = companion(p)
-            e1ct = np.zeros((kn, kn), dtype=np.complex128)
-            e1ct[:n, :] = sp.c_t
             sm = singular_values(scale * sp.m - z * eye)
-            se = singular_values(scale * e1ct - z * eye)
+            se = _top_row_shift_singular_values(sp.c_t, scale, z)
             floor_m.append(sm[-1] - n_floor)
             floor_e.append(se[-1] - n_floor)
             cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))

@@ -227,6 +227,16 @@ class TestVerify:
         assert any(line.startswith("error: ")
                    for line in res.stderr.splitlines())
         assert "instances" in res.stderr
+        assert "lemma suites done" not in res.stderr
+
+    def test_zero_mc_trials_exit_one_before_any_suite(self, runner):
+        res = runner.invoke(main, ["verify", "--trials", "2", "--instances",
+                                   "5", "--mc-trials", "0"])
+        assert res.exit_code == 1
+        assert any(line.startswith("error: ")
+                   for line in res.stderr.splitlines())
+        assert "mc_trials" in res.stderr
+        assert "lemma suites done" not in res.stderr
 
     def test_zero_shift_exits_one(self, runner):
         res = runner.invoke(main, self.SMALL + ["--z", "0", "--z", "0.5"])

@@ -157,6 +157,8 @@ class TestExperimentConfig:
         ("atom_radius", "0.2"),
         ("z_values", ("0.5",)),
         ("seed", np.True_),
+        ("atom_radius", True),
+        ("z_values", (np.True_,)),
     ])
     def test_constructor_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValidationError, match=f"'{field}' must be"):
@@ -173,6 +175,18 @@ class TestExperimentConfig:
             cfg.workers))
         assert json.dumps(run_grow_n(cfg).to_json_dict()) == \
             json.dumps(run_grow_n(twin).to_json_dict())
+
+    def test_numpy_reals_become_python_numbers(self):
+        cfg = _small_cfg(atom_radius=np.float32(0.5),
+                         z_values=(np.int64(1), np.float32(0.5),
+                                   np.complex64(0.25j)))
+        twin = _small_cfg(atom_radius=0.5, z_values=(1.0, 0.5, 0.25j))
+        assert cfg == twin
+        assert type(cfg.atom_radius) is float
+        assert all(type(z) is complex for z in cfg.z_values)
+        assert json.dumps(cfg.to_json_dict()) == \
+            json.dumps(twin.to_json_dict())
+        assert _small_cfg(atom_radius=np.int64(1)) == _small_cfg(atom_radius=1)
 
     def test_z_values_parsed_from_pairs(self):
         doc = _small_cfg().to_json_dict()

@@ -91,6 +91,32 @@ class TestSvd:
                                    atol=1e-12)
 
 
+    @pytest.mark.parametrize("shape", [(4, 6, 3), (2, 3, 5, 5)])
+    def test_stack_matches_per_matrix_bits(self, shape):
+        stack = complex_gaussian(RngStream(204, (90,)), shape)
+        got = singular_values(stack)
+        assert got.shape == shape[:-2] + (min(shape[-2:]),)
+        flat = got.reshape(-1, got.shape[-1])
+        for row, m in zip(flat, stack.reshape((-1,) + shape[-2:])):
+            assert np.array_equal(row, singular_values(m))
+
+    def test_nan_in_one_stacked_matrix_rejected(self):
+        stack = complex_gaussian(RngStream(205, (90,)), (3, 4, 2))
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            singular_values(stack)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 4), (2, 3, 0)])
+    def test_empty_stack_rejected(self, shape):
+        with pytest.raises(ValidationError, match="empty"):
+            singular_values(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_fewer_than_two_axes_rejected(self, shape):
+        with pytest.raises(ValidationError, match="ndim"):
+            singular_values(np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalues
 

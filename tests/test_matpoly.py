@@ -148,6 +148,50 @@ class TestSampleMonicGaussian:
             p.coeffs[0][0, 0] = 0.0
 
 
+class TestMatrixPolynomial:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficient_is_named(self, bad):
+        coeffs = [np.zeros((2, 2), dtype=np.complex128) for _ in range(4)]
+        coeffs[2][1, 0] = bad
+        with pytest.raises(ValidationError, match="coefficient 2 has non-"):
+            MatrixPolynomial(2, 4, tuple(coeffs))
+
+    def test_misshapen_coefficient_is_named(self):
+        coeffs = (np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=r"coefficient 1 has shape"):
+            MatrixPolynomial(2, 3, coeffs)
+        with pytest.raises(ValidationError, match=r"coefficient 0 has shape"):
+            MatrixPolynomial(2, 1, (np.zeros((3, 3)),))
+
+    def test_coefficients_are_read_only_views_of_one_copy(self):
+        given = complex_gaussian(RngStream(18), (3, 2, 2))
+        p = MatrixPolynomial(2, 3, tuple(given))
+        assert p.stack.shape == (3, 2, 2)
+        assert not p.stack.flags.writeable
+        for j, c in enumerate(p.coeffs):
+            assert c.base is p.stack
+            assert not c.flags.writeable
+            assert np.array_equal(c, given[j])
+        with pytest.raises(ValueError):
+            p.coeffs[1][0, 0] = 0.0
+        given[0, 0, 0] = 5.0  # the caller's array stays its own
+        assert given.flags.writeable and p.coeffs[0][0, 0] != 5.0
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 5)])
+    def test_companion_bits_match_blockwise_reference(self, n, k):
+        p = sample_monic_gaussian(n, k, RngStream(19, (n, k)))
+        kn = k * n
+        ref = np.zeros((kn, kn), dtype=np.complex128)
+        for j in range(k):
+            ref[:n, j * n:(j + 1) * n] = -p.coeffs[k - 1 - j]
+        for i in range(1, k):
+            ref[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+        split = companion(p)
+        assert np.array_equal(split.m.view(np.float64), ref.view(np.float64))
+        assert np.array_equal(split.c_t.view(np.float64),
+                              ref[:n].view(np.float64))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

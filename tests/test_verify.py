@@ -28,6 +28,7 @@ from rmpoly import (
     pseudoinverse_tail_bound,
     replacement_gap,
     sample_monic_gaussian,
+    singular_values,
     sweep_circulant_shift_bounds,
     sweep_lowrank_interlacing,
     sweep_mirsky,
@@ -36,6 +37,7 @@ from rmpoly import (
     tail_log_sum,
     tail_split_index,
 )
+from rmpoly import verify
 from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
 from rmpoly.verify import (CONSTANT_D, CONSTANT_R, CONSTANT_T, DELTA,
                            EPSILON, EXPONENT_A)
@@ -133,6 +135,35 @@ class TestLowrankInterlacing:
         assert rep.violations == 0
         assert len(rep.per_trial_margins) == 300
 
+    def test_sweep_matches_per_instance_checks(self):
+        rng = RngStream(75)
+        expected = []
+        for i in range(40):
+            gg = rng.child(0, i).generator()
+            a = complex_gaussian(gg, (6, 6))
+            u = complex_gaussian(gg, (6, 1))
+            v = complex_gaussian(gg, (1, 6))
+            expected.append(min(
+                check_lowrank_interlacing(a, u @ v).per_trial_margins))
+        rep = sweep_lowrank_interlacing(6, 40, rng)
+        assert rep.per_trial_margins == tuple(expected)
+
+    def test_stack_of_mixed_ranks_matches_single_checks(self):
+        # Ranks 0, 1, 2 and the saturating 3 in one stack, out of order.
+        g = RngStream(76).generator()
+        a = complex_gaussian(g, (5, 3, 3))
+        e = np.zeros((5, 3, 3), dtype=np.complex128)
+        for i, rank in enumerate((2, 0, 3, 1, 2)):
+            e[i] = (complex_gaussian(g, (3, rank))
+                    @ complex_gaussian(g, (rank, 3)))
+        seen = []
+        for idx, margins in verify._lowrank_interlacing_margins(a, e):
+            for row, i in zip(margins, idx):
+                single = check_lowrank_interlacing(a[i], e[i])
+                assert tuple(row) == single.per_trial_margins
+                seen.append(int(i))
+        assert sorted(seen) == [0, 1, 2, 3, 4]
+
 
 class TestMirsky:
     def test_identical_matrices(self):
@@ -155,6 +186,23 @@ class TestMirsky:
     def test_sweep_has_zero_violations(self):
         rep = sweep_mirsky(8, 300, RngStream(74))
         assert rep.violations == 0
+
+    def test_sweep_matches_per_instance_checks(self):
+        rng = RngStream(77)
+        expected = []
+        for i in range(40):
+            gg = rng.child(1, i).generator()
+            a = complex_gaussian(gg, (6, 6))
+            b = complex_gaussian(gg, (6, 6))
+            expected.append(check_mirsky(a, b).per_trial_margins[0])
+        assert sweep_mirsky(6, 40, rng).per_trial_margins == tuple(expected)
+
+    @pytest.mark.parametrize("sweep", [sweep_mirsky,
+                                       sweep_lowrank_interlacing])
+    @pytest.mark.parametrize("instances", [0, -1, 2.0])
+    def test_sweep_rejects_bad_instance_counts(self, sweep, instances):
+        with pytest.raises(ValidationError, match="instances"):
+            sweep(4, instances, RngStream(78))
 
 
 class TestSubmatrixInterlacing:
@@ -394,6 +442,62 @@ class TestTailLogSum:
 # Probabilistic lemma suites
 
 
+def _full_svd_grow_n(cfg, rng):
+    """``lemma_suite_grow_n``'s margins with a full SVD of S_E."""
+    z = cfg.z
+    floor_m, floor_e, cap, tail = [], [], [], []
+    for s_idx, (n, k) in enumerate(cfg.sizes):
+        kn = k * n
+        f = tail_split_index(n, k, DELTA)
+        for t in range(cfg.trials):
+            p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
+            m, e1ct = companion(p).m, np.zeros((kn, kn), dtype=np.complex128)
+            e1ct[:n] = m[:n]
+            sm = np.linalg.svd(n ** -0.5 * m - z * np.eye(kn),
+                               compute_uv=False)
+            se = np.linalg.svd(n ** -0.5 * e1ct - z * np.eye(kn),
+                               compute_uv=False)
+            floor_m.append(sm[-1] - n ** -(EXPONENT_A + 2.0))
+            floor_e.append(se[-1] - n ** -(EXPONENT_A + 2.0))
+            cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))
+            tail.append(se[f - 1] - CONSTANT_T * n ** (EPSILON - 0.5))
+    return [floor_m, floor_e, cap, tail]
+
+
+class TestTopRowShiftCore:
+    """S_E = s E_1 c_t - zI from its 2n x 2n core against a full SVD."""
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (5, 3), (3, 5),
+                                     (16, 3)])
+    @pytest.mark.parametrize("z", [1e-3, 0.7 + 0.3j, -40.0j])
+    def test_core_matches_full_svd(self, n, k, z):
+        # k = 2 has no copies of |z|; 1e-3 and 40 put |z| far below and
+        # far above the typical singular value of the top block row.
+        p = sample_monic_gaussian(n, k, RngStream(80, (n, k)))
+        c_t = companion(p).c_t
+        kn = k * n
+        e1ct = np.zeros((kn, kn), dtype=np.complex128)
+        e1ct[:n] = c_t
+        s = n ** -0.5
+        full = singular_values(s * e1ct - z * np.eye(kn))
+        got = verify._top_row_shift_singular_values(c_t, s, z)
+        assert got.shape == (kn,)
+        assert np.all(np.diff(got) <= 0.0)
+        np.testing.assert_allclose(got, full, rtol=0, atol=1e-13 * full[0])
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_shift_copies_sit_between_the_core_halves(self, scale):
+        # The core has n singular values >= |z| and n <= |z|, so the
+        # kn - 2n copies of |z| fill positions n + 1 .. kn - n, whether
+        # |z| is small or large against the entries of c_t.
+        n, k, z = 4, 5, 0.3 - 0.4j
+        c_t = companion(sample_monic_gaussian(n, k, RngStream(81))).c_t
+        got = verify._top_row_shift_singular_values(c_t, scale, z)
+        tol = 1e-13 * got[0]
+        assert np.all(got[n:k * n - n] == abs(z))
+        assert got[n - 1] >= abs(z) - tol and got[k * n - n] <= abs(z) + tol
+
+
 class TestGrowNSuite:
     def test_zero_shift_rejected(self):
         cfg = LemmaCheckConfig(z=0.0, sizes=((16, 3),))
@@ -417,6 +521,15 @@ class TestGrowNSuite:
         assert reports["grow-n/sigma-min-lowrank-floor"].violations == 0
         assert reports["grow-n/spectral-norm-cap"].violations == 0
         assert reports["grow-n/tail-index-floor"].violations == 0
+
+    def test_margins_match_full_svd_reference(self):
+        cfg = LemmaCheckConfig(z=0.7 + 0.3j, sizes=((4, 2), (8, 3), (6, 5)),
+                               trials=6)
+        reports = lemma_suite_grow_n(cfg, RngStream(82))
+        reference = _full_svd_grow_n(cfg, RngStream(82))
+        for rep, ref in zip(reports, reference):
+            np.testing.assert_allclose(rep.per_trial_margins, ref,
+                                       rtol=0, atol=1e-13)
 
     def test_multi_size_fits_exponent(self):
         cfg = LemmaCheckConfig(z=0.7 + 0.3j, sizes=((16, 3), (32, 3)),
