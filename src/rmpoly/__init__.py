@@ -19,11 +19,11 @@ from .harness import (CellResult, ExperimentConfig, ExperimentResult,
                       run_verification, write_points_csv)
 from .linalg import (eigenvalues, log_abs_det, match_distance,
                      singular_values, spectral_norm, woodbury_inverse)
-from .matpoly import (CompanionSplitN, MatrixPolynomial, RngStream,
-                      backward_error, circulant_b_eigenvalues,
-                      circulant_matrix, companion, complex_gaussian, evaluate,
-                      finite_eigenvalues, polynomial_from_json,
-                      polynomial_to_json, sample_monic_gaussian, trace_error)
+from .matpoly import (MatrixPolynomial, RngStream, backward_error,
+                      circulant_b_eigenvalues, circulant_matrix, companion,
+                      complex_gaussian, evaluate, finite_eigenvalues,
+                      polynomial_from_json, polynomial_to_json,
+                      sample_monic_gaussian, trace_error)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, LemmaReport, beta_projection_check,
                      check_circulant_shift_bounds, check_lowrank_interlacing,

@@ -20,7 +20,8 @@ from .errors import NumericalError, ValidationError
 from .harness import (ExperimentConfig, export_result, format_points_csv,
                       pooled_esd, read_points_csv, render_scatter,
                       run_experiment, run_verification, write_points_csv)
-from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
+from .matpoly import (RngStream, _count, polynomial_to_json,
+                      sample_monic_gaussian)
 
 
 def _guard(fn):
@@ -105,8 +106,7 @@ def esd(n, k, trials, seed, regime, out):
     with the same seed, so the output equals the points file of a one-cell
     experiment with the same regime, n, k and trial count.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _count(trials, "trials")
     rng = RngStream(seed)
     pts = pooled_esd(regime, n, k, [rng.child(0, t) for t in range(trials)]
                      ).points

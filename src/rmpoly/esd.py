@@ -32,7 +32,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .matpoly import MatrixPolynomial, _generator, finite_eigenvalues
+from .matpoly import (MatrixPolynomial, _count, _generator,
+                      finite_eigenvalues)
 
 __all__ = [
     "DiscMixture",
@@ -64,8 +65,7 @@ class DiscMixture:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"DiscMixture needs k >= 1, got {self.k}")
+        _count(self.k, "DiscMixture k")
 
     @property
     def atom(self) -> float:
@@ -121,8 +121,7 @@ def radial_cdf(law: LimitLaw, r):
 
 def sample_points(law: LimitLaw, count: int, rng) -> np.ndarray:
     """I.i.d. draws from a limit law (oracle sampling for calibration)."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    count = _count(count, "count")
     g = _generator(rng)
     theta = 2.0 * np.pi * g.random(count)
     return law.radii(g, count) * np.exp(1j * theta)
@@ -264,8 +263,8 @@ def annulus_sector_discrepancy(esd: EmpiricalSpectralDistribution,
     over the first ring's sectors, and empirical points at exactly 0 are
     spread the same way for consistency.
     """
-    if radial_bins < 1 or angular_bins < 1:
-        raise ValidationError("bin counts must be >= 1")
+    radial_bins = _count(radial_bins, "radial_bins")
+    angular_bins = _count(angular_bins, "angular_bins")
     radii = np.abs(esd.points)
     total = radii.size
     r_max = max(1.0, float(radii.max()))

@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _count, _is_int, _is_number, _is_pair,
-                      trial_eigenvalues)
+                      _sizes, trial_eigenvalues)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
@@ -364,8 +364,7 @@ def pooled_esd(regime: str, n: int, k: int, streams, mapper=map
     worker pool's ``map`` runs them in parallel).  Points follow stream
     order.
     """
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     if regime not in _REGIMES:
         raise ValidationError(
             f"regime must be one of {_REGIMES}, got {regime!r}")

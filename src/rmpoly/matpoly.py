@@ -22,16 +22,19 @@ matrix
         [   ...                             ]
         [    0         0      ...   I_n    0  ].
 
-``companion`` returns M with the top block row ``c_t = -[C_{k-1} ... C_0]``
-of the exact splitting M = Z + E_1 c_t, Z the block down-shift and
-E_1^T = [I_n 0 ... 0]; the random part has rank at most n, which is what
-degree-growing arguments exploit.  Moving the identity corner block of B =
-``circulant_matrix(n, k)`` into the random part gives the second exact
-splitting M = B + (M - B): B is the block circulant whose spectrum is the
-k-th roots of unity (``circulant_b_eigenvalues``), and M - B is nonzero
-only in its top block row, so it too has rank at most n.  The
-verification suites and the replacement-gap diagnostics compare M against
-B directly.
+``companion`` returns M.  Its top block row ``c_t = M[:n] = -[C_{k-1} ...
+C_0]`` is the random factor of the exact splitting M = Z + E_1 c_t, Z the
+block down-shift and E_1^T = [I_n 0 ... 0], so the random part has rank at
+most n, which is what degree-growing arguments exploit.  Moving the
+identity corner block of B = ``circulant_matrix(n, k)`` into the random
+part gives the second exact splitting M = B + (M - B): B is the block
+circulant whose spectrum is the k-th roots of unity
+(``circulant_b_eigenvalues``), and M - B is nonzero only in its top block
+row, so it too has rank at most n.  The verification suites and the
+replacement-gap diagnostics compare M against B directly.  Trials of the
+harness and the suites draw with ``_trial_coefficients`` and linearize
+with ``_companion_stack``, bit for bit as ``sample_monic_gaussian`` and
+``companion`` do for one polynomial.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
@@ -56,7 +59,6 @@ __all__ = [
     "MatrixPolynomial",
     "sample_monic_gaussian",
     "evaluate",
-    "CompanionSplitN",
     "companion",
     "circulant_matrix",
     "circulant_b_eigenvalues",
@@ -214,6 +216,12 @@ def evaluate(p: MatrixPolynomial, x: complex) -> np.ndarray:
     return acc
 
 
+def _trial_coefficients(n: int, k: int, streams) -> np.ndarray:
+    """``(T, k, n, n)`` coefficients of one monic Gaussian trial per stream,
+    each drawn from its stream as ``sample_monic_gaussian`` draws it."""
+    return np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
+
+
 def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
     """Companion matrices of a ``(T, k, n, n)`` stack of coefficients."""
     t, k, n, _ = coeffs.shape
@@ -226,25 +234,11 @@ def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class CompanionSplitN:
-    """Companion matrix with the random factor of ``m = Z + E_1 @ c_t``.
-
-    Z is the block down-shift and E_1 the identity in the top block, so
-    ``c_t`` is the top block row of ``m``.
-    """
-
-    m: np.ndarray        # kn x kn companion
-    c_t: np.ndarray      # n x kn, equal to -[C_{k-1} ... C_0]
-
-
-def companion(p: MatrixPolynomial) -> CompanionSplitN:
-    """Block companion linearization of a monic polynomial."""
+def companion(p: MatrixPolynomial) -> np.ndarray:
+    """Block companion linearization of a monic polynomial, read-only."""
     m = _companion_stack(p.stack[None])[0]
-    c_t = m[:p.n, :].copy()
-    for a in (m, c_t):
-        a.setflags(write=False)
-    return CompanionSplitN(m=m, c_t=c_t)
+    m.setflags(write=False)
+    return m
 
 
 def circulant_matrix(n: int, k: int) -> np.ndarray:
@@ -438,7 +432,7 @@ def finite_eigenvalues(p: MatrixPolynomial) -> np.ndarray:
         lam = _aberth_eigenvalues(p)
         if lam is not None:
             return lam
-    return eigenvalues(companion(p).m)
+    return eigenvalues(companion(p))
 
 
 def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
@@ -453,7 +447,7 @@ def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
     ``finite_eigenvalues`` one trial at a time, keeping its fallback.
     """
     n, k = _sizes(n, k)
-    coeffs = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
+    coeffs = _trial_coefficients(n, k, streams)
     if _aberth_shape(n, k):
         return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, c))
                          for c in coeffs])

@@ -39,9 +39,10 @@ import numpy as np
 from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
 from .linalg import log_abs_det, singular_values, woodbury_inverse
-from .matpoly import (RngStream, _count, _generator, _sizes,
-                      circulant_b_eigenvalues, circulant_matrix, companion,
-                      complex_gaussian, sample_monic_gaussian)
+from .matpoly import (RngStream, _companion_stack, _count, _generator,
+                      _index, _sizes, _trial_coefficients,
+                      circulant_b_eigenvalues, circulant_matrix,
+                      complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
 __all__ = [
@@ -93,10 +94,10 @@ CONSTANT_R = 3.0
 #: sweeps.
 _UPDATE_RANK = 1
 
-#: Matrices per batched SVD in the Monte Carlo tail checks; this bounds
-#: their temporaries, and the draws do not depend on it.
-_PINV_TAIL_CHUNK = 8192
-_NORM_TAIL_CHUNK = 4096
+#: Matrix entries per batch of the Monte Carlo tail checks (2 MB of complex
+#: draws); this bounds their temporaries.  Batches are filled in sequence
+#: from one generator, so the draws do not depend on it.
+_MC_CHUNK_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -366,6 +367,27 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
 # Rectangular Gaussian tail bounds
 
 
+def _rect_sizes(n, big_n) -> tuple[int, int]:
+    n, big_n = _index(n, "n"), _index(big_n, "N")
+    if n < 1 or big_n < n:
+        raise ValidationError(f"need 1 <= n <= N, got n={n}, N={big_n}")
+    return n, big_n
+
+
+def _tail_frequency(shape, variance: float, trials: int, rng, event) -> float:
+    """Frequency of ``event``, which maps a ``(m, *shape)`` batch to m
+    booleans, over i.i.d. complex Gaussian matrices drawn from one generator
+    in batches of at most ``_MC_CHUNK_ENTRIES`` entries."""
+    trials = _count(trials, "trials")
+    g = _generator(rng)
+    size = max(1, _MC_CHUNK_ENTRIES // math.prod(shape))
+    hits = 0
+    for done in range(0, trials, size):
+        m = min(size, trials - done)
+        hits += int(np.sum(event(complex_gaussian(g, (m, *shape), variance))))
+    return hits / trials
+
+
 def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
     """Closed-form tail bound for the smallest singular value of a shifted
     rectangular Gaussian.
@@ -380,8 +402,7 @@ def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
     capped at 1 where the formula is vacuous.  The cap keeps the result a
     probability while preserving monotonicity in ``tau``.
     """
-    if n < 1 or big_n < n:
-        raise ValidationError(f"need 1 <= n <= N, got n={n}, N={big_n}")
+    n, big_n = _rect_sizes(n, big_n)
     if tau < 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     if tau == 0.0:
@@ -403,8 +424,7 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     ``G`` has i.i.d. complex Gaussian entries of variance 1/n (matching the
     closed-form bound's convention).
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    n, big_n = _rect_sizes(n, big_n)
     if tau < 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     r_d = np.zeros((n, big_n), dtype=np.complex128) if r_deterministic is None \
@@ -412,19 +432,13 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     if r_d.shape != (n, big_n):
         raise ValidationError(
             f"r_deterministic has shape {r_d.shape}, expected ({n}, {big_n})")
-    g = _generator(rng)
-    hits = 0
-    done = 0
-    while done < trials:
-        m = min(_PINV_TAIL_CHUNK, trials - done)
-        batch = complex_gaussian(g, (m, n, big_n), variance=1.0 / n) + r_d
+
+    def event(batch):
         # The n singular values of an n x N draw are those of the n x n R
         # factor of its transpose, a smaller SVD.
-        r = np.linalg.qr(batch.transpose(0, 2, 1), mode="r")
-        smin = np.linalg.svd(r, compute_uv=False)[:, -1]
-        hits += int(np.sum(smin <= tau))
-        done += m
-    return hits / trials
+        r = np.linalg.qr((batch + r_d).transpose(0, 2, 1), mode="r")
+        return np.linalg.svd(r, compute_uv=False)[:, -1] <= tau
+    return _tail_frequency((n, big_n), 1.0 / n, trials, rng, event)
 
 
 def check_pinv_tail_domination(n: int, big_n: int, tau: float,
@@ -445,19 +459,11 @@ def gaussian_norm_tail(n: int, a_threshold: float, trials: int,
                        rng) -> float:
     """Frequency of ``||X|| > a_threshold * sqrt(n)`` for n x n standard
     complex Gaussian matrices (entry variance 1)."""
-    if n < 1 or trials < 1:
-        raise ValidationError("need n >= 1 and trials >= 1")
-    g = _generator(rng)
-    hits = 0
-    done = 0
+    n = _count(n, "n")
     thr = a_threshold * math.sqrt(n)
-    while done < trials:
-        m = min(_NORM_TAIL_CHUNK, trials - done)
-        batch = complex_gaussian(g, (m, n, n), variance=1.0)
-        top = np.linalg.svd(batch, compute_uv=False)[:, 0]
-        hits += int(np.sum(top > thr))
-        done += m
-    return hits / trials
+    return _tail_frequency(
+        (n, n), 1.0, trials, rng,
+        lambda batch: np.linalg.svd(batch, compute_uv=False)[:, 0] > thr)
 
 
 def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
@@ -466,10 +472,9 @@ def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
 
     Checked by a one-sample KS test at twice the 1% critical value.
     """
+    big_n, trials = _index(big_n, "N"), _count(trials, "trials")
     if big_n < 2:
         raise ValidationError("beta projection check needs N >= 2")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     g = _generator(rng)
     vecs = complex_gaussian(g, (trials, big_n), variance=1.0)
     lam = np.sort(np.abs(vecs[:, 0]) ** 2
@@ -523,8 +528,7 @@ def tail_split_index(n: int, k: int, delta: float) -> int:
     Requires ``f >= n``, which holds for all large n; too-small n is
     rejected rather than silently clamped.
     """
-    if n < 1 or k < 1:
-        raise ValidationError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _sizes(n, k)
     if not 0.0 < delta < 0.5:
         raise ValidationError(f"delta must lie in (0, 1/2), got {delta}")
     f = math.floor(k * n - n ** (1.0 - delta))
@@ -591,6 +595,13 @@ def _top_row_shift_singular_values(c_t, scale: float,
     return np.sort(merged)[::-1]
 
 
+def _companions(n: int, k: int, trials: int, rng: RngStream):
+    """Companion matrices of trials 0 .. trials-1, one at a time, trial t
+    with the coefficients the harness draws from ``rng.child(t)``."""
+    for t in range(trials):
+        yield _companion_stack(_trial_coefficients(n, k, [rng.child(t)]))[0]
+
+
 def _fit_exponent(sizes: np.ndarray, medians: np.ndarray) -> float | None:
     # Least-squares slope of log(median) against log(size).
     if len(set(sizes.tolist())) < 2 or np.any(medians <= 0):
@@ -630,30 +641,26 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         tail_split_index(n, k, DELTA)  # reject sizes with f(n) < n
     z = cfg.z
     floor_m, floor_e, cap, tail = [], [], [], []
-    med_m, med_e, ns = [], [], []
+    med_m, med_e = [], []
     for s_idx, (n, k) in enumerate(cfg.sizes):
-        kn = k * n
         f = tail_split_index(n, k, DELTA)
         sm_mins, se_mins = [], []
         n_floor = n ** -(EXPONENT_A + 2.0)
         tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5
-        eye = np.eye(kn)
-        for t in range(cfg.trials):
-            p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
-            sp = companion(p)
-            sm = singular_values(scale * sp.m - z * eye)
-            se = _top_row_shift_singular_values(sp.c_t, scale, z)
+        eye = np.eye(k * n)
+        for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
+            sm = singular_values(scale * m - z * eye)
+            se = _top_row_shift_singular_values(m[:n], scale, z)
             floor_m.append(sm[-1] - n_floor)
             floor_e.append(se[-1] - n_floor)
             cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))
             tail.append(se[f - 1] - tail_floor)
             sm_mins.append(sm[-1])
             se_mins.append(se[-1])
-        ns.append(n)
         med_m.append(float(np.median(sm_mins)))
         med_e.append(float(np.median(se_mins)))
-    ns = np.asarray(ns)
+    ns = np.asarray([n for n, _ in cfg.sizes])
     return [
         LemmaReport("grow-n/sigma-min-companion-floor", tuple(floor_m),
                     fitted_exponent=_fit_exponent(ns, np.asarray(med_m))),
@@ -690,29 +697,27 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
                 f"degree-grown suite needs degree k > 2, got k={k}")
     z = cfg.z
     cap, floor_block, floor_min, chain = [], [], [], []
-    med_min, ks = [], []
+    med_min = []
     for s_idx, (n, k) in enumerate(cfg.sizes):
         kn = k * n
         eye = np.eye(kn)
+        idx = np.arange(n, kn - n)  # 0-based i-1 for n < i <= kn - n
         sv_b = np.sort(np.abs(circulant_b_eigenvalues(n, k) - z))[::-1]
         cap_value = CONSTANT_R * math.sqrt(k) + 1.0 + az
         floor_value = CONSTANT_T / k ** 2
         mins = []
-        for t in range(cfg.trials):
-            p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
-            s = singular_values(companion(p).m - z * eye)
+        for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
+            s = singular_values(m - z * eye)
             slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
             cap.append(cap_value - s[0])
             floor_block.append(s[n - 1] - abs(1.0 - az) + slack)
             floor_min.append(s[-1] - floor_value)
-            idx = np.arange(n, kn - n)  # 0-based i-1 for n < i <= kn - n
             lower = np.min(s[idx] - sv_b[idx + n])
             upper = np.min(sv_b[idx - n] - s[idx])
             chain.append(min(lower, upper) + slack)
             mins.append(s[-1])
-        ks.append(k)
         med_min.append(float(np.median(mins)))
-    ks = np.asarray(ks)
+    ks = np.asarray([k for _, k in cfg.sizes])
     return [
         LemmaReport("grow-k/top-sv-cap", tuple(cap)),
         LemmaReport("grow-k/block-sv-floor", tuple(floor_block)),

@@ -120,7 +120,7 @@ def test_04_replacement_gap_vanishes():
         gaps = []
         for t in range(20):
             p = sample_monic_gaussian(2, k, RngStream(SEED, (96, k_idx, t)))
-            gaps.append(abs(replacement_gap(companion(p).m,
+            gaps.append(abs(replacement_gap(companion(p),
                                             circulant_matrix(2, k), 0.5)))
         medians.append(float(np.median(gaps)))
     ok = medians[0] > medians[1] > medians[2] and medians[2] <= 0.05
@@ -212,11 +212,11 @@ def test_08_tail_log_sum_trend():
         vm, ve = [], []
         for t in range(25):
             p = sample_monic_gaussian(n, 3, RngStream(SEED, (95, n, t)))
-            sp = companion(p)
+            m = companion(p)
             e1ct = np.zeros((kn, kn), dtype=np.complex128)
-            e1ct[:n, :] = sp.c_t
+            e1ct[:n, :] = m[:n]
             scale = n ** -0.5
-            vm.append(abs(tail_log_sum(scale * sp.m, 0.7 + 0.3j, f + 1, kn)))
+            vm.append(abs(tail_log_sum(scale * m, 0.7 + 0.3j, f + 1, kn)))
             ve.append(abs(tail_log_sum(scale * e1ct, 0.7 + 0.3j, f + 1, kn)))
         med_m.append(float(np.median(vm)))
         med_e.append(float(np.median(ve)))
@@ -297,7 +297,7 @@ def test_09_structured_solver_dense_oracle():
             continue
         kn = p.k * p.n
         worst_dist = max(worst_dist,
-                         match_distance(lam, eigenvalues(companion(p).m)))
+                         match_distance(lam, eigenvalues(companion(p))))
         worst_ratio = max(worst_ratio,
                           backward_error(p, lam).max() / (kn * eps))
     ok = not fallbacks and worst_dist <= 1e-10 and worst_ratio <= 100.0

@@ -186,10 +186,11 @@ class TestMatrixPolynomial:
             ref[:n, j * n:(j + 1) * n] = -p.coeffs[k - 1 - j]
         for i in range(1, k):
             ref[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
-        split = companion(p)
-        assert np.array_equal(split.m.view(np.float64), ref.view(np.float64))
-        assert np.array_equal(split.c_t.view(np.float64),
+        m = companion(p)
+        assert np.array_equal(m.view(np.float64), ref.view(np.float64))
+        assert np.array_equal(m[:n].view(np.float64),
                               ref[:n].view(np.float64))
+        assert not m.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -231,44 +232,43 @@ class TestEvaluate:
 
 class TestCompanion:
     def test_scalar_quadratic_layout(self):
-        split = companion(_scalar_poly(2.0, 3.0))  # c_0 = 2, c_1 = 3
-        np.testing.assert_array_equal(split.m,
-                                      [[-3.0, -2.0], [1.0, 0.0]])
+        m = companion(_scalar_poly(2.0, 3.0))  # c_0 = 2, c_1 = 3
+        np.testing.assert_array_equal(m, [[-3.0, -2.0], [1.0, 0.0]])
 
     def test_scalar_linear_layout(self):
-        split = companion(_scalar_poly(5.0))
-        np.testing.assert_array_equal(split.m, [[-5.0]])
+        m = companion(_scalar_poly(5.0))
+        np.testing.assert_array_equal(m, [[-5.0]])
 
     def test_block_quadratic_spectrum(self):
         # C_1 = 0, C_0 = -I: det P(x) = (x^2 - 1)^2, roots {1, 1, -1, -1}.
         p = MatrixPolynomial(2, 2, (-np.eye(2), np.zeros((2, 2))))
-        lams = eigenvalues(companion(p).m)
+        lams = eigenvalues(companion(p))
         assert match_distance(lams, [1.0, 1.0, -1.0, -1.0]) <= 1e-10
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 5)])
     def test_split_is_entrywise_exact(self, n, k):
         p = sample_monic_gaussian(n, k, RngStream(20, (n, k)))
-        split = companion(p)
+        m = companion(p)
         kn = k * n
         z_shift = np.eye(kn, k=-n, dtype=np.complex128)
         e1 = np.eye(kn, n, dtype=np.complex128)
-        assert split.m.shape == (kn, kn)
-        assert split.c_t.shape == (n, kn)
-        assert np.array_equal(split.m, z_shift + e1 @ split.c_t)
+        assert m.shape == (kn, kn)
+        assert m[:n].shape == (n, kn)
+        assert np.array_equal(m, z_shift + e1 @ m[:n])
 
     def test_top_row_holds_negated_coefficients(self):
         p = sample_monic_gaussian(2, 3, RngStream(21))
-        split = companion(p)
-        np.testing.assert_array_equal(split.c_t[:, 4:6], -p.coeffs[0])
-        np.testing.assert_array_equal(split.c_t[:, 2:4], -p.coeffs[1])
-        np.testing.assert_array_equal(split.c_t[:, 0:2], -p.coeffs[2])
+        c_t = companion(p)[:2]
+        np.testing.assert_array_equal(c_t[:, 4:6], -p.coeffs[0])
+        np.testing.assert_array_equal(c_t[:, 2:4], -p.coeffs[1])
+        np.testing.assert_array_equal(c_t[:, 0:2], -p.coeffs[2])
 
 
 class TestCirculantSplit:
     """M = B + (M - B) with B = ``circulant_matrix(n, k)``."""
 
     def test_scalar_quadratic_zero_coefficients(self):
-        m = companion(_scalar_poly(0.0, 0.0)).m
+        m = companion(_scalar_poly(0.0, 0.0))
         b = circulant_matrix(1, 2)
         np.testing.assert_array_equal(b, [[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(m - b, [[0.0, -1.0], [0.0, 0.0]])
@@ -278,23 +278,23 @@ class TestCirculantSplit:
         # corner block: the float subtraction rounds like the formula.
         for seed in range(10):
             p = sample_monic_gaussian(2, 5, RngStream(23, (seed,)))
-            sp = companion(p)
-            top = sp.c_t.copy()
+            m = companion(p)
+            top = m[:2].copy()
             top[:, 8:10] -= np.eye(2)
-            a = np.zeros_like(sp.m)
+            a = np.zeros_like(m)
             a[:2, :] = top
-            assert np.array_equal(sp.m - circulant_matrix(2, 5), a)
+            assert np.array_equal(m - circulant_matrix(2, 5), a)
 
     def test_a_is_top_block_row_of_rank_at_most_n(self):
         p = sample_monic_gaussian(3, 4, RngStream(25))
-        a = companion(p).m - circulant_matrix(3, 4)
+        a = companion(p) - circulant_matrix(3, 4)
         assert np.all(a[3:, :] == 0.0)
         s = singular_values(a)
         assert s[3] == 0.0
 
     def test_corner_block_shifted_by_identity(self):
         p = sample_monic_gaussian(2, 3, RngStream(27))
-        a = companion(p).m - circulant_matrix(2, 3)
+        a = companion(p) - circulant_matrix(2, 3)
         np.testing.assert_array_equal(a[:2, 4:6], -p.coeffs[0] - np.eye(2))
 
 
@@ -380,7 +380,7 @@ class TestFiniteEigenvalues:
         lams = matpoly._aberth_eigenvalues(p)
         assert lams is not None
         assert np.min(np.abs(lams)) <= 1e-12
-        assert match_distance(lams, eigenvalues(companion(p).m)) <= 1e-10
+        assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
 
     def test_unfinished_iteration_falls_back_to_dense(self, monkeypatch):
         # P(x) = I x^k: every root is 0 with multiplicity kn, where
@@ -391,7 +391,7 @@ class TestFiniteEigenvalues:
         calls = self._count_dense_calls(monkeypatch)
         lams = finite_eigenvalues(p)
         assert calls == [(k * n, k * n)]
-        np.testing.assert_array_equal(lams, eigenvalues(companion(p).m))
+        np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
 
 
 class TestLogDerivative:
@@ -448,7 +448,7 @@ class TestLogDerivative:
         p = sample_monic_gaussian(3, 100, RngStream(35))
         lam = matpoly._aberth_eigenvalues(p)
         assert lam is not None
-        assert match_distance(lam, eigenvalues(companion(p).m)) <= 1e-10
+        assert match_distance(lam, eigenvalues(companion(p))) <= 1e-10
         kn_eps = p.k * p.n * np.finfo(float).eps
         assert backward_error(p, lam).max() <= 100.0 * kn_eps
 
@@ -471,7 +471,7 @@ class TestAccuracyChecks:
 
     def test_backward_error_of_dense_spectrum_is_small(self):
         p = sample_monic_gaussian(3, 4, RngStream(36))
-        ratios = backward_error(p, eigenvalues(companion(p).m))
+        ratios = backward_error(p, eigenvalues(companion(p)))
         assert ratios.shape == (12,)
         assert ratios.max() <= 100 * 12 * np.finfo(float).eps
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rmpoly import (
+    DiscMixture,
     LemmaCheckConfig,
     LemmaReport,
     RngStream,
@@ -18,6 +19,7 @@ from rmpoly import (
     check_pinv_tail_domination,
     check_submatrix_interlacing,
     check_woodbury_identity,
+    circulant_b_eigenvalues,
     circulant_matrix,
     companion,
     complex_gaussian,
@@ -28,6 +30,7 @@ from rmpoly import (
     pseudoinverse_tail_bound,
     replacement_gap,
     sample_monic_gaussian,
+    sample_points,
     singular_values,
     sweep_circulant_shift_bounds,
     sweep_lowrank_interlacing,
@@ -38,6 +41,7 @@ from rmpoly import (
     tail_split_index,
 )
 from rmpoly import verify
+from rmpoly.harness import pooled_esd
 from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
 from rmpoly.verify import (CONSTANT_D, CONSTANT_R, CONSTANT_T, DELTA,
                            EPSILON, EXPONENT_A)
@@ -45,11 +49,10 @@ from rmpoly.verify import (CONSTANT_D, CONSTANT_R, CONSTANT_T, DELTA,
 
 def _lowrank_companion_pair(n, k, seed):
     """Companion matrix of a sampled polynomial plus its top-row-only form."""
-    p = sample_monic_gaussian(n, k, RngStream(seed))
-    sp = companion(p)
+    m = companion(sample_monic_gaussian(n, k, RngStream(seed)))
     e1ct = np.zeros((k * n, k * n), dtype=np.complex128)
-    e1ct[:n, :] = sp.c_t
-    return sp.m, e1ct
+    e1ct[:n, :] = m[:n]
+    return m, e1ct
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,20 @@ class TestMcPseudoinverseTail:
             mc_pseudoinverse_tail(2, 6, 0.1, np.zeros((3, 3)), 10,
                                   RngStream(83))
 
+    def test_wide_shape_required(self):
+        # An n x N draw with N < n has N singular values, not n.
+        with pytest.raises(ValidationError, match="n <= N"):
+            mc_pseudoinverse_tail(3, 2, 0.1, None, 1000, RngStream(1))
+
+    @pytest.mark.parametrize("chunk", [1, 50, 2 ** 30])
+    def test_frequency_independent_of_chunk(self, monkeypatch, chunk):
+        # Batches of 1, 4 (50 entries of 2 x 6) and all 3000 matrices.
+        ref = mc_pseudoinverse_tail(2, 6, 1.0, None, 3000, RngStream(84))
+        monkeypatch.setattr(verify, "_MC_CHUNK_ENTRIES", chunk)
+        got = mc_pseudoinverse_tail(2, 6, 1.0, None, 3000, RngStream(84))
+        assert 0.0 < got < 1.0
+        assert got == ref
+
     def test_domination_check_passes(self):
         rep = check_pinv_tail_domination(2, 6, 0.1, None, 2000, RngStream(84))
         assert rep.passed
@@ -317,6 +334,14 @@ class TestGaussianNormTail:
 
     def test_tiny_threshold_gives_frequency_one(self):
         assert gaussian_norm_tail(8, 0.01, 100, RngStream(86)) == 1.0
+
+    @pytest.mark.parametrize("chunk", [1, 200, 2 ** 30])
+    def test_frequency_independent_of_chunk(self, monkeypatch, chunk):
+        ref = gaussian_norm_tail(8, 1.9, 500, RngStream(87))
+        monkeypatch.setattr(verify, "_MC_CHUNK_ENTRIES", chunk)
+        got = gaussian_norm_tail(8, 1.9, 500, RngStream(87))
+        assert 0.0 < got < 1.0
+        assert got == ref
 
     def test_nonincreasing_in_threshold(self):
         # Same stream per call, so the events are exactly nested.
@@ -368,7 +393,7 @@ class TestReplacementGap:
     def test_degree_grown_pair_is_small(self):
         # Companion vs block circulant at n=2, k=256, z=0.5.
         p = sample_monic_gaussian(2, 256, RngStream(93))
-        assert abs(replacement_gap(companion(p).m, circulant_matrix(2, 256),
+        assert abs(replacement_gap(companion(p), circulant_matrix(2, 256),
                                    0.5)) <= 0.05
 
     def test_dimension_grown_medians_decrease(self):
@@ -379,12 +404,12 @@ class TestReplacementGap:
             gaps = []
             for t in range(15):
                 p = sample_monic_gaussian(n, 3, RngStream(7, (97, n, t)))
-                sp = companion(p)
+                m = companion(p)
                 e1ct = np.zeros((3 * n, 3 * n), dtype=np.complex128)
-                e1ct[:n, :] = sp.c_t
+                e1ct[:n, :] = m[:n]
                 # The gap scales by (3n)**-0.5; sqrt(3) makes it n**-0.5.
                 s = math.sqrt(3)
-                gaps.append(abs(replacement_gap(s * sp.m, s * e1ct, z)))
+                gaps.append(abs(replacement_gap(s * m, s * e1ct, z)))
             medians.append(float(np.median(gaps)))
         assert medians[0] > medians[1] > medians[2]
 
@@ -451,7 +476,7 @@ def _full_svd_grow_n(cfg, rng):
         f = tail_split_index(n, k, DELTA)
         for t in range(cfg.trials):
             p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
-            m, e1ct = companion(p).m, np.zeros((kn, kn), dtype=np.complex128)
+            m, e1ct = companion(p), np.zeros((kn, kn), dtype=np.complex128)
             e1ct[:n] = m[:n]
             sm = np.linalg.svd(n ** -0.5 * m - z * np.eye(kn),
                                compute_uv=False)
@@ -464,6 +489,27 @@ def _full_svd_grow_n(cfg, rng):
     return [floor_m, floor_e, cap, tail]
 
 
+def _reference_grow_k(cfg, rng):
+    """``lemma_suite_grow_k``'s margins, one polynomial at a time through
+    ``sample_monic_gaussian`` and ``companion``."""
+    z, az = cfg.z, abs(cfg.z)
+    cap, floor_block, floor_min, chain = [], [], [], []
+    for s_idx, (n, k) in enumerate(cfg.sizes):
+        kn = k * n
+        sv_b = np.sort(np.abs(circulant_b_eigenvalues(n, k) - z))[::-1]
+        i = np.arange(n, kn - n)
+        for t in range(cfg.trials):
+            p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
+            s = singular_values(companion(p) - z * np.eye(kn))
+            slack = SLACK * max(s[0], 1.0)
+            cap.append(CONSTANT_R * math.sqrt(k) + 1.0 + az - s[0])
+            floor_block.append(s[n - 1] - abs(1.0 - az) + slack)
+            floor_min.append(s[-1] - CONSTANT_T / k ** 2)
+            chain.append(min(np.min(s[i] - sv_b[i + n]),
+                             np.min(sv_b[i - n] - s[i])) + slack)
+    return [cap, floor_block, floor_min, chain]
+
+
 class TestTopRowShiftCore:
     """S_E = s E_1 c_t - zI from its 2n x 2n core against a full SVD."""
 
@@ -474,7 +520,7 @@ class TestTopRowShiftCore:
         # k = 2 has no copies of |z|; 1e-3 and 40 put |z| far below and
         # far above the typical singular value of the top block row.
         p = sample_monic_gaussian(n, k, RngStream(80, (n, k)))
-        c_t = companion(p).c_t
+        c_t = companion(p)[:n]
         kn = k * n
         e1ct = np.zeros((kn, kn), dtype=np.complex128)
         e1ct[:n] = c_t
@@ -491,7 +537,7 @@ class TestTopRowShiftCore:
         # kn - 2n copies of |z| fill positions n + 1 .. kn - n, whether
         # |z| is small or large against the entries of c_t.
         n, k, z = 4, 5, 0.3 - 0.4j
-        c_t = companion(sample_monic_gaussian(n, k, RngStream(81))).c_t
+        c_t = companion(sample_monic_gaussian(n, k, RngStream(81)))[:n]
         got = verify._top_row_shift_singular_values(c_t, scale, z)
         tol = 1e-13 * got[0]
         assert np.all(got[n:k * n - n] == abs(z))
@@ -556,6 +602,14 @@ class TestGrowKSuite:
         with pytest.raises(ValidationError, match="k > 2"):
             lemma_suite_grow_k(cfg, RngStream(1))
 
+    def test_margins_match_single_polynomial_reference_bitwise(self):
+        cfg = LemmaCheckConfig(z=0.5 + 0.2j, sizes=((2, 8), (3, 5), (1, 32)),
+                               trials=5)
+        reports = lemma_suite_grow_k(cfg, RngStream(83))
+        reference = _reference_grow_k(cfg, RngStream(83))
+        for rep, ref in zip(reports, reference):
+            np.testing.assert_array_equal(rep.per_trial_margins, ref)
+
     def test_block_floor_reference_run(self):
         # n=2, k=64, z=0.5, 100 trials: sigma_n(M - zI) >= |1 - |z|| = 0.5
         # with zero violations, and the interlacing chain holds throughout.
@@ -574,3 +628,26 @@ class TestGrowKSuite:
         assert floor.violations == 0
         assert floor.fitted_exponent is not None
         assert reports["grow-k/top-sv-cap"].violations == 0
+
+
+# ---------------------------------------------------------------------------
+# Sizes and counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pooled_esd("grow-n", 2.5, 2, [RngStream(1)]),
+    lambda: gaussian_norm_tail(2.5, 3.0, 10, RngStream(1)),
+    lambda: gaussian_norm_tail(2, 3.0, 2.5, RngStream(1)),
+    lambda: mc_pseudoinverse_tail(2.5, 6, 0.1, None, 10, RngStream(1)),
+    lambda: mc_pseudoinverse_tail(2, 6, 0.1, None, 2.5, RngStream(1)),
+    lambda: beta_projection_check(6, 2.5, RngStream(1)),
+    lambda: sample_points(DiscMixture(2), 2.5, RngStream(1)),
+    lambda: tail_split_index(40.5, 3, 0.3),
+    lambda: pseudoinverse_tail_bound(1.5, 6, 0.1),
+    lambda: DiscMixture(2.5),
+], ids=["pooled_esd-n", "norm_tail-n", "norm_tail-trials", "pinv_tail-n",
+        "pinv_tail-trials", "beta-trials", "sample_points-count",
+        "tail_split-n", "pinv_bound-n", "disc_mixture-k"])
+def test_non_integer_sizes_and_counts_rejected(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
