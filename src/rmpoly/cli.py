@@ -128,17 +128,15 @@ def esd(n, k, trials, seed, regime, out):
 @click.option("--target-points", type=int, default=None,
               help="Pooled points per cell (sets the trial count).")
 @click.option("--seed", type=int, default=None)
-@click.option("--z", "z_values", multiple=True, callback=_parse_z,
-              help="Shift as 're,im' (repeatable; used by verification).")
 @click.option("--atom-radius", type=float, default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--out", "output_dir", type=click.Path(file_okay=False),
               required=True, help="Output directory.")
-@click.option("--format", "format_", type=click.Choice(["csv", "json", "svg"]),
-              default=None)
+@click.option("--format", "format_", type=click.Choice(["csv", "svg"]),
+              default=None, help="svg also renders one scatter per cell.")
 @_guard
 def experiment(config_path, regime, n_values, k_values, target_points, seed,
-               z_values, atom_radius, workers, output_dir, format_):
+               atom_radius, workers, output_dir, format_):
     """Run a convergence experiment and persist points plus a summary."""
     doc = {}
     if config_path is not None:
@@ -151,14 +149,12 @@ def experiment(config_path, regime, n_values, k_values, target_points, seed,
                                           k_values=k_values or None,
                                           target_points=target_points,
                                           seed=seed,
-                                          z_values=z_values or None,
                                           atom_radius=atom_radius,
                                           workers=workers,
                                           output_dir=output_dir,
                                           format=format_)
     result = run_experiment(cfg)
-    written = export_result(result, output_dir, cfg.format)
-    for path in written:
+    for path in export_result(result):
         click.echo(str(path))
 
 
@@ -178,12 +174,13 @@ def experiment(config_path, regime, n_values, k_values, target_points, seed,
 @_guard
 def verify(z_values, seed, trials, instances, mc_trials, out):
     """Run every bound check; exit 3 if any check records a violation."""
-    zs = z_values or (0.7 + 0.3j, 0.5 + 0.0j)
+    # The config carries only the seed; its sizes are placeholders.
     cfg = ExperimentConfig(regime="grow-n", n_values=(16, 32, 64),
-                           k_values=(3,), seed=seed, z_values=zs)
+                           k_values=(3,), seed=seed)
+    shifts = {"z_values": z_values} if z_values else {}
     result = run_verification(cfg, suite_trials=trials,
                               deterministic_instances=instances,
-                              mc_trials=mc_trials)
+                              mc_trials=mc_trials, **shifts)
     text = result.to_jsonl()
     if out is None:
         click.echo(text, nl=False)

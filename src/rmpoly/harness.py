@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +37,8 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
-from .matpoly import (RngStream, _count, _is_int, _is_number, _is_pair,
-                      _sizes, trial_eigenvalues)
+from .matpoly import (RngStream, _count, _is_int, _is_number, _sizes,
+                      trial_eigenvalues)
 from .svgplot import svg_scatter
 from .verify import (LemmaCheckConfig, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
@@ -71,7 +70,7 @@ SCHEMA_VERSION = 1
 logger = logging.getLogger("rmpoly.harness")
 
 _REGIMES = ("grow-n", "grow-k")
-_FORMATS = ("csv", "json", "svg")
+_FORMATS = ("csv", "svg")
 
 #: Atom-mass proxy radii reported alongside the headline radius.
 ATOM_RADIUS_SWEEP = (0.1, 0.2, 0.3)
@@ -98,8 +97,6 @@ _FIELDS = {
     "k_values": ("a list of integers", _is_seq_of(_is_int)),
     "target_points": ("an integer", _is_int),
     "seed": ("an integer", _is_int),
-    "z_values": ("a list of complex numbers", _is_seq_of(
-        lambda z: isinstance(z, numbers.Complex) and not isinstance(z, bool))),
     "atom_radius": ("a number", _is_number),
     "output_dir": ("a string or null",
                    lambda v: v is None or isinstance(v, str)),
@@ -121,9 +118,10 @@ class ExperimentConfig:
     """Declarative description of one experiment run.
 
     The swept axis must carry the multiple values: ``grow-n`` needs exactly
-    one k and at least one n, ``grow-k`` the reverse.  ``z_values`` feeds
-    the verification suites (first entry for the dimension-grown suite,
-    second -- or the first again -- for the degree-grown one).
+    one k and at least one n, ``grow-k`` the reverse.  With ``output_dir``
+    set, the run writes each cell's points there, and ``export_result``
+    writes the summary, plus one scatter per cell when ``format`` is
+    ``svg``.  Every field but ``workers`` changes what a run writes.
     """
 
     regime: str
@@ -131,7 +129,6 @@ class ExperimentConfig:
     k_values: tuple
     target_points: int = 20000
     seed: int = 7
-    z_values: tuple = (0.7 + 0.3j, 0.5 + 0.0j)
     atom_radius: float = 0.2
     output_dir: str | None = None
     format: str = "csv"
@@ -145,9 +142,7 @@ class ExperimentConfig:
         for name in ("n_values", "k_values"):
             object.__setattr__(self, name,
                                tuple(map(operator.index, getattr(self, name))))
-        # Numbers likewise, as Python complex and float.
-        object.__setattr__(self, "z_values",
-                           tuple(map(complex, self.z_values)))
+        # The atom radius likewise, as a Python float.
         object.__setattr__(self, "atom_radius", float(self.atom_radius))
         if self.regime not in _REGIMES:
             raise ValidationError(
@@ -166,8 +161,6 @@ class ExperimentConfig:
             raise ValidationError("target_points must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if not self.z_values:
-            raise ValidationError("z_values must be nonempty")
         if not 0.0 < self.atom_radius <= 1.0:
             raise ValidationError(
                 f"atom_radius must lie in (0, 1], got {self.atom_radius}")
@@ -184,9 +177,8 @@ class ExperimentConfig:
                     f"{self.target_points}")
 
     def cells(self) -> list:
-        if self.regime == "grow-n":
-            return [(n, self.k_values[0]) for n in self.n_values]
-        return [(self.n_values[0], k) for k in self.k_values]
+        # The fixed axis has one value, so the product follows the swept one.
+        return [(n, k) for n in self.n_values for k in self.k_values]
 
     def trials_for(self, n: int, k: int) -> int:
         return max(1, math.ceil(self.target_points / (k * n)))
@@ -199,7 +191,6 @@ class ExperimentConfig:
             "k_values": list(self.k_values),
             "target_points": self.target_points,
             "seed": self.seed,
-            "z_values": [[z.real, z.imag] for z in self.z_values],
             "atom_radius": self.atom_radius,
             "format": self.format,
             "workers": self.workers,
@@ -222,13 +213,6 @@ class ExperimentConfig:
                 f"unsupported config schema_version {version!r} "
                 f"(this build reads {SCHEMA_VERSION})")
         kwargs = {k: v for k, v in doc.items() if k != "schema_version"}
-        if "z_values" in kwargs:
-            pairs = kwargs["z_values"]
-            if not (isinstance(pairs, list) and all(map(_is_pair, pairs))):
-                raise ValidationError(
-                    "config field 'z_values' must be a list of [re, im] "
-                    f"number pairs, got {pairs!r}")
-            kwargs["z_values"] = tuple(complex(re, im) for re, im in pairs)
         _check_types(kwargs)
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         missing = {"regime", "n_values", "k_values"} - set(kwargs)
@@ -261,8 +245,8 @@ class CellResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    regime: str
-    seed: int
+    """The cells of one run, with the config that produced them."""
+
     config: ExperimentConfig
     cells: tuple
 
@@ -273,8 +257,8 @@ class ExperimentResult:
         del config["workers"]
         return {
             "schema_version": SCHEMA_VERSION,
-            "regime": self.regime,
-            "seed": self.seed,
+            "regime": self.config.regime,
+            "seed": self.config.seed,
             "config": config,
             "cells": [c.to_json_dict() for c in self.cells],
         }
@@ -409,8 +393,7 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
     finally:
         if pool is not None:
             pool.shutdown()
-    return ExperimentResult(regime=cfg.regime, seed=cfg.seed, config=cfg,
-                            cells=tuple(cells))
+    return ExperimentResult(config=cfg, cells=tuple(cells))
 
 
 def _atom_sweep(esd: EmpiricalSpectralDistribution) -> dict:
@@ -444,33 +427,28 @@ def run_experiment(cfg: ExperimentConfig, rng: RngStream | None = None
     return (run_grow_n if cfg.regime == "grow-n" else run_grow_k)(cfg, rng)
 
 
-def export_result(result: ExperimentResult, output_dir,
-                  format: str = "json") -> list:
-    """Write the result summary (and optional SVG renders); returns paths.
+def export_result(result: ExperimentResult) -> list:
+    """Write a run's summary into its config's ``output_dir``; returns the
+    paths written.
 
-    ``json`` writes the summary document; ``csv`` assumes the per-cell point
-    files were already persisted by the run and writes the summary next to
-    them; ``svg`` additionally renders one scatter per persisted cell.
+    The run has already written its points files there.  With
+    ``format="svg"`` each cell's points are also rendered as a scatter.  A
+    config without ``output_dir`` is a ``ValidationError``.
     """
-    if format not in _FORMATS:
-        raise ValidationError(f"format must be one of {_FORMATS}, got {format!r}")
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary = out_dir / f"result_{result.regime}_seed{result.seed}.json"
+    cfg = result.config
+    if cfg.output_dir is None:
+        raise ValidationError(
+            "cannot export a run whose config has no output_dir")
+    out_dir = Path(cfg.output_dir)
+    summary = out_dir / f"result_{cfg.regime}_seed{cfg.seed}.json"
     summary.write_text(json.dumps(result.to_json_dict(), indent=2,
                                   sort_keys=True) + "\n")
-    written.append(summary)
-    if format == "svg":
+    written = [summary]
+    if cfg.format == "svg":
         for cell in result.cells:
-            if cell.points_file is None:
-                raise ValidationError(
-                    "cannot render SVG: run did not persist points "
-                    "(set output_dir in the config)")
-            name = (f"scatter_{result.regime}_n{cell.n}_k{cell.k}"
-                    f"_seed{result.seed}.svg")
-            render_scatter(out_dir / cell.points_file, out_dir / name,
-                           overlay_unit_circle=True)
+            name = (f"scatter_{cfg.regime}_n{cell.n}_k{cell.k}"
+                    f"_seed{cfg.seed}.svg")
+            render_scatter(out_dir / cell.points_file, out_dir / name)
             written.append(out_dir / name)
     return written
 
@@ -503,31 +481,39 @@ GROW_N_SIZES = ((16, 3), (32, 3), (64, 3))
 GROW_K_SIZES = ((2, 8), (2, 32), (2, 128))
 DETERMINISTIC_DIM = 8
 CIRCULANT_SIZES = ((2, 8), (3, 5), (4, 16))
+#: Draws of the Gaussian norm tail check; its pass rule allows three events.
+NORM_TAIL_TRIALS = 1000
 
 
 def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
                      suite_trials: int = 200,
                      deterministic_instances: int = 1000,
-                     mc_trials: int = 100000) -> VerificationResult:
+                     mc_trials: int = 100000,
+                     z_values: tuple = (0.7 + 0.3j, 0.5 + 0.0j)
+                     ) -> VerificationResult:
     """Run both probabilistic lemma suites plus all deterministic sweeps.
 
-    ``z_values[0]`` shifts the dimension-grown suite (needs z != 0),
-    ``z_values[1]`` -- falling back to ``z_values[0]`` -- the degree-grown
-    suite (needs |z| not in {0, 1}).  All three counts must be >= 1.
+    Only ``cfg.seed`` is read.  ``z_values[0]`` shifts the dimension-grown
+    suite (needs z != 0), ``z_values[1]`` -- falling back to
+    ``z_values[0]`` -- the degree-grown suite (needs |z| not in {0, 1}).
+    All three counts must be >= 1.
     """
     for name, count in (("suite_trials", suite_trials),
                         ("deterministic_instances", deterministic_instances),
                         ("mc_trials", mc_trials)):
         _count(count, name)
+    if not (isinstance(z_values, (tuple, list)) and z_values):
+        raise ValidationError(
+            f"z_values must be a nonempty list of shifts, got {z_values!r}")
+    z_k = z_values[1] if len(z_values) > 1 else z_values[0]
+    cfg_n = LemmaCheckConfig(z=z_values[0], sizes=GROW_N_SIZES,
+                             trials=suite_trials)
+    cfg_k = LemmaCheckConfig(z=z_k, sizes=GROW_K_SIZES, trials=suite_trials)
     rng = RngStream(cfg.seed) if rng is None else rng
-    z_n = cfg.z_values[0]
-    z_k = cfg.z_values[1] if len(cfg.z_values) > 1 else cfg.z_values[0]
 
     reports: list[LemmaReport] = []
     t0 = time.monotonic()
-    cfg_n = LemmaCheckConfig(z=z_n, sizes=GROW_N_SIZES, trials=suite_trials)
     reports.extend(lemma_suite_grow_n(cfg_n, rng.child(0)))
-    cfg_k = LemmaCheckConfig(z=z_k, sizes=GROW_K_SIZES, trials=suite_trials)
     reports.extend(lemma_suite_grow_k(cfg_k, rng.child(1)))
     logger.info("lemma suites done in %.2fs", time.monotonic() - t0)
 
@@ -554,10 +540,11 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
     reports.append(check_pinv_tail_domination(
         2, 6, 0.1, r_d, mc_trials, tail.child(1)))
     reports.append(beta_projection_check(6, 10000, tail.child(2)))
-    freq = gaussian_norm_tail(32, 3.0, 1000, tail.child(3))
+    freq = gaussian_norm_tail(32, 3.0, NORM_TAIL_TRIALS, tail.child(3))
     # At threshold 3 sqrt(n) the norm tail is exponentially small; allow
     # three Poisson sigmas around zero events.
-    reports.append(LemmaReport("gaussian-norm-tail", (3.0 / 1000 - freq,)))
+    reports.append(LemmaReport("gaussian-norm-tail",
+                               (3.0 / NORM_TAIL_TRIALS - freq,)))
     logger.info("tail-bound checks done in %.2fs", time.monotonic() - t0)
 
     return VerificationResult(reports=tuple(reports))

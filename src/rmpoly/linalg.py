@@ -91,10 +91,13 @@ def singular_values(x) -> np.ndarray:
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
+        # numpy calls LAPACK's gesdd; the fallback is the slower but more
+        # robust gesvd, since another gesdd call would fail the same way.
         try:
-            rows = [scipy.linalg.svdvals(m)
+            rows = [scipy.linalg.svd(m, compute_uv=False,
+                                     lapack_driver="gesvd")
                     for m in a.reshape((-1,) + a.shape[-2:])]
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError("singular values did not converge") from exc
         return np.reshape(rows, a.shape[:-2] + (min(a.shape[-2:]),))
 

@@ -159,8 +159,9 @@ class MatrixPolynomial:
 
     The degree-k leading coefficient is the identity.  The coefficients are
     copied into one read-only ``(k, n, n)`` array, ``stack``, and
-    ``coeffs`` holds its k views.  ``seed`` is provenance metadata recorded
-    by the sampler, not part of the value.
+    ``coeffs`` holds its k views.  ``seed`` is provenance metadata, not
+    part of the value: the sampler records the seed of a root stream, which
+    alone identifies the draw, and None for any other source.
     """
 
     n: int
@@ -204,7 +205,8 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     """
     n, k = _sizes(n, k)
     entries = complex_gaussian(rng, (k, n, n), variance=1.0)
-    seed = rng.seed if isinstance(rng, RngStream) else None
+    root = isinstance(rng, RngStream) and rng.key == ()
+    seed = rng.seed if root else None
     return MatrixPolynomial(n, k, entries, seed=seed)
 
 

@@ -31,6 +31,7 @@ margin of the trial.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,7 +106,8 @@ class LemmaCheckConfig:
     """Sweep layout for the probabilistic lemma suites.
 
     ``sizes`` lists (n, k) cells, each run for ``trials`` trials; ``z`` is
-    the spectral shift.  The bound constants are the module constants above.
+    the spectral shift, any complex number type but bool, stored as a
+    Python complex.  The bound constants are the module constants above.
     """
 
     z: complex
@@ -113,6 +115,10 @@ class LemmaCheckConfig:
     trials: int = 200
 
     def __post_init__(self):
+        if not isinstance(self.z, numbers.Complex) or isinstance(self.z, bool):
+            raise ValidationError(
+                f"shift z must be a complex number, got {self.z!r}")
+        object.__setattr__(self, "z", complex(self.z))
         _count(self.trials, "trials")
         if not self.sizes:
             raise ValidationError("sizes must be nonempty")

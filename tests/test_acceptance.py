@@ -316,7 +316,7 @@ def test_10_byte_determinism(tmp_path):
         cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
                                target_points=320, seed=SEED,
                                output_dir=str(out))
-        export_result(run_grow_n(cfg), out)
+        export_result(run_grow_n(cfg))
         outputs.append(out)
     csv_name = f"points_grow-n_n8_k2_seed{SEED}.csv"
     json_name = f"result_grow-n_seed{SEED}.json"

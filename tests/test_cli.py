@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from rmpoly import (ExperimentConfig, LemmaReport, polynomial_from_json,
                     read_points_csv, run_grow_n)
 from rmpoly.cli import main
-from rmpoly.harness import VerificationResult
+from rmpoly.harness import _FIELDS, VerificationResult
 
 
 @pytest.fixture()
@@ -143,14 +143,31 @@ class TestExperiment:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"regime": "grow-n", "n_values": [4],
                                         "k_values": [2],
-                                        "z_values": [1]}))
+                                        "atom_radius": "x"}))
         res = runner.invoke(main, ["experiment", "--config", str(cfg_path),
                                    "--out", str(tmp_path)])
         # A raw exception would also give exit code 1 under CliRunner; a
         # clean exit is SystemExit from the CLI's ValidationError handler.
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert "'z_values' must be" in res.stderr
+        assert "'atom_radius' must be" in res.stderr
+
+    @pytest.mark.parametrize("setting,pattern", [
+        ({"z_values": [[0.5, 0.0]]}, "unknown config fields: ['z_values']"),
+        ({"format": "json"}, "format must be one of"),
+    ], ids=["z_values", "format-json"])
+    def test_removed_setting_in_config_exits_one(self, runner, tmp_path,
+                                                 setting, pattern):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"regime": "grow-n", "n_values": [4],
+                                        "k_values": [2], **setting}))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg_path),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert pattern in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_axes_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, ["experiment", "--regime", "grow-n",
@@ -189,10 +206,48 @@ class TestExperiment:
         assert res.exit_code == 2
 
     def test_malformed_z_is_a_usage_error(self, runner, tmp_path):
-        res = runner.invoke(main, self.BASE + ["--z", "1,2,3",
-                                               "--out", str(tmp_path)])
-        assert res.exit_code == 2
-        assert "re,im" in res.stderr
+        # Shifts belong to ``verify``; ``experiment`` has no --z at all.
+        for z in ("1,2,3", "1"):
+            res = runner.invoke(main, self.BASE + ["--z", z,
+                                                   "--out", str(tmp_path)])
+            assert res.exit_code == 2
+            assert "No such option '--z'" in res.stderr
+
+    #: A value other than the default for every setting but ``workers``.
+    OTHER = {"regime": "grow-k", "n_values": [3], "k_values": [3],
+             "target_points": 16, "seed": 8, "atom_radius": 0.5,
+             "output_dir": "elsewhere", "format": "svg"}
+
+    @staticmethod
+    def _outputs(runner, base, cfg_doc, out):
+        """Every file a run writes, by path below ``base``; the summary
+        without its echo of the config."""
+        cfg_path = base / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg_doc))
+        res = runner.invoke(main, ["--quiet", "experiment", "--config",
+                                   str(cfg_path), "--out", str(base / out)])
+        assert res.exit_code == 0, res.stderr
+        files = {}
+        for path in sorted((base / out).iterdir()):
+            data = path.read_bytes()
+            if path.name.startswith("result_"):
+                doc = json.loads(data)
+                del doc["config"]
+                data = json.dumps(doc, sort_keys=True).encode()
+            files[str(path.relative_to(base))] = data
+        return files
+
+    @pytest.mark.parametrize("field", sorted(set(_FIELDS) - {"workers"}))
+    def test_every_setting_changes_an_output(self, runner, tmp_path, field):
+        assert set(self.OTHER) == set(_FIELDS) - {"workers"}
+        base = {"regime": "grow-n", "n_values": [2], "k_values": [2],
+                "target_points": 8}
+        other = {**base, field: self.OTHER[field]}
+        out = other.pop("output_dir", "out")
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert self._outputs(runner, tmp_path / "a", base, "out") != \
+            self._outputs(runner, tmp_path / "b", other, out)
 
 
 class TestVerify:
@@ -214,10 +269,18 @@ class TestVerify:
         assert res.stdout == ""
         assert len(out.read_text().strip().split("\n")) == 17
 
-    def test_z_flags_feed_both_suites(self, runner):
+    def test_z_flags_feed_both_suites(self, runner, monkeypatch):
         res = runner.invoke(main, self.SMALL + ["--z", "0.6,0.2",
                                                 "--z", "0.4"])
         assert res.exit_code == 0
+        seen = []
+        monkeypatch.setattr("rmpoly.cli.run_verification",
+                            lambda *a, **kw: seen.append(kw) or
+                            VerificationResult(reports=()))
+        runner.invoke(main, ["verify", "--z", "0.6,0.2", "--z", "0.4"])
+        runner.invoke(main, ["verify"])
+        assert seen[0]["z_values"] == (0.6 + 0.2j, 0.4 + 0j)
+        assert "z_values" not in seen[1]
 
     def test_zero_instances_exit_one(self, runner):
         res = runner.invoke(main, ["verify", "--trials", "2", "--instances",

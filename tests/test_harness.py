@@ -1,6 +1,7 @@
 """Experiment harness: config validation, persistence, runs, verification."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(regime="grow-n", n_values=(32,), k_values=(3,))
         assert cfg.target_points == 20000
         assert cfg.seed == 7
-        assert cfg.z_values == (0.7 + 0.3j, 0.5 + 0.0j)
         assert cfg.atom_radius == 0.2
         assert cfg.format == "csv"
         assert cfg.workers == 1
@@ -54,7 +54,6 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value,pattern", [
         ("target_points", 0, "target_points"),
         ("seed", -1, "seed"),
-        ("z_values", (), "z_values"),
         ("atom_radius", 0.0, "atom_radius"),
         ("atom_radius", 1.5, "atom_radius"),
         ("format", "png", "format"),
@@ -84,8 +83,8 @@ class TestExperimentConfig:
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig(regime="grow-k", n_values=(2,),
-                               k_values=(8, 16), seed=5,
-                               z_values=(0.5 + 0.25j,), workers=2)
+                               k_values=(8, 16), seed=5, format="svg",
+                               workers=2)
         doc = cfg.to_json_dict()
         assert doc["schema_version"] == SCHEMA_VERSION
         assert ExperimentConfig.from_json_dict(doc) == cfg
@@ -133,8 +132,6 @@ class TestExperimentConfig:
         ("workers", True),
         ("seed", 1.5),
         ("target_points", 20000.0),
-        ("z_values", [1]),
-        ("z_values", [[0.5, "0"]]),
         ("atom_radius", "0.2"),
         ("atom_radius", False),
         ("regime", 1),
@@ -155,10 +152,9 @@ class TestExperimentConfig:
         ("seed", 1.5),
         ("workers", True),
         ("atom_radius", "0.2"),
-        ("z_values", ("0.5",)),
+        ("format", 3),
         ("seed", np.True_),
         ("atom_radius", True),
-        ("z_values", (np.True_,)),
     ])
     def test_constructor_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValidationError, match=f"'{field}' must be"):
@@ -177,22 +173,21 @@ class TestExperimentConfig:
             json.dumps(run_grow_n(twin).to_json_dict())
 
     def test_numpy_reals_become_python_numbers(self):
-        cfg = _small_cfg(atom_radius=np.float32(0.5),
-                         z_values=(np.int64(1), np.float32(0.5),
-                                   np.complex64(0.25j)))
-        twin = _small_cfg(atom_radius=0.5, z_values=(1.0, 0.5, 0.25j))
+        cfg = _small_cfg(atom_radius=np.float32(0.5))
+        twin = _small_cfg(atom_radius=0.5)
         assert cfg == twin
         assert type(cfg.atom_radius) is float
-        assert all(type(z) is complex for z in cfg.z_values)
         assert json.dumps(cfg.to_json_dict()) == \
             json.dumps(twin.to_json_dict())
         assert _small_cfg(atom_radius=np.int64(1)) == _small_cfg(atom_radius=1)
 
-    def test_z_values_parsed_from_pairs(self):
-        doc = _small_cfg().to_json_dict()
-        doc["z_values"] = [[0.25, -0.5]]
-        cfg = ExperimentConfig.from_json_dict(doc)
-        assert cfg.z_values == (0.25 - 0.5j,)
+    def test_readme_schema_is_the_config_schema(self):
+        # The documented config document loads, and lists every field the
+        # summary echoes: the README cannot drift from the code.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment config", 1)[1]
+        doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert ExperimentConfig.from_json_dict(doc).to_json_dict() == doc
 
 
 class TestPointsCsv:
@@ -484,7 +479,7 @@ class TestPersistenceAndExport:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             cfg = _small_cfg(output_dir=str(out))
-            export_result(run_grow_n(cfg), out)
+            export_result(run_grow_n(cfg))
         name = "points_grow-n_n8_k2_seed11.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         summary = "result_grow-n_seed11.json"
@@ -497,7 +492,7 @@ class TestPersistenceAndExport:
             out = tmp_path / f"w{workers}"
             cfg = _small_cfg(output_dir=str(out), target_points=4800,
                              workers=workers)
-            (summary,) = export_result(run_grow_n(cfg), out)
+            (summary,) = export_result(run_grow_n(cfg))
             docs.append((out, summary.read_bytes()))
         chunk = harness._CHUNK_ENTRIES // 16 ** 2
         assert 2 * chunk < cfg.trials_for(8, 2) < 3 * chunk
@@ -516,7 +511,7 @@ class TestPersistenceAndExport:
                                    k_values=(64,), target_points=512,
                                    seed=11, output_dir=str(out),
                                    workers=workers)
-            (summary,) = export_result(run_grow_k(cfg), out)
+            (summary,) = export_result(run_grow_k(cfg))
             docs.append((out, summary.read_bytes()))
         name = "points_grow-k_n2_k64_seed11.csv"
         assert (docs[0][0] / name).read_bytes() == \
@@ -524,15 +519,16 @@ class TestPersistenceAndExport:
         assert docs[0][1] == docs[1][1]
 
     def test_export_json_summary_schema(self, tmp_path):
-        cfg = _small_cfg()
-        written = export_result(run_grow_n(cfg), tmp_path)
+        cfg = _small_cfg(output_dir=str(tmp_path))
+        written = export_result(run_grow_n(cfg))
         assert [p.name for p in written] == ["result_grow-n_seed11.json"]
         doc = json.loads(written[0].read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["regime"] == "grow-n"
         assert doc["seed"] == 11
         assert "workers" not in doc["config"]
-        assert ExperimentConfig.from_json_dict(doc["config"]) == cfg
+        assert ExperimentConfig.from_json_dict(
+            doc["config"], output_dir=str(tmp_path)) == cfg
         (cell,) = doc["cells"]
         assert cell["n"] == 8 and cell["k"] == 2 and cell["trials"] == 20
         assert set(cell["report"]) == {"radial_ks", "angular_ks",
@@ -544,22 +540,23 @@ class TestPersistenceAndExport:
     def test_export_svg_renders_each_persisted_cell(self, tmp_path):
         cfg = _small_cfg(output_dir=str(tmp_path), format="svg")
         res = run_grow_n(cfg)
-        written = export_result(res, tmp_path, format="svg")
+        written = export_result(res)
         names = sorted(p.name for p in written)
         assert names == ["result_grow-n_seed11.json",
                          "scatter_grow-n_n8_k2_seed11.svg"]
         svg = (tmp_path / "scatter_grow-n_n8_k2_seed11.svg").read_text()
         assert svg.count('class="pt"') == 320
 
-    def test_export_svg_requires_persisted_points(self, tmp_path):
-        res = run_grow_n(_small_cfg())  # no output_dir: nothing persisted
-        with pytest.raises(ValidationError, match="persist"):
-            export_result(res, tmp_path, format="svg")
+    def test_export_svg_requires_persisted_points(self):
+        res = run_grow_n(_small_cfg(format="svg"))  # nothing persisted
+        with pytest.raises(ValidationError, match="output_dir"):
+            export_result(res)
 
     def test_export_rejects_unknown_format(self, tmp_path):
-        res = run_grow_n(_small_cfg())
-        with pytest.raises(ValidationError, match="format"):
-            export_result(res, tmp_path, format="png")
+        # The config is the one format check; json wrote what csv writes.
+        for fmt in ("png", "json"):
+            with pytest.raises(ValidationError, match="format"):
+                _small_cfg(output_dir=str(tmp_path), format=fmt)
 
 
 @pytest.fixture(scope="module")
@@ -602,15 +599,34 @@ class TestRunVerification:
 
     def test_grow_n_shift_must_be_nonzero(self):
         cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
-                               target_points=320, z_values=(0j, 0.5 + 0j))
+                               target_points=320)
         with pytest.raises(ValidationError, match="nonzero shift"):
             run_verification(cfg, suite_trials=2, deterministic_instances=2,
-                             mc_trials=10)
+                             mc_trials=10, z_values=(0j, 0.5 + 0j))
 
     def test_grow_k_shift_must_avoid_unit_circle(self):
         cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
-                               target_points=320,
-                               z_values=(0.7 + 0.3j, 1.0 + 0j))
+                               target_points=320)
         with pytest.raises(ValidationError, match="0 and 1"):
             run_verification(cfg, suite_trials=2, deterministic_instances=2,
-                             mc_trials=10)
+                             mc_trials=10, z_values=(0.7 + 0.3j, 1.0 + 0j))
+
+    @pytest.mark.parametrize("z_values", [(), 0.5, ("0.5",), (0.5, True)],
+                             ids=["empty", "scalar", "str", "bool-second"])
+    def test_malformed_shifts_rejected_before_any_suite(self, z_values,
+                                                        monkeypatch):
+        cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
+                               target_points=320)
+        monkeypatch.setattr(harness, "lemma_suite_grow_n", None)
+        with pytest.raises(ValidationError, match="z"):
+            run_verification(cfg, suite_trials=2, deterministic_instances=2,
+                             mc_trials=10, z_values=z_values)
+
+    def test_default_shifts_are_the_documented_pair(self, small_run):
+        cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
+                               target_points=320)
+        explicit = run_verification(cfg, suite_trials=5,
+                                    deterministic_instances=20,
+                                    mc_trials=2000,
+                                    z_values=[0.7 + 0.3j, 0.5])
+        assert explicit.to_jsonl() == small_run.to_jsonl()

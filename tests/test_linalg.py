@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rmpoly import (
+    ConvergenceError,
     RngStream,
     ValidationError,
     SingularUpdateError,
@@ -115,6 +117,34 @@ class TestSvd:
     def test_fewer_than_two_axes_rejected(self, shape):
         with pytest.raises(ValidationError, match="ndim"):
             singular_values(np.ones(shape))
+
+    @staticmethod
+    def _no_convergence(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def test_fallback_uses_gesvd_and_matches_numpy(self, monkeypatch):
+        stack = complex_gaussian(RngStream(206, (90,)), (3, 6, 4))
+        expected = np.linalg.svd(stack, compute_uv=False)
+        drivers = []
+        scipy_svd = scipy.linalg.svd
+
+        def spy(m, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return scipy_svd(m, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", self._no_convergence)
+        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        got = singular_values(stack)
+        # Another gesdd call would fail the same way numpy's did.
+        assert drivers == ["gesvd"] * 3
+        assert got.shape == expected.shape
+        for row, ref in zip(got, expected):
+            assert np.max(np.abs(row - ref)) <= 1e-13 * ref[0]
+
+    def test_fallback_failure_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self._no_convergence)
+        monkeypatch.setattr(scipy.linalg, "svd", self._no_convergence)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            singular_values(_gaussian(207, 4, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,13 @@ class TestSampleMonicGaussian:
         assert all(c.shape == (2, 2) for c in p.coeffs)
         assert p.seed == 16
 
+    def test_child_stream_records_no_seed(self):
+        # The root seed alone does not identify a child stream's draw.
+        p = sample_monic_gaussian(2, 2, RngStream(7).child(0, 3))
+        assert p != sample_monic_gaussian(2, 2, RngStream(7))
+        assert p.seed is None
+        assert json.loads(polynomial_to_json(p))["seed"] is None
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValidationError):
             sample_monic_gaussian(0, 2, RngStream(1))

@@ -28,10 +28,8 @@ def configs(draw):
         regime=regime, n_values=tuple(n_values), k_values=tuple(k_values),
         target_points=largest + draw(st.integers(0, 10 ** 6)),
         seed=draw(st.integers(0, 2 ** 63)),
-        z_values=tuple(draw(st.lists(
-            st.builds(complex, finite, finite), min_size=1, max_size=3))),
         atom_radius=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        format=draw(st.sampled_from(["csv", "json", "svg"])),
+        format=draw(st.sampled_from(["csv", "svg"])),
         workers=draw(st.integers(1, 8)))
 
 

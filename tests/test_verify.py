@@ -76,6 +76,17 @@ class TestLemmaCheckConfig:
         with pytest.raises(ValidationError):
             LemmaCheckConfig(z=0.5, sizes=sizes)
 
+    @pytest.mark.parametrize("z", ["0.5", True, np.True_, None],
+                             ids=["str", "bool", "numpy-bool", "none"])
+    def test_non_complex_shift_rejected(self, z):
+        with pytest.raises(ValidationError, match="shift z"):
+            LemmaCheckConfig(z=z, sizes=((2, 8),))
+
+    def test_numpy_shift_becomes_python_complex(self):
+        cfg = LemmaCheckConfig(z=np.complex64(0.25j), sizes=((2, 8),))
+        assert type(cfg.z) is complex and cfg.z == 0.25j
+        assert LemmaCheckConfig(z=np.int64(2), sizes=((2, 8),)).z == 2
+
     @pytest.mark.parametrize("trials", [2.5, "200", True])
     def test_non_integer_trials_rejected(self, trials):
         with pytest.raises(ValidationError):
