@@ -72,7 +72,8 @@ def main(argv=None) -> int:
         ratios = []
         for d in range(args.draws):
             p = sample_monic_gaussian(n, k, RngStream(args.seed, (n, k, d)))
-            t_aberth, lam = _cpu_seconds(lambda: _aberth_eigenvalues(p))
+            t_aberth, lam = _cpu_seconds(
+                lambda: _aberth_eigenvalues(p.stack))
             t_dense, _ = _cpu_seconds(lambda: eigenvalues(companion(p)))
             note = ""
             if lam is None:

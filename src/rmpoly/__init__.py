@@ -9,10 +9,9 @@ singular-value bounds underpinning both limits.
 from .errors import (ConvergenceError, NumericalError, SingularUpdateError,
                      ValidationError)
 from .esd import (DiscMixture, DistanceReport, EmpiricalSpectralDistribution,
-                  LimitLaw, UnitCircle, UnitDisc, angular_ks,
-                  annulus_sector_discrepancy, atom_mass, distance_report,
-                  esd_of_polynomial, merge, radial_cdf, radial_ks,
-                  sample_points)
+                  LimitLaw, UnitCircle, angular_ks, annulus_sector_discrepancy,
+                  atom_mass, distance_report, esd_of_polynomial, merge,
+                  radial_cdf, radial_ks, sample_points)
 from .harness import (CellResult, ExperimentConfig, ExperimentResult,
                       VerificationResult, export_result, read_points_csv,
                       render_scatter, run_experiment, run_grow_k, run_grow_n,

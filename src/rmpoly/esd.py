@@ -9,8 +9,7 @@ of one or more sampled polynomials.  Two scalings matter downstream:
 * dimension fixed, degree growing: eigenvalues unscaled; the limit is
   ``UnitCircle``, the uniform (arc-length) measure on the unit circle.
 
-``UnitDisc()`` (the circular law) is the k = 1 case of the mixture and
-returns ``DiscMixture(1)``.
+The circular law, uniform on the unit disc, is ``DiscMixture(1)``.
 
 Each law carries its radial CDF and sampler: ``atom`` (the mass at the
 origin), ``cdf(r)`` (the right-continuous radial CDF) and its left limit
@@ -38,7 +37,6 @@ from .matpoly import (MatrixPolynomial, _count, _generator,
 __all__ = [
     "DiscMixture",
     "UnitCircle",
-    "UnitDisc",
     "LimitLaw",
     "EmpiricalSpectralDistribution",
     "esd_of_polynomial",
@@ -97,11 +95,6 @@ class UnitCircle:
 
     def radii(self, g: np.random.Generator, count: int) -> np.ndarray:
         return np.ones(count)
-
-
-def UnitDisc() -> DiscMixture:
-    """Uniform measure on the closed unit disc (circular law)."""
-    return DiscMixture(1)
 
 
 LimitLaw = Union[DiscMixture, UnitCircle]

@@ -38,9 +38,10 @@ from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _count, _is_int, _is_number, _sizes,
-                      trial_eigenvalues)
+                      _trial_coefficients, trial_eigenvalues)
 from .svgplot import svg_scatter
-from .verify import (LemmaCheckConfig, beta_projection_check,
+from .verify import (LemmaCheckConfig, _grow_k_preconditions,
+                     _grow_n_preconditions, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
                      lemma_suite_grow_k, lemma_suite_grow_n,
                      sweep_circulant_shift_bounds, sweep_lowrank_interlacing,
@@ -121,7 +122,8 @@ class ExperimentConfig:
     one k and at least one n, ``grow-k`` the reverse.  With ``output_dir``
     set, the run writes each cell's points there, and ``export_result``
     writes the summary, plus one scatter per cell when ``format`` is
-    ``svg``.  Every field but ``workers`` changes what a run writes.
+    ``svg``.  Every field but ``workers`` changes what a run writes.  Only
+    an override, never a config document, sets ``output_dir``.
     """
 
     regime: str
@@ -200,7 +202,8 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
-        unknown = set(doc) - set(_FIELDS) - {"schema_version"}
+        # ``--out`` would silently override a document's ``output_dir``.
+        unknown = set(doc) - ({*_FIELDS, "schema_version"} - {"output_dir"})
         if unknown:
             raise ValidationError(
                 f"unknown config fields: {sorted(unknown)}")
@@ -335,7 +338,8 @@ def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
 
 def _chunk_points(task) -> np.ndarray:
     n, k, scale, streams = task
-    return scale * trial_eigenvalues(n, k, streams).ravel()
+    coeffs = _trial_coefficients(n, k, streams)
+    return scale * trial_eigenvalues(coeffs).ravel()
 
 
 def pooled_esd(regime: str, n: int, k: int, streams, mapper=map
@@ -496,7 +500,7 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
     Only ``cfg.seed`` is read.  ``z_values[0]`` shifts the dimension-grown
     suite (needs z != 0), ``z_values[1]`` -- falling back to
     ``z_values[0]`` -- the degree-grown suite (needs |z| not in {0, 1}).
-    All three counts must be >= 1.
+    All three counts must be >= 1; every input is checked before any draw.
     """
     for name, count in (("suite_trials", suite_trials),
                         ("deterministic_instances", deterministic_instances),
@@ -509,6 +513,8 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
     cfg_n = LemmaCheckConfig(z=z_values[0], sizes=GROW_N_SIZES,
                              trials=suite_trials)
     cfg_k = LemmaCheckConfig(z=z_k, sizes=GROW_K_SIZES, trials=suite_trials)
+    _grow_n_preconditions(cfg_n)
+    _grow_k_preconditions(cfg_k)
     rng = RngStream(cfg.seed) if rng is None else rng
 
     reports: list[LemmaReport] = []

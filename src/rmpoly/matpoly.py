@@ -6,15 +6,15 @@ A degree-k matrix polynomial with n x n coefficients is
 
 stored as the coefficient list ``C_0, ..., C_{k-1}`` with the leading
 coefficient implicitly the identity.  Its kn finite eigenvalues are the
-roots of ``det P(x)``.  ``finite_eigenvalues`` dispatches on the shape.
-Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 128``) are
-solved by Ehrlich-Aberth iteration on ``det P`` itself.  A sweep evaluates
-P and P' at all kn roots as two matrix products against the flattened
-coefficients, then solves kn small n x n systems, which is cheaper there
-than dense QR at O((kn)^3); both thresholds are measured (see
-``_ABERTH_MIN_KN``).  A solve that fails its self-check falls back to the
-dense route.  Every other shape takes the spectrum of the block companion
-matrix
+roots of ``det P(x)``.  ``trial_eigenvalues`` alone chooses the solver, for
+a stack of trials; ``finite_eigenvalues`` is its one-trial case.
+Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 128``) are solved
+by Ehrlich-Aberth iteration on ``det P``.  A sweep evaluates P and P' at all
+kn roots as two matrix products against the flattened coefficients, then
+solves kn small n x n systems, which is cheaper there than dense QR at
+O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  A trial
+that fails its self-check falls back to the dense route.  Every other shape
+takes the spectrum of the block companion matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -33,8 +33,8 @@ circulant whose spectrum is the k-th roots of unity
 row, so it too has rank at most n.  The verification suites and the
 replacement-gap diagnostics compare M against B directly.  Trials of the
 harness and the suites draw with ``_trial_coefficients`` and linearize
-with ``_companion_stack``, bit for bit as ``sample_monic_gaussian`` and
-``companion`` do for one polynomial.
+with ``_companion_stack``, as ``sample_monic_gaussian`` and ``companion``
+do for one polynomial.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
@@ -196,6 +196,12 @@ class MatrixPolynomial:
                 and np.array_equal(self.stack, other.stack))
 
 
+def _trial_coefficients(n: int, k: int, streams) -> np.ndarray:
+    """``(T, k, n, n)`` coefficients of one monic Gaussian trial per stream:
+    one flat standard complex Gaussian draw per stream, ``C_0`` first."""
+    return np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
+
+
 def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     """Draw a monic polynomial with i.i.d. standard complex Gaussian entries.
 
@@ -204,10 +210,9 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     so the stream fully determines the polynomial.
     """
     n, k = _sizes(n, k)
-    entries = complex_gaussian(rng, (k, n, n), variance=1.0)
     root = isinstance(rng, RngStream) and rng.key == ()
-    seed = rng.seed if root else None
-    return MatrixPolynomial(n, k, entries, seed=seed)
+    coeffs = _trial_coefficients(n, k, [rng])[0]
+    return MatrixPolynomial(n, k, coeffs, seed=rng.seed if root else None)
 
 
 def evaluate(p: MatrixPolynomial, x: complex) -> np.ndarray:
@@ -216,12 +221,6 @@ def evaluate(p: MatrixPolynomial, x: complex) -> np.ndarray:
     for j in range(p.k - 1, -1, -1):
         acc = acc * x + p.coeffs[j]
     return acc
-
-
-def _trial_coefficients(n: int, k: int, streams) -> np.ndarray:
-    """``(T, k, n, n)`` coefficients of one monic Gaussian trial per stream,
-    each drawn from its stream as ``sample_monic_gaussian`` draws it."""
-    return np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
 
 
 def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
@@ -330,8 +329,8 @@ def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
     return trace, singular
 
 
-def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
-    """Roots of ``det P`` by simultaneous Ehrlich-Aberth iteration.
+def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
+    """Roots of ``det P``, given ``(k, n, n)`` coefficients, by Ehrlich-Aberth.
 
     [Bini & Noferini, LAA 439 (2013) 1130-1149].  The Newton correction of
     root x is ``1 / tr(P(x)^{-1} P'(x))``; roots with ``|x| > 1`` evaluate
@@ -342,10 +341,10 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
     non-finite, when the sweeps run out, or when the roots break the trace
     identity ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
-    n, k = p.n, p.k
+    k, n = coeffs.shape[:2]
     kn = k * n
     stack = np.empty((k + 1, n, n), dtype=np.complex128)
-    stack[:k] = p.stack
+    stack[:k] = coeffs
     stack[k] = np.eye(n)
     sign, logdet = np.linalg.slogdet(stack[0])
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
@@ -385,9 +384,13 @@ def _aberth_eigenvalues(p: MatrixPolynomial) -> np.ndarray | None:
             active[idx[done]] = False
     if active.any():
         return None
-    if not trace_error(p, x) <= 100.0 * kn * EPS * np.abs(x).sum():
+    if not _trace_gap(coeffs, x) <= 100.0 * kn * EPS * np.abs(x).sum():
         return None
     return x
+
+
+def _trace_gap(coeffs: np.ndarray, lam: np.ndarray) -> float:
+    return float(abs(np.sum(lam) + np.trace(coeffs[-1])))
 
 
 def trace_error(p: MatrixPolynomial, lam: np.ndarray) -> float:
@@ -397,7 +400,7 @@ def trace_error(p: MatrixPolynomial, lam: np.ndarray) -> float:
     root count and moves the sum by about one root's size.  Rounding makes
     it a small multiple of ``kn * eps * sum|lam|``.
     """
-    return float(abs(np.sum(lam) + np.trace(p.coeffs[p.k - 1])))
+    return _trace_gap(p.stack, lam)
 
 
 def backward_error(p: MatrixPolynomial, lam) -> np.ndarray:
@@ -417,43 +420,32 @@ def backward_error(p: MatrixPolynomial, lam) -> np.ndarray:
     return out
 
 
-def _aberth_shape(n: int, k: int) -> bool:
-    return k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN
-
-
 def finite_eigenvalues(p: MatrixPolynomial) -> np.ndarray:
-    """The kn finite eigenvalues of P, as an unordered 1-D array.
+    """The kn finite eigenvalues of P, as an unordered 1-D array: the
+    one-trial case of ``trial_eigenvalues``."""
+    return trial_eigenvalues(p.stack[None])[0]
 
-    Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 128``) use
-    Ehrlich-Aberth iteration on ``det P``.  If it fails its self-check (no
-    convergence within ``_ABERTH_MAX_ITER`` sweeps, a non-finite root, or
-    the trace identity broken) the trial falls back to the dense route,
-    which every other shape takes: ``eigenvalues`` of the companion matrix.
+
+def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
+    """Finite eigenvalues of a ``(T, k, n, n)`` stack of monic coefficients.
+
+    The one solver dispatch: row t of the ``(T, kn)`` result is trial t's
+    spectrum, with the same bits whatever the other trials are.
+    Degree-dominated shapes use Ehrlich-Aberth iteration on ``det P``,
+    trial by trial; a trial that fails its self-check (no convergence
+    within ``_ABERTH_MAX_ITER`` sweeps, a non-finite root, or the trace
+    identity broken) alone falls back to the dense route.  Every other
+    shape is dense: one stacked ``eigenvalues`` call on the ``(T, kn, kn)``
+    companion matrices, so callers bound T to bound memory.
     """
-    if _aberth_shape(p.n, p.k):
-        lam = _aberth_eigenvalues(p)
-        if lam is not None:
-            return lam
-    return eigenvalues(companion(p))
-
-
-def trial_eigenvalues(n: int, k: int, streams) -> np.ndarray:
-    """Finite eigenvalues of one monic Gaussian polynomial per stream.
-
-    Returns a ``(len(streams), kn)`` array whose row t has the same bits as
-    ``finite_eigenvalues(sample_monic_gaussian(n, k, streams[t]))``: each
-    trial draws from its own stream exactly as the sampler does.  Dense
-    shapes build all companion matrices as one ``(T, kn, kn)`` stack and
-    solve it with one stacked ``eigenvalues`` call, so callers bound T to
-    bound memory.  Degree-dominated shapes go through
-    ``finite_eigenvalues`` one trial at a time, keeping its fallback.
-    """
-    n, k = _sizes(n, k)
-    coeffs = _trial_coefficients(n, k, streams)
-    if _aberth_shape(n, k):
-        return np.stack([finite_eigenvalues(MatrixPolynomial(n, k, c))
-                         for c in coeffs])
-    return eigenvalues(_companion_stack(coeffs))
+    k, n = coeffs.shape[1:3]
+    if not (k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN):
+        return eigenvalues(_companion_stack(coeffs))
+    rows = [_aberth_eigenvalues(c) for c in coeffs]
+    for t, lam in enumerate(rows):
+        if lam is None:
+            rows[t] = eigenvalues(_companion_stack(coeffs[t:t + 1]))[0]
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -616,6 +616,32 @@ def _fit_exponent(sizes: np.ndarray, medians: np.ndarray) -> float | None:
     return float(slope)
 
 
+def _grow_n_preconditions(cfg: LemmaCheckConfig) -> None:
+    """Reject a dimension-grown suite config before any trial is drawn."""
+    if cfg.z == 0:
+        raise ValidationError(
+            "dimension-grown suite needs a nonzero shift z: the smallest "
+            "singular value floor degenerates at z = 0")
+    for n, k in cfg.sizes:
+        if k < 2:
+            raise ValidationError(
+                f"dimension-grown suite needs degree k >= 2, got k={k}")
+        tail_split_index(n, k, DELTA)  # reject sizes with f(n) < n
+
+
+def _grow_k_preconditions(cfg: LemmaCheckConfig) -> None:
+    """Reject a degree-grown suite config before any trial is drawn."""
+    if abs(cfg.z) in (0.0, 1.0):
+        raise ValidationError(
+            "degree-grown suite needs |z| distinct from 0 and 1: the "
+            "shifted circulant floor |1 - |z|| vanishes on the unit circle "
+            "and the origin is spectrally degenerate")
+    for _, k in cfg.sizes:
+        if k <= 2:
+            raise ValidationError(
+                f"degree-grown suite needs degree k > 2, got k={k}")
+
+
 def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     """Bound sweep for the dimension-growing regime.
 
@@ -636,15 +662,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
 
     Needs z != 0 and k >= 2 for every size.
     """
-    if cfg.z == 0:
-        raise ValidationError(
-            "dimension-grown suite needs a nonzero shift z: the smallest "
-            "singular value floor degenerates at z = 0")
-    for n, k in cfg.sizes:
-        if k < 2:
-            raise ValidationError(
-                f"dimension-grown suite needs degree k >= 2, got k={k}")
-        tail_split_index(n, k, DELTA)  # reject sizes with f(n) < n
+    _grow_n_preconditions(cfg)
     z = cfg.z
     floor_m, floor_e, cap, tail = [], [], [], []
     med_m, med_e = [], []
@@ -691,17 +709,8 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
 
     R is ``CONSTANT_R``.  Needs |z| not in {0, 1} and k > 2 for every size.
     """
-    az = abs(cfg.z)
-    if az == 0.0 or az == 1.0:
-        raise ValidationError(
-            "degree-grown suite needs |z| distinct from 0 and 1: the "
-            "shifted circulant floor |1 - |z|| vanishes on the unit circle "
-            "and the origin is spectrally degenerate")
-    for n, k in cfg.sizes:
-        if k <= 2:
-            raise ValidationError(
-                f"degree-grown suite needs degree k > 2, got k={k}")
-    z = cfg.z
+    _grow_k_preconditions(cfg)
+    z, az = cfg.z, abs(cfg.z)
     cap, floor_block, floor_min, chain = [], [], [], []
     med_min = []
     for s_idx, (n, k) in enumerate(cfg.sizes):

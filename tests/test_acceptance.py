@@ -291,7 +291,7 @@ def test_09_structured_solver_dense_oracle():
     worst_dist = worst_ratio = 0.0
     fallbacks = []
     for label, p in problems:
-        lam = _aberth_eigenvalues(p)
+        lam = _aberth_eigenvalues(p.stack)
         if lam is None:
             fallbacks.append(label)
             continue

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, stream discipline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,19 +156,24 @@ class TestExperiment:
     @pytest.mark.parametrize("setting,pattern", [
         ({"z_values": [[0.5, 0.0]]}, "unknown config fields: ['z_values']"),
         ({"format": "json"}, "format must be one of"),
-    ], ids=["z_values", "format-json"])
+        # ``--out`` owns the output directory; a document cannot set it.
+        ({"output_dir": "elsewhere"}, "unknown config fields: ['output_dir']"),
+    ], ids=["z_values", "format-json", "output_dir"])
     def test_removed_setting_in_config_exits_one(self, runner, tmp_path,
-                                                 setting, pattern):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"regime": "grow-n", "n_values": [4],
-                                        "k_values": [2], **setting}))
-        res = runner.invoke(main, ["experiment", "--config", str(cfg_path),
-                                   "--out", str(tmp_path)])
+                                                 monkeypatch, setting,
+                                                 pattern):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(
+            {"regime": "grow-n", "n_values": [4], "k_values": [2],
+             **setting}))
+        res = runner.invoke(main, ["experiment", "--config", "cfg.json",
+                                   "--out", "out"])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: ")
         assert pattern in res.stderr
         assert "Traceback" not in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_axes_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, ["experiment", "--regime", "grow-n",
@@ -300,6 +306,21 @@ class TestVerify:
                    for line in res.stderr.splitlines())
         assert "mc_trials" in res.stderr
         assert "lemma suites done" not in res.stderr
+
+    def test_bad_degree_grown_shift_exits_before_any_suite(self, runner,
+                                                          monkeypatch):
+        # |z| = 1 is invalid only for the degree-grown suite, which runs
+        # second; it is rejected before the first suite draws a trial.
+        entered = []
+        monkeypatch.setattr("rmpoly.verify._companions",
+                            lambda *a: entered.append(a) or iter(()))
+        res = runner.invoke(main, ["verify", "--z", "0.5", "--z", "1",
+                                   "--instances", "5", "--mc-trials", "50"])
+        assert res.exit_code == 1
+        assert any(line.startswith("error: ")
+                   for line in res.stderr.splitlines())
+        assert "lemma suites done" not in res.stderr
+        assert entered == []
 
     def test_zero_shift_exits_one(self, runner):
         res = runner.invoke(main, self.SMALL + ["--z", "0", "--z", "0.5"])

@@ -10,7 +10,6 @@ from rmpoly import (
     MatrixPolynomial,
     RngStream,
     UnitCircle,
-    UnitDisc,
     ValidationError,
     angular_ks,
     annulus_sector_discrepancy,
@@ -24,7 +23,7 @@ from rmpoly import (
     sample_points,
 )
 
-ALL_LAWS = [DiscMixture(4), DiscMixture(1), UnitDisc(), UnitCircle()]
+ALL_LAWS = [DiscMixture(4), DiscMixture(1), DiscMixture(2), UnitCircle()]
 
 
 def _mixture_cdf(r, k=4):
@@ -71,9 +70,6 @@ class TestRadialCdf:
         assert np.all((0.0 <= vals) & (vals <= 1.0))
         assert vals[-1] == 1.0
 
-    def test_degenerate_mixture_is_unit_disc(self):
-        assert UnitDisc() == DiscMixture(1)
-
     @pytest.mark.parametrize("law,reference", [
         # The circular law: CDF r**2, radius sqrt(U).
         (DiscMixture(1), (lambda r: np.minimum(r, 1.0) ** 2,
@@ -104,7 +100,7 @@ class TestRadialCdf:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
-            radial_cdf(UnitDisc(), -0.1)
+            radial_cdf(DiscMixture(1), -0.1)
 
     def test_mixture_needs_positive_degree(self):
         with pytest.raises(ValidationError):
@@ -122,7 +118,7 @@ class TestSamplePoints:
 
     def test_count_validated(self):
         with pytest.raises(ValidationError):
-            sample_points(UnitDisc(), 0, RngStream(1))
+            sample_points(DiscMixture(1), 0, RngStream(1))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,8 @@ class TestMerge:
         a, b = self._pair()
         merged = merge([a, b])
         concat = _esd_from_points(np.concatenate([a.points, b.points]))
-        assert radial_ks(merged, UnitDisc()) == radial_ks(concat, UnitDisc())
+        disc = DiscMixture(1)
+        assert radial_ks(merged, disc) == radial_ks(concat, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,8 @@ class TestRadialDistances:
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_ks_in_unit_interval(self, law):
-        esd = _esd_from_points(sample_points(UnitDisc(), 100, RngStream(48)))
+        esd = _esd_from_points(sample_points(DiscMixture(1), 100,
+                                             RngStream(48)))
         assert 0.0 <= radial_ks(esd, law) <= 1.0
 
     def test_ks_counts_proxy_radius_points_as_atom_hits(self):
@@ -233,7 +231,6 @@ class TestRadialDistances:
         pts = 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
         esd = _esd_from_points(pts)
         # Plain KS: all mass at 0.1 where the disc law has CDF 0.01.
-        assert radial_ks(esd, UnitDisc()) == pytest.approx(0.99)
         assert radial_ks(esd, DiscMixture(1)) == pytest.approx(0.99)
 
     def test_ks_proxy_radius_is_adjustable(self):
@@ -261,7 +258,7 @@ class TestRadialDistances:
         assert radial_ks(_esd_from_points(-pts), law) == base
 
     def test_generic_rotation_invariance(self):
-        law = UnitDisc()
+        law = DiscMixture(1)
         pts = sample_points(law, 512, RngStream(50))
         base = radial_ks(_esd_from_points(pts), law)
         rot = radial_ks(_esd_from_points(pts * np.exp(0.7j)), law)
@@ -311,15 +308,16 @@ class TestDiscrepancy:
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_law_sample_calibration(self):
-        esd = _esd_from_points(sample_points(UnitDisc(), 10_000,
+        esd = _esd_from_points(sample_points(DiscMixture(1), 10_000,
                                              RngStream(52)))
-        val = annulus_sector_discrepancy(esd, UnitDisc(), radial_bins=8,
+        val = annulus_sector_discrepancy(esd, DiscMixture(1), radial_bins=8,
                                          angular_bins=8)
         assert val <= 0.02
 
     def test_trivial_grid(self):
-        esd = _esd_from_points(sample_points(UnitDisc(), 100, RngStream(53)))
-        assert annulus_sector_discrepancy(esd, UnitDisc(), 1, 1) == \
+        esd = _esd_from_points(sample_points(DiscMixture(1), 100,
+                                             RngStream(53)))
+        assert annulus_sector_discrepancy(esd, DiscMixture(1), 1, 1) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_mixture_law_sample_calibration(self):
@@ -332,7 +330,7 @@ class TestDiscrepancy:
     def test_bad_bins_rejected(self):
         esd = _esd_from_points([1.0])
         with pytest.raises(ValidationError):
-            annulus_sector_discrepancy(esd, UnitDisc(), 0, 4)
+            annulus_sector_discrepancy(esd, DiscMixture(1), 0, 4)
 
 
 class TestAtomMass:
@@ -341,7 +339,7 @@ class TestAtomMass:
         assert atom_mass(esd, 0.2) == 1.0
 
     def test_circle_law_origin_mass(self):
-        esd = _esd_from_points(sample_points(UnitDisc(), 10_000,
+        esd = _esd_from_points(sample_points(DiscMixture(1), 10_000,
                                              RngStream(55)))
         assert atom_mass(esd, 0.2) == pytest.approx(0.04, abs=0.02)
 

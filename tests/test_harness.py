@@ -136,7 +136,6 @@ class TestExperimentConfig:
         ("atom_radius", False),
         ("regime", 1),
         ("format", None),
-        ("output_dir", 3),
         ("schema_version", True),
     ])
     def test_from_json_rejects_mistyped_fields(self, field, value):

@@ -374,7 +374,7 @@ class TestFiniteEigenvalues:
         p = sample_monic_gaussian(n, k, RngStream(30, (n, k)))
         calls = self._count_dense_calls(monkeypatch)
         lams = finite_eigenvalues(p)
-        assert calls == ([(k * n, k * n)] if dense else [])
+        assert calls == ([(1, k * n, k * n)] if dense else [])
         assert lams.shape == (k * n,)
 
     def test_root_at_origin_converges(self):
@@ -384,7 +384,7 @@ class TestFiniteEigenvalues:
         c0 = sampled.coeffs[0].copy()
         c0[:, 0] = 0.0
         p = MatrixPolynomial(2, 64, (c0,) + sampled.coeffs[1:])
-        lams = matpoly._aberth_eigenvalues(p)
+        lams = matpoly._aberth_eigenvalues(p.stack)
         assert lams is not None
         assert np.min(np.abs(lams)) <= 1e-12
         assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
@@ -394,10 +394,10 @@ class TestFiniteEigenvalues:
         # Ehrlich-Aberth converges only linearly and runs out of sweeps.
         n, k = 2, 64
         p = MatrixPolynomial(n, k, (np.zeros((n, n)),) * k)
-        assert matpoly._aberth_eigenvalues(p) is None
+        assert matpoly._aberth_eigenvalues(p.stack) is None
         calls = self._count_dense_calls(monkeypatch)
         lams = finite_eigenvalues(p)
-        assert calls == [(k * n, k * n)]
+        assert calls == [(1, k * n, k * n)]
         np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
 
 
@@ -453,7 +453,7 @@ class TestLogDerivative:
         # kn = 300: the first sweep evaluates one block of 256 roots and a
         # partial block of 44.
         p = sample_monic_gaussian(3, 100, RngStream(35))
-        lam = matpoly._aberth_eigenvalues(p)
+        lam = matpoly._aberth_eigenvalues(p.stack)
         assert lam is not None
         assert match_distance(lam, eigenvalues(companion(p))) <= 1e-10
         kn_eps = p.k * p.n * np.finfo(float).eps
@@ -490,7 +490,8 @@ class TestTrialEigenvalues:
         # (2, 64) and (4, 32) take the Ehrlich-Aberth route, the rest the
         # stacked dense solve; both must keep every bit of the per-trial path.
         streams = [RngStream(32, (n, k, t)) for t in range(3)]
-        got = matpoly.trial_eigenvalues(n, k, streams)
+        got = matpoly.trial_eigenvalues(
+            matpoly._trial_coefficients(n, k, streams))
         assert got.shape == (3, k * n)
         for row, stream in zip(got, streams):
             ref = finite_eigenvalues(sample_monic_gaussian(n, k, stream))
@@ -507,12 +508,41 @@ class TestTrialEigenvalues:
 
         monkeypatch.setattr(matpoly, "eigenvalues", counted)
         streams = [RngStream(33, (t,)) for t in range(5)]
-        matpoly.trial_eigenvalues(n, k, streams)
+        matpoly.trial_eigenvalues(matpoly._trial_coefficients(n, k, streams))
         assert calls == stacks
 
+    def test_one_trial_falls_back_inside_a_stack(self, monkeypatch):
+        # Trial 1 of an Ehrlich-Aberth stack fails its self-check: it alone
+        # takes the dense route, with the bits of a one-trial dense solve,
+        # and never through ``companion``; its neighbours keep their bits.
+        n, k = 2, 64
+        coeffs = matpoly._trial_coefficients(
+            n, k, [RngStream(37, (t,)) for t in range(3)])
+        solve = matpoly._aberth_eigenvalues
+        want = [solve(coeffs[0]),
+                eigenvalues(matpoly._companion_stack(coeffs[1:2]))[0],
+                solve(coeffs[2])]
+        seen = []
+
+        def failing_second(c):
+            seen.append(c)
+            return None if len(seen) == 2 else solve(c)
+
+        def no_companion(p):
+            raise AssertionError("the pipeline must not call companion()")
+
+        monkeypatch.setattr(matpoly, "_aberth_eigenvalues", failing_second)
+        monkeypatch.setattr(matpoly, "companion", no_companion)
+        got = matpoly.trial_eigenvalues(coeffs)
+        assert len(seen) == 3
+        for row, ref in zip(got, want):
+            assert np.array_equal(row.view(np.float64), ref.view(np.float64))
+
     def test_invalid_sizes_rejected(self):
+        # n = 0 draws an empty stack, which the dense route rejects.
         with pytest.raises(ValidationError):
-            matpoly.trial_eigenvalues(0, 2, [RngStream(34)])
+            matpoly.trial_eigenvalues(
+                matpoly._trial_coefficients(0, 2, [RngStream(34)]))
 
 
 # ---------------------------------------------------------------------------
