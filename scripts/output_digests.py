@@ -12,10 +12,11 @@ copy of the script digests any checkout.
 
 The outputs are the points CSV, scatter SVG and summary JSON of three
 ``experiment`` runs at the benchmark's sizes (grow-n, grow-k, small-many),
-the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape and
-``n = k = 1``, and the ``verify`` JSON lines at default sizes, one digest
-per check family (``verify/<lemma_id>``), so a ``diff`` names the families
-that changed.  A run takes about half a minute of CPU time per seed.
+the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape, ``n = k = 1``
+and a shape whose stdout spans three blocks of rows, and the ``verify``
+JSON lines at default sizes, one digest per check family
+(``verify/<lemma_id>``), so a ``diff`` names the families that changed.
+A run takes about half a minute of CPU time per seed.
 """
 
 import argparse
@@ -51,6 +52,7 @@ ESD_RUNS = (
     ("esd-aberth", ["--n", "2", "--k", "64", "--trials", "2",
                     "--regime", "grow-k"]),
     ("esd-n1-k1", ["--n", "1", "--k", "1"]),
+    ("esd-blocks", ["--n", "4", "--k", "2", "--trials", "1100"]),
 )
 
 

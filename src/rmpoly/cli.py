@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harness import (ExperimentConfig, export_result, format_points_csv,
+from .harness import (ExperimentConfig, _csv_blocks, export_result,
                       pooled_esd, read_points_csv, render_scatter,
                       run_experiment, run_verification, write_points_csv)
 from .matpoly import (RngStream, _count, polynomial_to_json,
@@ -111,7 +111,8 @@ def esd(n, k, trials, seed, regime, out):
     pts = pooled_esd(regime, n, k, [rng.child(0, t) for t in range(trials)]
                      ).points
     if out is None:
-        click.echo(format_points_csv(pts), nl=False)
+        for block in _csv_blocks(pts):
+            click.echo(block, nl=False)
     else:
         write_points_csv(pts, out)
 

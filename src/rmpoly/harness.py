@@ -23,11 +23,13 @@ CLI), never into result files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import operator
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +41,7 @@ from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _count, _is_int, _is_number, _sizes,
                       _trial_coefficients, trial_eigenvalues)
-from .svgplot import svg_scatter
+from .svgplot import _svg_chunks, _text_blocks
 from .verify import (LemmaCheckConfig, _grow_k_preconditions,
                      _grow_n_preconditions, beta_projection_check,
                      check_pinv_tail_domination, gaussian_norm_tail,
@@ -60,7 +62,6 @@ __all__ = [
     "run_verification",
     "export_result",
     "pooled_esd",
-    "format_points_csv",
     "write_points_csv",
     "read_points_csv",
     "render_scatter",
@@ -271,16 +272,20 @@ class ExperimentResult:
 # Points CSV I/O
 
 
-def format_points_csv(points) -> str:
-    """Complex points as ``re,im`` CSV text with full round-trip precision."""
+def _csv_blocks(points):
+    """The ``re,im`` CSV text of complex points with full round-trip
+    precision: an iterator of the header and then blocks of rows.  The
+    points are converted before this returns."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    rows = map("{!r},{!r}\n".format, pts.real.tolist(), pts.imag.tolist())
-    return "re,im\n" + "".join(rows)
+    return itertools.chain(["re,im\n"],
+                           _text_blocks("{!r},{!r}\n", pts.real, pts.imag))
 
 
 def write_points_csv(points, path) -> None:
     """Write complex points as ``re,im`` CSV with full round-trip precision."""
-    Path(path).write_text(format_points_csv(points))
+    blocks = _csv_blocks(points)
+    with Path(path).open("w") as fh:
+        fh.writelines(blocks)
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -289,37 +294,42 @@ def read_points_csv(path) -> np.ndarray:
     Parse failures report the file and 1-based line number.
     """
     path = Path(path)
+    # Undecodable bytes read as U+FFFD, which fails to parse on its line.
     try:
-        text = path.read_text()
+        with path.open(errors="replace") as fh:
+            header = fh.readline()
+            if header.strip() != "re,im":
+                raise ValidationError(
+                    f"{path}:1: expected header 're,im', got "
+                    f"{header.strip() if header else '<empty file>'!r}")
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns on a body of empty lines, which the
+                    # line loop rejects.
+                    warnings.simplefilter("ignore", UserWarning)
+                    xy = np.loadtxt(fh, delimiter=",", comments=None,
+                                    ndmin=2)
+            except ValueError:
+                xy = None
     except OSError as exc:
         raise ValidationError(f"cannot read points file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "re,im":
-        raise ValidationError(
-            f"{path}:1: expected header 're,im', got "
-            f"{lines[0].strip() if lines else '<empty file>'!r}")
-    body, xy = lines[1:], None
-    if any(body):  # loadtxt warns on a body of empty lines
-        try:
-            xy = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
     if xy is not None and xy.shape[1] == 2:
         # Viewed, not rebuilt as re + 1j*im, which would lose the sign of -0.0.
         return xy.view(np.complex128).ravel()
     # The line loop parses what loadtxt rejects, or names the line at fault.
     values = []
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValidationError(
-                f"{path}:{lineno}: expected two comma-separated fields")
-        try:
-            values.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    with path.open(errors="replace") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, 1, None), start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 2:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected two comma-separated fields")
+            try:
+                values.append(complex(float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if not values:
         raise ValidationError(f"{path}: no points found")
     return np.asarray(values, dtype=np.complex128)
@@ -328,8 +338,9 @@ def read_points_csv(path) -> np.ndarray:
 def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
                    ) -> None:
     """Render a persisted point cloud to SVG; empty input writes nothing."""
-    points = read_points_csv(points_file)
-    Path(out_path).write_text(svg_scatter(points, overlay_unit_circle))
+    chunks = _svg_chunks(read_points_csv(points_file), overlay_unit_circle)
+    with Path(out_path).open("w") as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, SingularUpdateError, ValidationError
 from .tolerances import rank_cutoff
@@ -182,6 +181,9 @@ def match_distance(a, b) -> float:
             f"spectra have different cardinality: {pa.size} vs {pb.size}")
     if pa.size == 0:
         return 0.0
+    # Imported here: no pipeline calls this, and importing scipy.optimize
+    # adds about 20 MB to the resident memory of every rmpoly process.
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(pa[:, None] - pb[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -149,8 +149,9 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
     if variance <= 0:
         raise ValidationError("variance must be positive")
     g = _generator(rng)
+    # Each (re, im) pair of the draw is viewed as one complex128.
     parts = g.standard_normal(tuple(shape) + (2,))
-    return (parts[..., 0] + 1j * parts[..., 1]) * np.sqrt(variance / 2.0)
+    return parts.view(np.complex128)[..., 0] * np.sqrt(variance / 2.0)
 
 
 @dataclass(eq=False)

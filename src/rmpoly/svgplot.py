@@ -8,6 +8,8 @@ library version strings leak into the output.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ValidationError
@@ -19,16 +21,26 @@ _MARGIN = 48.0
 
 _POINT_STYLE = 'class="pt" r="1.800000" fill="#1f77b4" fill-opacity="0.550000"'
 
-#: One point's element; ``{:.6f}`` formats exactly as ``_fmt`` does.
-_POINT = '<circle ' + _POINT_STYLE + ' cx="{:.6f}" cy="{:.6f}"/>'
+#: One point's line; ``{:.6f}`` formats exactly as ``_fmt`` does.
+_POINT_LINE = '<circle ' + _POINT_STYLE + ' cx="{:.6f}" cy="{:.6f}"/>\n'
 
-#: Point elements joined per block, which keeps the list of element strings
-#: short and lowers the peak memory of a large render.
+#: Points per block of text, for the scatter's point elements and the rows
+#: of a points CSV: a writer holds one block's text at a time, so its peak
+#: memory does not grow with the text of the whole file.
 _POINT_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _text_blocks(line: str, xs: np.ndarray, ys: np.ndarray):
+    """Yield ``line.format(x, y)`` over the pairs of two float arrays,
+    joined per ``_POINT_BLOCK`` pairs."""
+    for lo in range(0, xs.size, _POINT_BLOCK):
+        hi = lo + _POINT_BLOCK
+        yield "".join(map(line.format, xs[lo:hi].tolist(),
+                          ys[lo:hi].tolist()))
 
 
 def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
@@ -38,6 +50,13 @@ def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
     be overlaid (element class ``unit-circle``) since both limit laws live
     on or inside it.
     """
+    return "".join(_svg_chunks(points, overlay_unit_circle))
+
+
+def _svg_chunks(points, overlay_unit_circle: bool):
+    """The markup of ``svg_scatter`` as an iterator of text chunks, one per
+    ``_POINT_BLOCK`` points after the head.  The points are checked before
+    this returns, so a caller can open its output after the call."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if pts.size == 0:
         raise ValidationError("cannot render an empty point set")
@@ -93,9 +112,5 @@ def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
     # Elementwise, sx and sy give every coordinate the bits they give it as
     # a scalar.
     cx, cy = sx(pts.real), sy(pts.imag)
-    for lo in range(0, pts.size, _POINT_BLOCK):
-        hi = lo + _POINT_BLOCK
-        out.append("\n".join(map(_POINT.format, cx[lo:hi].tolist(),
-                                  cy[lo:hi].tolist())))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return itertools.chain(["\n".join(out) + "\n"],
+                           _text_blocks(_POINT_LINE, cx, cy), ["</svg>\n"])

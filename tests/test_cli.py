@@ -66,14 +66,15 @@ class TestEsd:
         assert np.array_equal(scaled, 4 ** -0.5 * unscaled)
 
     def test_stdout_equals_points_file_of_cell_zero(self, runner, tmp_path):
-        res = runner.invoke(main, ["esd", "--n", "4", "--k", "3",
-                                   "--trials", "2", "--seed", "3"])
+        # 8800 points: three blocks of rows, the last one partial.
+        res = runner.invoke(main, ["esd", "--n", "4", "--k", "2",
+                                   "--trials", "1100", "--seed", "3"])
         assert res.exit_code == 0
-        cfg = ExperimentConfig(regime="grow-n", n_values=(4,), k_values=(3,),
-                               target_points=24, seed=3,
+        cfg = ExperimentConfig(regime="grow-n", n_values=(4,), k_values=(2,),
+                               target_points=8800, seed=3,
                                output_dir=str(tmp_path))
         (cell,) = run_grow_n(cfg).cells
-        assert cell.trials == 2
+        assert cell.trials == 1100
         assert res.stdout_bytes == (tmp_path / cell.points_file).read_bytes()
 
     def test_nonpositive_trials_exit_one(self, runner):

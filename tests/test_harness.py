@@ -1,17 +1,21 @@
 """Experiment harness: config validation, persistence, runs, verification."""
 
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from rmpoly import (DiscMixture, EmpiricalSpectralDistribution,
                     ExperimentConfig, RngStream, ValidationError,
                     distance_report, export_result, read_points_csv,
                     render_scatter, run_experiment, run_grow_k, run_grow_n,
                     run_verification, svg_scatter, write_points_csv)
-from rmpoly import harness, svgplot
+from rmpoly import cli, harness, svgplot
 from rmpoly.harness import SCHEMA_VERSION
 
 
@@ -238,11 +242,34 @@ class TestPointsCsv:
         with pytest.raises(ValidationError, match="re,im"):
             read_points_csv(path)
 
+    def test_undecodable_bytes_report_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"re,im\n1.0,2.0\n\xff\xfe,1.0\n")
+        with pytest.raises(ValidationError, match=r":3:"):
+            read_points_csv(path)
+
+    def test_bad_line_past_first_block_reports_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("re,im\n" + "0.5,-0.25\n" * 4999 + "0.5,foo\n"
+                        + "0.5,-0.25\n" * 10)
+        with pytest.raises(ValidationError, match=r":5001:"):
+            read_points_csv(path)
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("re,im\n")
-        with pytest.raises(ValidationError, match="no points"):
-            read_points_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on empty input
+            with pytest.raises(ValidationError, match="no points"):
+                read_points_csv(path)
+
+    def test_blank_body_rejected(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("re,im\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no points"):
+                read_points_csv(path)
 
 
 def _reference_csv(points) -> str:
@@ -303,7 +330,17 @@ class TestBulkFormatting:
         path = tmp_path / "pts.csv"
         write_points_csv(pts, path)
         assert path.read_text() == _reference_csv(pts)
-        assert harness.format_points_csv(pts) == _reference_csv(pts)
+        back = read_points_csv(path)
+        assert back.view(np.uint64).tolist() == pts.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("count", _COUNTS)
+    def test_esd_stdout_matches_per_point_formula(self, monkeypatch, count):
+        pts = _points_at_count(count, _EDGE_POINTS)
+        monkeypatch.setattr(cli, "pooled_esd",
+                            lambda *_args: SimpleNamespace(points=pts))
+        res = CliRunner().invoke(cli.main, ["esd", "--n", "1", "--k", "1"])
+        assert res.exit_code == 0
+        assert res.stdout == _reference_csv(pts)
 
     @pytest.mark.parametrize("count", _COUNTS)
     def test_svg_points_match_per_point_formula(self, count):
@@ -365,6 +402,48 @@ class TestRenderScatter:
     def test_nonfinite_points_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
             svg_scatter([np.nan + 0j])
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes of traced allocations while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedPointFiles:
+    """At 2e5 points, writing, reading and rendering a points file holds
+    far less memory than the text of the file it handles."""
+
+    COUNT = 200_000
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        g = np.random.default_rng(5)
+        return g.standard_normal(2 * self.COUNT).view(np.complex128)
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory, points):
+        path = tmp_path_factory.mktemp("stream") / "pts.csv"
+        write_points_csv(points, path)
+        return path
+
+    def test_write_peak_below_quarter_of_csv(self, tmp_path, points,
+                                             csv_path):
+        peak = _traced_peak(write_points_csv, points, tmp_path / "pts.csv")
+        assert peak < csv_path.stat().st_size / 4
+
+    def test_read_peak_below_csv(self, csv_path):
+        peak = _traced_peak(read_points_csv, csv_path)
+        assert peak < csv_path.stat().st_size
+
+    def test_render_peak_below_half_of_svg(self, tmp_path, csv_path):
+        out = tmp_path / "plot.svg"
+        peak = _traced_peak(render_scatter, csv_path, out)
+        assert peak < out.stat().st_size / 2
 
 
 class TestRunGrowN:
