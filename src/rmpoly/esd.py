@@ -106,7 +106,7 @@ def radial_cdf(law: LimitLaw, r):
     Right-continuous; for the mixture the origin atom is included at r = 0.
     """
     arr = np.asarray(r, dtype=np.float64)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValidationError("radial_cdf needs r >= 0")
     out = law.cdf(arr)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
@@ -234,7 +234,7 @@ def angular_ks(esd: EmpiricalSpectralDistribution,
     depends on the branch-cut origin; it is a convergence diagnostic, not a
     rotation-free test statistic.
     """
-    if exclusion_radius < 0:
+    if not exclusion_radius >= 0:
         raise ValidationError("exclusion_radius must be >= 0")
     pts = esd.points[np.abs(esd.points) > exclusion_radius]
     if pts.size == 0:
@@ -284,8 +284,8 @@ def annulus_sector_discrepancy(esd: EmpiricalSpectralDistribution,
 
 def atom_mass(esd: EmpiricalSpectralDistribution, radius: float) -> float:
     """Fraction of points with modulus <= radius (origin-cluster proxy)."""
-    if radius <= 0:
-        raise ValidationError("atom radius must be positive")
+    if not radius > 0:
+        raise ValidationError(f"atom radius must be positive, got {radius}")
     return float(np.mean(np.abs(esd.points) <= radius))
 
 

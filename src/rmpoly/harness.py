@@ -30,7 +30,6 @@ import math
 import operator
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -385,7 +384,11 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    pool = None
+    if cfg.workers > 1:
+        # Imported here: a one-worker run does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(cfg.workers)
     try:
         for idx, (n, k) in enumerate(cfg.cells()):
             start = time.monotonic()

@@ -13,8 +13,11 @@ Conventions used throughout the package:
 
 The heavy factorizations (singular values, eigenvalues, and the LU
 factorization behind the log-determinant) delegate to LAPACK through
-numpy/scipy.  This module pins the contracts, tolerances, and error
-behaviour on top of those kernels; everything above it is pure Python.
+numpy.  scipy is imported only by the ``gesvd`` fallback of
+``singular_values`` and by ``match_distance``, which no pipeline reaches,
+so an rmpoly process loads numpy and nothing heavier.  This module pins
+the contracts, tolerances, and error behaviour on top of those kernels;
+everything above it is pure Python.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, SingularUpdateError, ValidationError
 from .tolerances import rank_cutoff
@@ -92,6 +94,8 @@ def singular_values(x) -> np.ndarray:
     except np.linalg.LinAlgError:
         # numpy calls LAPACK's gesdd; the fallback is the slower but more
         # robust gesvd, since another gesdd call would fail the same way.
+        # Imported here, as in match_distance: no workload gets here.
+        import scipy.linalg
         try:
             rows = [scipy.linalg.svd(m, compute_uv=False,
                                      lapack_driver="gesvd")

@@ -145,9 +145,11 @@ def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
     """I.i.d. complex Gaussians with ``E|X|^2 = variance``.
 
     Real and imaginary parts are independent N(0, variance / 2).
+    ``variance`` must be a positive finite real.
     """
-    if variance <= 0:
-        raise ValidationError("variance must be positive")
+    if not (_is_number(variance) and 0 < variance < np.inf):
+        raise ValidationError(
+            f"variance must be a positive finite number, got {variance!r}")
     g = _generator(rng)
     # Each (re, im) pair of the draw is viewed as one complex128.
     parts = g.standard_normal(tuple(shape) + (2,))

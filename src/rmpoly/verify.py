@@ -30,6 +30,7 @@ margin of the trial.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import warnings
@@ -106,8 +107,8 @@ class LemmaCheckConfig:
     """Sweep layout for the probabilistic lemma suites.
 
     ``sizes`` lists (n, k) cells, each run for ``trials`` trials; ``z`` is
-    the spectral shift, any complex number type but bool, stored as a
-    Python complex.  The bound constants are the module constants above.
+    the spectral shift, any finite complex number type but bool, stored as
+    a Python complex.  The bound constants are the module constants above.
     """
 
     z: complex
@@ -119,6 +120,8 @@ class LemmaCheckConfig:
             raise ValidationError(
                 f"shift z must be a complex number, got {self.z!r}")
         object.__setattr__(self, "z", complex(self.z))
+        if not cmath.isfinite(self.z):
+            raise ValidationError(f"shift z must be finite, got {self.z!r}")
         _count(self.trials, "trials")
         if not self.sizes:
             raise ValidationError("sizes must be nonempty")
@@ -409,7 +412,7 @@ def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
     probability while preserving monotonicity in ``tau``.
     """
     n, big_n = _rect_sizes(n, big_n)
-    if tau < 0:
+    if not tau >= 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     if tau == 0.0:
         return 0.0
@@ -431,7 +434,7 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     closed-form bound's convention).
     """
     n, big_n = _rect_sizes(n, big_n)
-    if tau < 0:
+    if not tau >= 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     r_d = np.zeros((n, big_n), dtype=np.complex128) if r_deterministic is None \
         else np.asarray(r_deterministic, dtype=np.complex128)
@@ -560,8 +563,9 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
     if not 1 <= from_index <= dim + 1:
         raise ValidationError(
             f"from_index must lie in [1, {dim + 1}], got {from_index}")
-    if normalizer <= 0:
-        raise ValidationError("normalizer must be positive")
+    if not 0 < normalizer < math.inf:
+        raise ValidationError(
+            f"normalizer must be positive and finite, got {normalizer}")
     if from_index == dim + 1:
         return 0.0
     tail = singular_values(a)[from_index - 1:]

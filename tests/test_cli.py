@@ -323,6 +323,19 @@ class TestVerify:
         assert "lemma suites done" not in res.stderr
         assert entered == []
 
+    @pytest.mark.parametrize("shift", ["nan", "inf", "0.5,nan"])
+    def test_non_finite_shift_exits_before_any_suite(self, runner,
+                                                     monkeypatch, shift):
+        entered = []
+        monkeypatch.setattr("rmpoly.verify._companions",
+                            lambda *a: entered.append(a) or iter(()))
+        res = runner.invoke(main, ["verify", "--z", "0.5", "--z", shift,
+                                   "--instances", "5", "--mc-trials", "50"])
+        assert res.exit_code == 1
+        assert "shift z must be finite" in res.stderr
+        assert "lemma suites done" not in res.stderr
+        assert entered == []
+
     def test_zero_shift_exits_one(self, runner):
         res = runner.invoke(main, self.SMALL + ["--z", "0", "--z", "0.5"])
         assert res.exit_code == 1

@@ -12,6 +12,7 @@ from rmpoly import (
     LemmaReport,
     RngStream,
     ValidationError,
+    atom_mass,
     beta_projection_check,
     check_circulant_shift_bounds,
     check_lowrank_interlacing,
@@ -28,6 +29,7 @@ from rmpoly import (
     lemma_suite_grow_n,
     mc_pseudoinverse_tail,
     pseudoinverse_tail_bound,
+    radial_cdf,
     replacement_gap,
     sample_monic_gaussian,
     sample_points,
@@ -76,8 +78,10 @@ class TestLemmaCheckConfig:
         with pytest.raises(ValidationError):
             LemmaCheckConfig(z=0.5, sizes=sizes)
 
-    @pytest.mark.parametrize("z", ["0.5", True, np.True_, None],
-                             ids=["str", "bool", "numpy-bool", "none"])
+    @pytest.mark.parametrize("z", ["0.5", True, np.True_, None, math.nan,
+                                   math.inf, complex(0.5, math.nan)],
+                             ids=["str", "bool", "numpy-bool", "none", "nan",
+                                  "inf", "nan-imag"])
     def test_non_complex_shift_rejected(self, z):
         with pytest.raises(ValidationError, match="shift z"):
             LemmaCheckConfig(z=z, sizes=((2, 8),))
@@ -661,4 +665,20 @@ class TestGrowKSuite:
         "tail_split-n", "pinv_bound-n", "disc_mixture-k"])
 def test_non_integer_sizes_and_counts_rejected(call):
     with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complex_gaussian(RngStream(1), (2, 2), variance=math.nan),
+    lambda: complex_gaussian(RngStream(1), (2, 2), variance="1"),
+    lambda: pseudoinverse_tail_bound(2, 6, math.nan),
+    lambda: mc_pseudoinverse_tail(2, 6, math.nan, None, 10, RngStream(1)),
+    lambda: tail_log_sum(np.eye(3), 0.5, 1, math.nan),
+    lambda: atom_mass(pooled_esd("grow-n", 2, 2, [RngStream(1)]), math.nan),
+    lambda: radial_cdf(DiscMixture(2), math.nan),
+], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
+        "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r"])
+def test_nan_and_mistyped_thresholds_rejected(call):
+    # NaN compares false both ways, so each guard is stated positively.
+    with pytest.raises(ValidationError):
         call()
