@@ -4,6 +4,8 @@ For each shape it draws a few monic Gaussian polynomials and measures, in
 process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
 companion matrix and running dense ``eigvals`` on it.  A solve that falls
 back to dense is charged both times, as ``finite_eigenvalues`` would be.
+``peak_mb`` is the traced peak (``tracemalloc``, 2**20 bytes) of one extra,
+untimed Aberth solve.
 Its table is the measurement behind ``matpoly._ABERTH_MIN_KN`` and
 ``_ABERTH_MAX_N``.  Run it from the repository root; it imports rmpoly
 from ``src/``:
@@ -18,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # OpenBLAS reads these when it is loaded, so they are set before numpy.
@@ -55,6 +58,15 @@ def _cpu_seconds(fn):
             return total / runs, out
 
 
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--draws", type=int, default=3,
@@ -67,7 +79,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     shapes = SHAPES if args.skip_large else SHAPES + [LARGE_SHAPE]
     print(f"{'n':>3} {'k':>4} {'kn':>5}  {'aberth_s':>9} {'dense_s':>9} "
-          f"{'dense/aberth':>12}")
+          f"{'dense/aberth':>12} {'peak_mb':>8}")
     for n, k in shapes:
         ratios = []
         for d in range(args.draws):
@@ -75,13 +87,15 @@ def main(argv=None) -> int:
             t_aberth, lam = _cpu_seconds(
                 lambda: _aberth_eigenvalues(p.stack))
             t_dense, _ = _cpu_seconds(lambda: eigenvalues(companion(p)))
+            peak = _traced_peak_mb(lambda: _aberth_eigenvalues(p.stack))
             note = ""
             if lam is None:
                 t_aberth += t_dense
                 note = "  (fell back)"
             ratios.append(t_dense / t_aberth)
             print(f"{n:>3} {k:>4} {k * n:>5}  {t_aberth:>9.4f} "
-                  f"{t_dense:>9.4f} {ratios[-1]:>12.2f}{note}", flush=True)
+                  f"{t_dense:>9.4f} {ratios[-1]:>12.2f} {peak:>8.2f}{note}",
+                  flush=True)
         print(f"{n:>3} {k:>4} {k * n:>5}  median dense/aberth "
               f"{np.median(ratios):.2f}", flush=True)
     return 0

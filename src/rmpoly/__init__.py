@@ -6,6 +6,15 @@ dimension-fixed/degree-grown), and numerical verification of the
 singular-value bounds underpinning both limits.
 """
 
+import os
+
+# BLAS reads its thread count when numpy loads it, so this runs before any
+# import of numpy: one BLAS thread per process unless the user set a count.
+# A program that imported numpy before rmpoly keeps numpy's count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (ConvergenceError, NumericalError, SingularUpdateError,
                      ValidationError)
 from .esd import (DiscMixture, DistanceReport, EmpiricalSpectralDistribution,

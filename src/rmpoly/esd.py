@@ -31,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .matpoly import (MatrixPolynomial, _count, _generator,
+from .matpoly import (MatrixPolynomial, _count, _generator, _is_number,
                       finite_eigenvalues)
 
 __all__ = [
@@ -101,14 +101,15 @@ LimitLaw = Union[DiscMixture, UnitCircle]
 
 
 def radial_cdf(law: LimitLaw, r):
-    """CDF of the modulus under ``law``; accepts a scalar or array ``r >= 0``.
+    """CDF of the modulus under ``law``; accepts a real scalar or array
+    ``r >= 0``.
 
     Right-continuous; for the mixture the origin atom is included at r = 0.
     """
-    arr = np.asarray(r, dtype=np.float64)
-    if not np.all(arr >= 0):
-        raise ValidationError("radial_cdf needs r >= 0")
-    out = law.cdf(arr)
+    arr = np.asarray(r)
+    if arr.dtype.kind not in "iuf" or not np.all(arr >= 0):
+        raise ValidationError("radial_cdf needs real numbers r >= 0")
+    out = law.cdf(arr.astype(np.float64, copy=False))
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
@@ -284,8 +285,9 @@ def annulus_sector_discrepancy(esd: EmpiricalSpectralDistribution,
 
 def atom_mass(esd: EmpiricalSpectralDistribution, radius: float) -> float:
     """Fraction of points with modulus <= radius (origin-cluster proxy)."""
-    if not radius > 0:
-        raise ValidationError(f"atom radius must be positive, got {radius}")
+    if not (_is_number(radius) and radius > 0):
+        raise ValidationError(
+            f"atom radius must be a positive real number, got {radius!r}")
     return float(np.mean(np.abs(esd.points) <= radius))
 
 

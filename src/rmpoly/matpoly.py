@@ -285,10 +285,17 @@ _ABERTH_TOL = 1e-10
 #: shapes above need 9-31.
 _ABERTH_MAX_ITER = 60
 
-#: Rows per block of the Aberth sum and of the power table, which bounds
-#: their buffers at ``_ABERTH_BLOCK * kn`` and ``_ABERTH_BLOCK * (k + 1)``
-#: entries.
+#: Points per block of ``_log_derivative``: its power table holds
+#: ``_ABERTH_BLOCK * (k + 1)`` entries, and each block's ``n x n`` values
+#: and derivatives are solved before the next block is formed.  The table
+#: keeps a fixed row count because zgemm's blocking, and with it the last
+#: bits of ``P(x)``, follows the row count.
 _ABERTH_BLOCK = 256
+
+#: Complex entries per block of the Aberth pull ``sum_j 1/(x_i - x_j)``
+#: (512 KB), so its buffer does not grow with kn; a block holds
+#: ``max(1, _ABERTH_PULL_ENTRIES // kn)`` rows, each summed on its own.
+_ABERTH_PULL_ENTRIES = 2 ** 15
 
 
 def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
@@ -298,7 +305,9 @@ def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
     polynomial ``sum_j stack[k - j] x^j`` instead.  Per block of
     ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V, so
     ``P(x) = V C`` and ``P'(x) = V[:, :k] (j C_j)_{j=1..k}`` are two
-    matrix products against the flattened coefficients.  Callers keep
+    matrix products against the flattened coefficients, and the block's
+    ``n x n`` solves follow at once: the working set is one block's table,
+    values and derivatives, whatever ``x.size`` is.  Callers keep
     ``|x| <= 1``, so every power is at most 1 and the rounding error is of
     the order of Horner's.  The second result flags the points where
     ``P(x)`` is exactly singular, whose trace is left 0.
@@ -306,29 +315,25 @@ def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
     k, n = stack.shape[0] - 1, stack.shape[1]
     coeffs = (stack[::-1] if reverse else stack).reshape(k + 1, n * n)
     slopes = np.arange(1, k + 1)[:, None] * coeffs[1:]
-    val = np.empty((x.size, n * n), dtype=np.complex128)
-    der = np.empty_like(val)
+    trace = np.zeros(x.size, dtype=np.complex128)
+    singular = np.zeros(x.size, dtype=bool)
     for lo in range(0, x.size, _ABERTH_BLOCK):
         xb = x[lo:lo + _ABERTH_BLOCK]
         powers = np.empty((xb.size, k + 1), dtype=np.complex128)
         powers[:, 0] = 1.0
         powers[:, 1:] = xb[:, None]
         np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
-        np.matmul(powers, coeffs, out=val[lo:lo + xb.size])
-        np.matmul(powers[:, :k], slopes, out=der[lo:lo + xb.size])
-    val = val.reshape(x.size, n, n)
-    der = der.reshape(x.size, n, n)
-    singular = np.zeros(x.size, dtype=bool)
-    try:
-        return np.einsum("mii->m", np.linalg.solve(val, der)), singular
-    except np.linalg.LinAlgError:
-        pass
-    trace = np.zeros(x.size, dtype=np.complex128)
-    for i in range(x.size):
+        val = (powers @ coeffs).reshape(xb.size, n, n)
+        der = (powers[:, :k] @ slopes).reshape(xb.size, n, n)
         try:
-            trace[i] = np.trace(np.linalg.solve(val[i], der[i]))
+            trace[lo:lo + xb.size] = np.einsum(
+                "mii->m", np.linalg.solve(val, der))
         except np.linalg.LinAlgError:
-            singular[i] = True
+            for i in range(xb.size):
+                try:
+                    trace[lo + i] = np.trace(np.linalg.solve(val[i], der[i]))
+                except np.linalg.LinAlgError:
+                    singular[lo + i] = True
     return trace, singular
 
 
@@ -340,9 +345,14 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     the reversed polynomial ``Q(y) = y^k P(1/y)`` at ``y = 1/x`` instead,
     using ``tr(P^{-1} P')(x) = kn y - y^2 tr(Q^{-1} Q')(y)``.  A root where
     ``P(x)`` is exactly singular takes a zero step.  Start points lie on the
-    circle of radius ``|det C_0|^{1/kn}``.  Returns None when a root is
-    non-finite, when the sweeps run out, or when the roots break the trace
-    identity ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
+    circle of radius ``|det C_0|^{1/kn}``.  The pull ``sum_j 1/(x_i - x_j)``
+    is formed in blocks of ``_ABERTH_PULL_ENTRIES`` entries and
+    ``_log_derivative`` in blocks of ``_ABERTH_BLOCK`` points, so apart
+    from O(kn) vectors the working set does not grow with kn.  Each pull
+    row is summed on its own, so the pull's block size moves no bit of the
+    roots.  Returns None when a root is non-finite, when the sweeps run
+    out, or when the roots break the trace identity
+    ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
     k, n = coeffs.shape[:2]
     kn = k * n
@@ -353,7 +363,8 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + 0.25) / kn)
     active = np.ones(kn, dtype=bool)
-    buffer = np.empty((min(kn, _ABERTH_BLOCK), kn), dtype=np.complex128)
+    block = min(kn, max(1, _ABERTH_PULL_ENTRIES // kn))
+    buffer = np.empty((block, kn), dtype=np.complex128)
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
             idx = np.flatnonzero(active)
@@ -372,8 +383,8 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
                 trace[~inner] = kn * y - y * y * rev
             newton = np.where(singular, 0.0, 1.0 / trace)
             pull = np.empty(idx.size, dtype=np.complex128)
-            for lo in range(0, idx.size, _ABERTH_BLOCK):
-                rows = idx[lo:lo + _ABERTH_BLOCK]
+            for lo in range(0, idx.size, block):
+                rows = idx[lo:lo + block]
                 diff = buffer[:rows.size]
                 np.subtract(x[rows, None], x, out=diff)
                 diff[np.arange(rows.size), rows] = np.inf

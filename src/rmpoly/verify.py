@@ -42,7 +42,7 @@ from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
 from .linalg import log_abs_det, singular_values, woodbury_inverse
 from .matpoly import (RngStream, _companion_stack, _count, _generator,
-                      _index, _sizes, _trial_coefficients,
+                      _index, _is_number, _sizes, _trial_coefficients,
                       circulant_b_eigenvalues, circulant_matrix,
                       complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
@@ -96,10 +96,10 @@ CONSTANT_R = 3.0
 #: sweeps.
 _UPDATE_RANK = 1
 
-#: Matrix entries per batch of the Monte Carlo tail checks (2 MB of complex
-#: draws); this bounds their temporaries.  Batches are filled in sequence
-#: from one generator, so the draws do not depend on it.
-_MC_CHUNK_ENTRIES = 2 ** 17
+#: Matrix entries per batch of the Monte Carlo tail checks (512 KB of
+#: complex draws); this bounds their temporaries.  Batches are filled in
+#: sequence from one generator, so the draws do not depend on it.
+_MC_CHUNK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -412,8 +412,8 @@ def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
     probability while preserving monotonicity in ``tau``.
     """
     n, big_n = _rect_sizes(n, big_n)
-    if not tau >= 0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
+    if not (_is_number(tau) and tau >= 0):
+        raise ValidationError(f"tau must be a real number >= 0, got {tau!r}")
     if tau == 0.0:
         return 0.0
     q = big_n - n + 1
@@ -434,8 +434,8 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     closed-form bound's convention).
     """
     n, big_n = _rect_sizes(n, big_n)
-    if not tau >= 0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
+    if not (_is_number(tau) and tau >= 0):
+        raise ValidationError(f"tau must be a real number >= 0, got {tau!r}")
     r_d = np.zeros((n, big_n), dtype=np.complex128) if r_deterministic is None \
         else np.asarray(r_deterministic, dtype=np.complex128)
     if r_d.shape != (n, big_n):
@@ -469,6 +469,9 @@ def gaussian_norm_tail(n: int, a_threshold: float, trials: int,
     """Frequency of ``||X|| > a_threshold * sqrt(n)`` for n x n standard
     complex Gaussian matrices (entry variance 1)."""
     n = _count(n, "n")
+    if not (_is_number(a_threshold) and 0 <= a_threshold < math.inf):
+        raise ValidationError(f"a_threshold must be a finite real number "
+                              f">= 0, got {a_threshold!r}")
     thr = a_threshold * math.sqrt(n)
     return _tail_frequency(
         (n, n), 1.0, trials, rng,
@@ -563,9 +566,9 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
     if not 1 <= from_index <= dim + 1:
         raise ValidationError(
             f"from_index must lie in [1, {dim + 1}], got {from_index}")
-    if not 0 < normalizer < math.inf:
+    if not (_is_number(normalizer) and 0 < normalizer < math.inf):
         raise ValidationError(
-            f"normalizer must be positive and finite, got {normalizer}")
+            f"normalizer must be positive and finite, got {normalizer!r}")
     if from_index == dim + 1:
         return 0.0
     tail = singular_values(a)[from_index - 1:]

@@ -1,7 +1,6 @@
 """Experiment harness: config validation, persistence, runs, verification."""
 
 import json
-import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -404,16 +403,6 @@ class TestRenderScatter:
             svg_scatter([np.nan + 0j])
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes of traced allocations while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamedPointFiles:
     """At 2e5 points, writing, reading and rendering a points file holds
     far less memory than the text of the file it handles."""
@@ -432,17 +421,18 @@ class TestStreamedPointFiles:
         return path
 
     def test_write_peak_below_quarter_of_csv(self, tmp_path, points,
-                                             csv_path):
-        peak = _traced_peak(write_points_csv, points, tmp_path / "pts.csv")
+                                             csv_path, traced_peak):
+        peak = traced_peak(write_points_csv, points, tmp_path / "pts.csv")
         assert peak < csv_path.stat().st_size / 4
 
-    def test_read_peak_below_csv(self, csv_path):
-        peak = _traced_peak(read_points_csv, csv_path)
+    def test_read_peak_below_csv(self, csv_path, traced_peak):
+        peak = traced_peak(read_points_csv, csv_path)
         assert peak < csv_path.stat().st_size
 
-    def test_render_peak_below_half_of_svg(self, tmp_path, csv_path):
+    def test_render_peak_below_half_of_svg(self, tmp_path, csv_path,
+                                           traced_peak):
         out = tmp_path / "plot.svg"
-        peak = _traced_peak(render_scatter, csv_path, out)
+        peak = traced_peak(render_scatter, csv_path, out)
         assert peak < out.stat().st_size / 2
 
 

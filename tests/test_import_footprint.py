@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _HEAVY = """
@@ -97,3 +99,22 @@ def test_gesvd_fallback_loads_scipy_linalg_on_demand():
     assert out["before"] == []
     assert "scipy.linalg" in out["after"]
     assert out["error"] <= 1e-13
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
+def test_blas_runs_one_thread_unless_the_user_set_a_count(preset):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import json, os, rmpoly, numpy\n"
+              f"print(json.dumps({{v: os.environ[v] for v in {_BLAS_VARS}}}))")
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"OPENBLAS_NUM_THREADS": preset or "1",
+                                      "OMP_NUM_THREADS": "1",
+                                      "MKL_NUM_THREADS": "1"}

@@ -460,6 +460,31 @@ class TestLogDerivative:
         assert backward_error(p, lam).max() <= 100.0 * kn_eps
 
 
+class TestAberthWorkingSet:
+    """The pull buffer is bounded by ``_ABERTH_PULL_ENTRIES``, not by kn,
+    and no budget moves a bit of the roots."""
+
+    @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
+    @pytest.mark.parametrize("entries", [1, 2 ** 30])
+    def test_roots_independent_of_pull_budget(self, monkeypatch, n, k,
+                                              entries):
+        # Blocks of one row, and one block of all kn rows.
+        p = sample_monic_gaussian(n, k, RngStream(38, (n, k)))
+        ref = matpoly._aberth_eigenvalues(p.stack)
+        monkeypatch.setattr(matpoly, "_ABERTH_PULL_ENTRIES", entries)
+        got = matpoly._aberth_eigenvalues(p.stack)
+        assert ref is not None
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+
+    @pytest.mark.parametrize("n,k,mib", [(4, 512, 6), (16, 32, 5)])
+    def test_traced_peak_of_one_solve(self, traced_peak, n, k, mib):
+        # One solve peaks at about 5.2 MiB (n=4, k=512) and 4.0 MiB
+        # (n=16, k=32): a pull block, a power table and a block of P, P'.
+        p = sample_monic_gaussian(n, k, RngStream(39, (n, k)))
+        peak = traced_peak(matpoly._aberth_eigenvalues, p.stack)
+        assert peak <= mib * 2 ** 20
+
+
 class TestAccuracyChecks:
     def test_trace_error_of_exact_roots_is_zero(self):
         p = _scalar_poly(2.0, -3.0)  # (x - 1)(x - 2)

@@ -676,8 +676,20 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: tail_log_sum(np.eye(3), 0.5, 1, math.nan),
     lambda: atom_mass(pooled_esd("grow-n", 2, 2, [RngStream(1)]), math.nan),
     lambda: radial_cdf(DiscMixture(2), math.nan),
+    lambda: gaussian_norm_tail(4, math.nan, 10, RngStream(1)),
+    lambda: gaussian_norm_tail(4, math.inf, 10, RngStream(1)),
+    lambda: gaussian_norm_tail(4, "3", 10, RngStream(1)),
+    lambda: radial_cdf(DiscMixture(2), "0.5"),
+    lambda: radial_cdf(DiscMixture(2), ["0.5", "1"]),
+    lambda: pseudoinverse_tail_bound(2, 6, "0.1"),
+    lambda: mc_pseudoinverse_tail(2, 6, "0.1", None, 10, RngStream(1)),
+    lambda: atom_mass(pooled_esd("grow-n", 2, 2, [RngStream(1)]), "0.1"),
+    lambda: tail_log_sum(np.eye(3), 0.5, 1, "3"),
 ], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
-        "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r"])
+        "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r",
+        "norm_tail-nan", "norm_tail-inf", "norm_tail-str", "radial_cdf-str",
+        "radial_cdf-str-array", "pinv_bound-str", "pinv_tail-str",
+        "atom_mass-str", "tail_log_sum-str"])
 def test_nan_and_mistyped_thresholds_rejected(call):
     # NaN compares false both ways, so each guard is stated positively.
     with pytest.raises(ValidationError):
