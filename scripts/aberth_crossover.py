@@ -4,8 +4,12 @@ For each shape it draws a few monic Gaussian polynomials and measures, in
 process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
 companion matrix and running dense ``eigvals`` on it.  A solve that falls
 back to dense is charged both times, as ``finite_eigenvalues`` would be.
-``peak_mb`` is the traced peak (``tracemalloc``, 2**20 bytes) of one extra,
-untimed Aberth solve.
+One extra, untimed Aberth solve per draw counts its sweeps (calls of
+``matpoly._aberth_pull``, one per sweep) and its root evaluations per root
+(points passed to ``matpoly._log_derivative``, over kn), by wrapping both
+functions here; ``dist`` is the paired distance (``match_distance``) of
+its roots to the dense spectrum.  ``peak_mb`` is the traced peak
+(``tracemalloc``, 2**20 bytes) of one more untimed solve.
 Its table is the measurement behind ``matpoly._ABERTH_MIN_KN`` and
 ``_ABERTH_MAX_N``.  Run it from the repository root; it imports rmpoly
 from ``src/``:
@@ -30,12 +34,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from rmpoly.linalg import eigenvalues  # noqa: E402
+from rmpoly import matpoly  # noqa: E402
+from rmpoly.linalg import eigenvalues, match_distance  # noqa: E402
 from rmpoly.matpoly import (RngStream, _aberth_eigenvalues,  # noqa: E402
                             companion, sample_monic_gaussian)
 
-#: Shapes with k >= 2n at kn in {64, 96, 128, 256}.
-SHAPES = [(1, 64), (2, 32), (4, 16),
+#: Shapes with k >= 2n at kn in {32, 48, 64, 80, 96, 128, 256}.
+SHAPES = [(1, 32), (2, 16),
+          (1, 48), (2, 24), (4, 12),
+          (1, 64), (2, 32), (4, 16),
+          (1, 80), (2, 40), (4, 20),
           (1, 96), (2, 48), (4, 24),
           (1, 128), (2, 64), (4, 32), (8, 16),
           (1, 256), (2, 128), (4, 64), (8, 32)]
@@ -67,6 +75,29 @@ def _traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def _counted_solve(coeffs):
+    """Sweeps of one Aberth solve and the points it evaluated."""
+    counts = {"sweeps": 0, "points": 0}
+    pull, log_derivative = matpoly._aberth_pull, matpoly._log_derivative
+
+    def counted_pull(x, idx):
+        counts["sweeps"] += 1
+        return pull(x, idx)
+
+    def counted_log_derivative(stack, x, reverse):
+        counts["points"] += x.size
+        return log_derivative(stack, x, reverse)
+
+    matpoly._aberth_pull = counted_pull
+    matpoly._log_derivative = counted_log_derivative
+    try:
+        _aberth_eigenvalues(coeffs)
+    finally:
+        matpoly._aberth_pull = pull
+        matpoly._log_derivative = log_derivative
+    return counts["sweeps"], counts["points"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--draws", type=int, default=3,
@@ -79,22 +110,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     shapes = SHAPES if args.skip_large else SHAPES + [LARGE_SHAPE]
     print(f"{'n':>3} {'k':>4} {'kn':>5}  {'aberth_s':>9} {'dense_s':>9} "
-          f"{'dense/aberth':>12} {'peak_mb':>8}")
+          f"{'dense/aberth':>12} {'sweeps':>6} {'evals':>6} {'dist':>8} "
+          f"{'peak_mb':>8}")
     for n, k in shapes:
         ratios = []
         for d in range(args.draws):
             p = sample_monic_gaussian(n, k, RngStream(args.seed, (n, k, d)))
             t_aberth, lam = _cpu_seconds(
                 lambda: _aberth_eigenvalues(p.stack))
-            t_dense, _ = _cpu_seconds(lambda: eigenvalues(companion(p)))
+            t_dense, dense = _cpu_seconds(
+                lambda: eigenvalues(companion(p)))
+            sweeps, points = _counted_solve(p.stack)
             peak = _traced_peak_mb(lambda: _aberth_eigenvalues(p.stack))
-            note = ""
+            note, dist = "", "-"
             if lam is None:
                 t_aberth += t_dense
                 note = "  (fell back)"
+            else:
+                dist = f"{match_distance(lam, dense):.1e}"
             ratios.append(t_dense / t_aberth)
             print(f"{n:>3} {k:>4} {k * n:>5}  {t_aberth:>9.4f} "
-                  f"{t_dense:>9.4f} {ratios[-1]:>12.2f} {peak:>8.2f}{note}",
+                  f"{t_dense:>9.4f} {ratios[-1]:>12.2f} {sweeps:>6} "
+                  f"{points / (k * n):>6.1f} {dist:>8} {peak:>8.2f}{note}",
                   flush=True)
         print(f"{n:>3} {k:>4} {k * n:>5}  median dense/aberth "
               f"{np.median(ratios):.2f}", flush=True)

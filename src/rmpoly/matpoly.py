@@ -8,11 +8,12 @@ stored as the coefficient list ``C_0, ..., C_{k-1}`` with the leading
 coefficient implicitly the identity.  Its kn finite eigenvalues are the
 roots of ``det P(x)``.  ``trial_eigenvalues`` alone chooses the solver, for
 a stack of trials; ``finite_eigenvalues`` is its one-trial case.
-Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 128``) are solved
+Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 80``) are solved
 by Ehrlich-Aberth iteration on ``det P``.  A sweep evaluates P and P' at all
-kn roots as two matrix products against the flattened coefficients, then
-solves kn small n x n systems, which is cheaper there than dense QR at
-O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  A trial
+kn roots as one matrix product against the flattened coefficients and
+their slopes, solves kn small n x n systems, and forms the pull between
+roots once per pair of active roots, which is cheaper there than dense QR
+at O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  A trial
 that fails its self-check falls back to the dense route.  Every other shape
 takes the spectrum of the block companion matrix
 
@@ -264,16 +265,16 @@ def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
 
 
 #: Shapes solved by Ehrlich-Aberth iteration: ``k >= 2n``, ``n`` at most
-#: ``_ABERTH_MAX_N`` and ``kn`` at least ``_ABERTH_MIN_KN``.  Both were set
-#: when the iteration evaluated P by Horner's scheme and took 1.1-2.3x as
-#: long as dense at kn = 64.  ``scripts/aberth_crossover.py`` (one BLAS
-#: thread, three draws per shape, against building the companion and
-#: running dense ``eigvals`` on it) now gives, as dense time over Aberth
-#: time (medians): kn = 64: 1.35-1.73; kn = 96: 3.1-4.2; kn = 128: 2.3-6.1
-#: (2.3 at n = 8, k = 16); kn = 256: 5.5-14; n = 4, k = 512: about 40.
+#: ``_ABERTH_MAX_N`` and ``kn`` at least ``_ABERTH_MIN_KN``, the smallest kn
+#: of ``scripts/aberth_crossover.py`` (one BLAS thread, against building
+#: the companion and running dense ``eigvals`` on it; kn a multiple of 16)
+#: at which the iteration won on every draw.  As dense time over Aberth
+#: time, per draw: kn = 48: 0.49-0.78; kn = 64: 0.92-1.28 (it lost every
+#: draw at n = 4, k = 16); kn = 80: 1.66-3.43; kn = 96: 2.46-4.63;
+#: kn = 128: 1.73-7.21; kn = 256: 3.9-16.5; n = 4, k = 512: about 70.
 #: At k = 2n the sweep count grows with n: 28 at n = 16, more than 60 at
-#: n = 32, k = 64, which falls back to dense and loses (0.78).
-_ABERTH_MIN_KN = 128
+#: n = 32, k = 64, which falls back to dense and loses (0.80).
+_ABERTH_MIN_KN = 80
 _ABERTH_MAX_N = 16
 
 #: A root is converged once its Aberth correction is below this fraction
@@ -286,16 +287,42 @@ _ABERTH_TOL = 1e-10
 _ABERTH_MAX_ITER = 60
 
 #: Points per block of ``_log_derivative``: its power table holds
-#: ``_ABERTH_BLOCK * (k + 1)`` entries, and each block's ``n x n`` values
-#: and derivatives are solved before the next block is formed.  The table
-#: keeps a fixed row count because zgemm's blocking, and with it the last
-#: bits of ``P(x)``, follows the row count.
+#: ``_ABERTH_BLOCK * (k + 1)`` entries, one product turns it into the
+#: block's ``n x n`` values and derivatives, ``_ABERTH_BLOCK * 2 n^2``
+#: entries, and these are solved before the next block is formed.  The
+#: block keeps a fixed row count because zgemm's blocking, and with it the
+#: last bits of ``P(x)``, follows the row count.
 _ABERTH_BLOCK = 256
 
-#: Complex entries per block of the Aberth pull ``sum_j 1/(x_i - x_j)``
-#: (512 KB), so its buffer does not grow with kn; a block holds
-#: ``max(1, _ABERTH_PULL_ENTRIES // kn)`` rows, each summed on its own.
-_ABERTH_PULL_ENTRIES = 2 ** 15
+#: Side of the square tiles of the Aberth pull: a tile of r active rows
+#: spans ``_ABERTH_TILE**2 // r`` roots, and its four float64 temporaries
+#: hold ``4 * _ABERTH_TILE**2`` entries (512 KB), whatever kn is.
+_ABERTH_TILE = 128
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """``(x.size, k + 1)`` table of ``x^0 .. x^k``, built blockwise.
+
+    With ``b = ceil(sqrt(k + 1))``, two short cumulative products give
+    ``x^0 .. x^{b-1}`` and ``x^0, x^b, x^{2b}, ...``, and one broadcast
+    product gives ``x^{qb + r} = x^{qb} x^r``, so each power takes at most
+    about ``2 sqrt(k + 1)`` roundings instead of the k of one sequential
+    product.  The table is built power-major and returned as its
+    transposed view, which matrix products take without a copy.
+    """
+    b = int(np.ceil(np.sqrt(k + 1)))
+    q = -(-(k + 1) // b)
+    low = np.empty((b, x.size), dtype=np.complex128)
+    low[0] = 1.0
+    low[1:] = x
+    np.cumprod(low[1:], axis=0, out=low[1:])
+    high = np.empty((q, x.size), dtype=np.complex128)
+    high[0] = 1.0
+    high[1:] = low[-1] * x
+    np.cumprod(high[1:], axis=0, out=high[1:])
+    table = np.empty((q, b, x.size), dtype=np.complex128)
+    np.multiply(high[:, None], low, out=table)
+    return table.reshape(q * b, x.size)[:k + 1].T
 
 
 def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
@@ -303,28 +330,28 @@ def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
 
     ``P = sum_j stack[j] x^j``; ``reverse`` evaluates the reversed
     polynomial ``sum_j stack[k - j] x^j`` instead.  Per block of
-    ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V, so
-    ``P(x) = V C`` and ``P'(x) = V[:, :k] (j C_j)_{j=1..k}`` are two
-    matrix products against the flattened coefficients, and the block's
-    ``n x n`` solves follow at once: the working set is one block's table,
-    values and derivatives, whatever ``x.size`` is.  Callers keep
-    ``|x| <= 1``, so every power is at most 1 and the rounding error is of
-    the order of Horner's.  The second result flags the points where
-    ``P(x)`` is exactly singular, whose trace is left 0.
+    ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V
+    (``_powers``), and one matrix product ``V [C | D]`` against the
+    ``(k + 1, 2 n^2)`` flattened coefficients ``C_0 .. C_k`` and slopes
+    ``D = (1 C_1, ..., k C_k, 0)`` gives ``P(x)`` and ``P'(x)`` together.
+    The block's ``n x n`` solves follow at once: the working set is one
+    block's table, values and derivatives, whatever ``x.size`` is.
+    Callers keep ``|x| <= 1``, so every power is at most 1 and the rounding
+    error is of the order of Horner's.  The second result flags the points
+    where ``P(x)`` is exactly singular, whose trace is left 0.
     """
     k, n = stack.shape[0] - 1, stack.shape[1]
-    coeffs = (stack[::-1] if reverse else stack).reshape(k + 1, n * n)
-    slopes = np.arange(1, k + 1)[:, None] * coeffs[1:]
+    nn = n * n
+    both = np.zeros((k + 1, 2 * nn), dtype=np.complex128)
+    both[:, :nn] = (stack[::-1] if reverse else stack).reshape(k + 1, nn)
+    both[:k, nn:] = np.arange(1, k + 1)[:, None] * both[1:, :nn]
     trace = np.zeros(x.size, dtype=np.complex128)
     singular = np.zeros(x.size, dtype=bool)
     for lo in range(0, x.size, _ABERTH_BLOCK):
         xb = x[lo:lo + _ABERTH_BLOCK]
-        powers = np.empty((xb.size, k + 1), dtype=np.complex128)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = xb[:, None]
-        np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
-        val = (powers @ coeffs).reshape(xb.size, n, n)
-        der = (powers[:, :k] @ slopes).reshape(xb.size, n, n)
+        vals = _powers(xb, k) @ both
+        val = vals[:, :nn].reshape(xb.size, n, n)
+        der = vals[:, nn:].reshape(xb.size, n, n)
         try:
             trace[lo:lo + xb.size] = np.einsum(
                 "mii->m", np.linalg.solve(val, der))
@@ -337,6 +364,54 @@ def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
     return trace, singular
 
 
+def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``sum_{j != i} 1 / (x_i - x_j)`` for each root ``i = idx[..]``.
+
+    ``idx`` lists the active roots; the others are frozen.  Since
+    ``1 / (x_j - x_i) = -1 / (x_i - x_j)``, each pair of active roots is
+    formed once: a block of active rows meets the active roots after it,
+    whose column sums are subtracted from their pulls, and the frozen
+    roots, whose pulls are not needed.  A term is formed in real arithmetic
+    as ``conj(d) / |d|^2``, so two roots closer than about 1e-154 give a
+    non-finite pull.  Rows and columns are taken in tiles of at most
+    ``_ABERTH_TILE**2`` entries.
+    """
+    m = idx.size
+    if m < x.size:
+        frozen = np.ones(x.size, dtype=bool)
+        frozen[idx] = False
+        x = np.concatenate((x[idx], x[frozen]))
+    xr, xi = x.real.copy(), x.imag.copy()
+    area = _ABERTH_TILE ** 2
+    size = min(area, min(m, _ABERTH_TILE) * x.size)
+    parts, sq, tmp = np.empty((2, size)), np.empty(size), np.empty(size)
+    pull = np.zeros((2, m))
+    for lo in range(0, m, _ABERTH_TILE):
+        hi = min(lo + _ABERTH_TILE, m)
+        rows = hi - lo
+        width = area // rows
+        for c0 in range(lo, x.size, width):
+            c1 = min(c0 + width, x.size)
+            w = c1 - c0
+            # d = x_i - x_j as real and imaginary parts, and 1 / |d|^2.
+            d = parts[:, :rows * w].reshape(2, rows, w)
+            s = sq[:rows * w].reshape(rows, w)
+            np.subtract(xr[lo:hi, None], xr[c0:c1], out=d[0])
+            np.subtract(xi[lo:hi, None], xi[c0:c1], out=d[1])
+            np.multiply(d[0], d[0], out=s)
+            s += np.multiply(d[1], d[1], out=tmp[:rows * w].reshape(rows, w))
+            if c0 == lo:
+                # The tile starts with the block's own square: 1/d_ii = 0.
+                np.fill_diagonal(s, np.inf)
+            np.divide(1.0, s, out=s)
+            d *= s
+            pull[:, lo:hi] += d.sum(axis=2)
+            later, end = max(c0, hi), min(c1, m)
+            if later < end:
+                pull[:, later:end] -= d[:, :, later - c0:end - c0].sum(axis=1)
+    return pull[0] - 1j * pull[1]
+
+
 def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     """Roots of ``det P``, given ``(k, n, n)`` coefficients, by Ehrlich-Aberth.
 
@@ -346,12 +421,11 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     using ``tr(P^{-1} P')(x) = kn y - y^2 tr(Q^{-1} Q')(y)``.  A root where
     ``P(x)`` is exactly singular takes a zero step.  Start points lie on the
     circle of radius ``|det C_0|^{1/kn}``.  The pull ``sum_j 1/(x_i - x_j)``
-    is formed in blocks of ``_ABERTH_PULL_ENTRIES`` entries and
-    ``_log_derivative`` in blocks of ``_ABERTH_BLOCK`` points, so apart
-    from O(kn) vectors the working set does not grow with kn.  Each pull
-    row is summed on its own, so the pull's block size moves no bit of the
-    roots.  Returns None when a root is non-finite, when the sweeps run
-    out, or when the roots break the trace identity
+    (``_aberth_pull``) forms each pair of active roots once, in tiles of
+    ``_ABERTH_TILE**2`` entries, and ``_log_derivative`` works in blocks of
+    ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
+    does not grow with kn.  Returns None when a step is non-finite, when
+    the sweeps run out, or when the roots break the trace identity
     ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
     k, n = coeffs.shape[:2]
@@ -363,8 +437,6 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + 0.25) / kn)
     active = np.ones(kn, dtype=bool)
-    block = min(kn, max(1, _ABERTH_PULL_ENTRIES // kn))
-    buffer = np.empty((block, kn), dtype=np.complex128)
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
             idx = np.flatnonzero(active)
@@ -382,14 +454,7 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
                 rev, singular[~inner] = _log_derivative(stack, y, reverse=True)
                 trace[~inner] = kn * y - y * y * rev
             newton = np.where(singular, 0.0, 1.0 / trace)
-            pull = np.empty(idx.size, dtype=np.complex128)
-            for lo in range(0, idx.size, block):
-                rows = idx[lo:lo + block]
-                diff = buffer[:rows.size]
-                np.subtract(x[rows, None], x, out=diff)
-                diff[np.arange(rows.size), rows] = np.inf
-                np.divide(1.0, diff, out=diff)
-                pull[lo:lo + rows.size] = diff.sum(axis=1)
+            pull = _aberth_pull(x, idx)
             step = newton / (1.0 - newton * pull)
             if not np.all(np.isfinite(step)):
                 return None

@@ -25,6 +25,7 @@ from rmpoly import (
     trace_error,
 )
 from rmpoly import matpoly
+from rmpoly.tolerances import EPS
 
 
 def _scalar_poly(*coeffs):
@@ -366,10 +367,10 @@ class TestFiniteEigenvalues:
         return calls
 
     @pytest.mark.parametrize("n,k,dense", [
-        (4, 32, False), (1, 128, False), (8, 16, False),
-        (1, 64, True), (9, 16, True), (17, 34, True)])
+        (4, 32, False), (1, 128, False), (8, 16, False), (2, 40, False),
+        (1, 79, True), (1, 64, True), (9, 16, True), (17, 34, True)])
     def test_shape_dispatch(self, monkeypatch, n, k, dense):
-        # Degree-dominated shapes (k >= 2n, n <= 16, kn >= 128) are solved
+        # Degree-dominated shapes (k >= 2n, n <= 16, kn >= 80) are solved
         # without the companion matrix; every other shape is dense.
         p = sample_monic_gaussian(n, k, RngStream(30, (n, k)))
         calls = self._count_dense_calls(monkeypatch)
@@ -459,27 +460,91 @@ class TestLogDerivative:
         kn_eps = p.k * p.n * np.finfo(float).eps
         assert backward_error(p, lam).max() <= 100.0 * kn_eps
 
+    @pytest.mark.parametrize("k", [1, 2, 31, 512])
+    def test_blocked_powers_match_sequential(self, k):
+        # 0 <= |x| <= 1, with the nonzero moduli at least 1/2 so that no
+        # power of degree <= 512 leaves the normal range.
+        g = np.random.default_rng(k)
+        x = np.concatenate(([0.0, 1.0, -1.0, 1j], (0.5 + 0.5 * g.random(296))
+                            * np.exp(2j * np.pi * g.random(296))))
+        ref = np.empty((x.size, k + 1), dtype=np.complex128)
+        ref[:, 0] = 1.0
+        ref[:, 1:] = x[:, None]
+        np.cumprod(ref[:, 1:], axis=1, out=ref[:, 1:])
+        got = matpoly._powers(x, k)
+        assert got.shape == (x.size, k + 1)
+        assert np.all(np.abs(got - ref) <= (k + 1) * EPS * np.abs(ref))
+
+
+class TestAberthPull:
+    @staticmethod
+    def _brute_force(x, idx):
+        out = np.empty(idx.size, dtype=np.complex128)
+        for row, i in enumerate(idx):
+            out[row] = np.sum(1.0 / (x[i] - np.delete(x, i)))
+        return out
+
+    @pytest.mark.parametrize("kn,active", [
+        (300, 300),   # all active, a partial tile of 44 rows
+        (257, 257),   # a last tile of one row
+        (130, 129),   # all but one
+        (700, 40),    # mostly frozen: 40 rows span two column tiles
+        (300, 1)])    # one active root
+    def test_matches_brute_force(self, kn, active):
+        g = np.random.default_rng(kn + active)
+        x = np.sqrt(g.random(kn)) * np.exp(2j * np.pi * g.random(kn))
+        idx = np.sort(g.choice(kn, active, replace=False))
+        ref = self._brute_force(x, idx)
+        got = matpoly._aberth_pull(x, idx)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_roots_closer_than_underflow_give_non_finite_pull(self):
+        x = np.array([0.0, 1e-170, 1.0, 1j])
+        with np.errstate(all="ignore"):
+            pull = matpoly._aberth_pull(x, np.arange(4))
+        assert not np.isfinite(pull[:2]).any()
+        assert np.isfinite(pull[2:]).all()
+
+    def test_non_finite_pull_falls_back_to_dense(self, monkeypatch):
+        # Two roots pushed 1e-170 apart make |x_0 - x_1|^2 underflow: the
+        # step is non-finite, so the solve returns None and the trial is
+        # solved dense.
+        pull = matpoly._aberth_pull
+
+        def collided(x, idx):
+            y = x.copy()
+            y[1] = y[0] + 1e-170
+            return pull(y, idx)
+
+        p = sample_monic_gaussian(2, 64, RngStream(40))
+        monkeypatch.setattr(matpoly, "_aberth_pull", collided)
+        assert matpoly._aberth_eigenvalues(p.stack) is None
+        calls = TestFiniteEigenvalues._count_dense_calls(monkeypatch)
+        finite_eigenvalues(p)
+        assert calls == [(1, 128, 128)]
+
 
 class TestAberthWorkingSet:
-    """The pull buffer is bounded by ``_ABERTH_PULL_ENTRIES``, not by kn,
-    and no budget moves a bit of the roots."""
+    """The pull works in fixed tiles, so the working set does not grow
+    with kn, and a solve is repeatable to the bit."""
 
     @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
-    @pytest.mark.parametrize("entries", [1, 2 ** 30])
-    def test_roots_independent_of_pull_budget(self, monkeypatch, n, k,
-                                              entries):
-        # Blocks of one row, and one block of all kn rows.
+    def test_solve_is_repeatable_and_accurate(self, n, k):
         p = sample_monic_gaussian(n, k, RngStream(38, (n, k)))
         ref = matpoly._aberth_eigenvalues(p.stack)
-        monkeypatch.setattr(matpoly, "_ABERTH_PULL_ENTRIES", entries)
         got = matpoly._aberth_eigenvalues(p.stack)
         assert ref is not None
         assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+        assert backward_error(p, ref).max() <= 100.0 * k * n * EPS
+        if k * n <= 512:
+            # Dense QR at kn = 2048 takes about 18 s; the backward error
+            # above is the check there.
+            assert match_distance(ref, eigenvalues(companion(p))) <= 1e-10
 
     @pytest.mark.parametrize("n,k,mib", [(4, 512, 6), (16, 32, 5)])
     def test_traced_peak_of_one_solve(self, traced_peak, n, k, mib):
-        # One solve peaks at about 5.2 MiB (n=4, k=512) and 4.0 MiB
-        # (n=16, k=32): a pull block, a power table and a block of P, P'.
+        # One solve peaks at about 3.2 MiB (n=4, k=512) and 4.6 MiB
+        # (n=16, k=32): a pull tile, a power table and a block of P, P'.
         p = sample_monic_gaussian(n, k, RngStream(39, (n, k)))
         peak = traced_peak(matpoly._aberth_eigenvalues, p.stack)
         assert peak <= mib * 2 ** 20
