@@ -295,8 +295,10 @@ _ABERTH_MAX_ITER = 60
 _ABERTH_BLOCK = 256
 
 #: Side of the square tiles of the Aberth pull: a tile of r active rows
-#: spans ``_ABERTH_TILE**2 // r`` roots, and its four float64 temporaries
-#: hold ``4 * _ABERTH_TILE**2`` entries (512 KB), whatever kn is.
+#: spans ``max(_ABERTH_TILE**2, kn) // r`` roots, and its four float64
+#: temporaries hold ``4 * _ABERTH_TILE**2`` entries (512 KB) up to
+#: kn = 16384.  A tile never holds less than one row's kn entries: the
+#: solve keeps O(kn) vectors anyway, and narrower tiles add only loop turns.
 _ABERTH_TILE = 128
 
 
@@ -374,7 +376,7 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     roots, whose pulls are not needed.  A term is formed in real arithmetic
     as ``conj(d) / |d|^2``, so two roots closer than about 1e-154 give a
     non-finite pull.  Rows and columns are taken in tiles of at most
-    ``_ABERTH_TILE**2`` entries.
+    ``max(_ABERTH_TILE**2, x.size)`` entries.
     """
     m = idx.size
     if m < x.size:
@@ -382,7 +384,7 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         frozen[idx] = False
         x = np.concatenate((x[idx], x[frozen]))
     xr, xi = x.real.copy(), x.imag.copy()
-    area = _ABERTH_TILE ** 2
+    area = max(_ABERTH_TILE ** 2, x.size)
     size = min(area, min(m, _ABERTH_TILE) * x.size)
     parts, sq, tmp = np.empty((2, size)), np.empty(size), np.empty(size)
     pull = np.zeros((2, m))
@@ -422,11 +424,11 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     ``P(x)`` is exactly singular takes a zero step.  Start points lie on the
     circle of radius ``|det C_0|^{1/kn}``.  The pull ``sum_j 1/(x_i - x_j)``
     (``_aberth_pull``) forms each pair of active roots once, in tiles of
-    ``_ABERTH_TILE**2`` entries, and ``_log_derivative`` works in blocks of
-    ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
-    does not grow with kn.  Returns None when a step is non-finite, when
-    the sweeps run out, or when the roots break the trace identity
-    ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
+    ``max(_ABERTH_TILE**2, kn)`` entries, and ``_log_derivative`` works in
+    blocks of ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the
+    working set does not grow with kn.  Returns None when a step is
+    non-finite, when the sweeps run out, or when the roots break the trace
+    identity ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
     k, n = coeffs.shape[:2]
     kn = k * n

@@ -1,6 +1,7 @@
 """Tests for polynomial sampling, evaluation, and the companion splittings."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -526,7 +527,22 @@ class TestAberthPull:
 
 class TestAberthWorkingSet:
     """The pull works in fixed tiles, so the working set does not grow
-    with kn, and a solve is repeatable to the bit."""
+    with kn; a solve is repeatable to the bit, and the tile size moves its
+    roots only at rounding level."""
+
+    @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
+    @pytest.mark.parametrize("entries", [1, 2 ** 30])
+    def test_roots_independent_of_pull_budget(self, monkeypatch, n, k,
+                                              entries):
+        # Tiles of one row, and one tile of all kn rows.  The tiles group
+        # the column sums of the pull, so the roots move, but only at
+        # rounding level.
+        p = sample_monic_gaussian(n, k, RngStream(38, (n, k)))
+        ref = matpoly._aberth_eigenvalues(p.stack)
+        monkeypatch.setattr(matpoly, "_ABERTH_TILE", math.isqrt(entries))
+        got = matpoly._aberth_eigenvalues(p.stack)
+        assert ref is not None and got is not None
+        assert np.abs(got - ref).max() <= k * n * EPS * np.abs(ref).max()
 
     @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
     def test_solve_is_repeatable_and_accurate(self, n, k):
