@@ -84,9 +84,9 @@ def _counted_solve(coeffs):
         counts["sweeps"] += 1
         return pull(x, idx)
 
-    def counted_log_derivative(stack, x, reverse):
+    def counted_log_derivative(both, x):
         counts["points"] += x.size
-        return log_derivative(stack, x, reverse)
+        return log_derivative(both, x)
 
     matpoly._aberth_pull = counted_pull
     matpoly._log_derivative = counted_log_derivative

@@ -28,6 +28,7 @@ import json
 import logging
 import math
 import operator
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -122,8 +123,10 @@ class ExperimentConfig:
     one k and at least one n, ``grow-k`` the reverse.  With ``output_dir``
     set, the run writes each cell's points there, and ``export_result``
     writes the summary, plus one scatter per cell when ``format`` is
-    ``svg``.  Every field but ``workers`` changes what a run writes.  Only
-    an override, never a config document, sets ``output_dir``.
+    ``svg``.  Every field but ``workers`` changes what a run writes;
+    ``workers`` is an upper bound, and a run starts at most
+    ``os.cpu_count()`` worker processes.  Only an override, never a config
+    document, sets ``output_dir``.
     """
 
     regime: str
@@ -276,8 +279,9 @@ def _csv_blocks(points):
     precision: an iterator of the header and then blocks of rows.  The
     points are converted before this returns."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    return itertools.chain(["re,im\n"],
-                           _text_blocks("{!r},{!r}\n", pts.real, pts.imag))
+    # ``%r`` formats a float as ``repr`` does: the shortest round trip.
+    return itertools.chain(["re,im\n"], _text_blocks(
+        "%r,%r\n", pts.view(np.float64).reshape(-1, 2)))
 
 
 def write_points_csv(points, path) -> None:
@@ -385,10 +389,13 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
         out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     pool = None
-    if cfg.workers > 1:
+    # ``workers`` is an upper bound: the pool starts all of its processes
+    # at the first task, so it never gets more than there are CPUs.
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: a one-worker run does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(cfg.workers)
+        pool = ProcessPoolExecutor(workers)
     try:
         for idx, (n, k) in enumerate(cfg.cells()):
             start = time.monotonic()

@@ -142,19 +142,40 @@ def _generator(rng) -> np.random.Generator:
         f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _standard_complex(parts: np.ndarray, generators,
+                      variance: float = 1.0) -> np.ndarray:
+    """Fill ``parts[i]`` from ``generators[i]`` and return the complex view.
+
+    ``parts`` is a C-contiguous float64 array whose last axis has length 2:
+    each (re, im) pair of a row's draw is one complex128.  The whole array
+    is scaled once, in place, to ``E|X|^2 = variance``.
+    """
+    for g, row in zip(generators, parts):
+        g.standard_normal(out=row)
+    parts *= np.sqrt(variance / 2.0)
+    return parts.view(np.complex128)[..., 0]
+
+
 def complex_gaussian(rng, shape, variance: float = 1.0) -> np.ndarray:
     """I.i.d. complex Gaussians with ``E|X|^2 = variance``.
 
     Real and imaginary parts are independent N(0, variance / 2).
-    ``variance`` must be a positive finite real.
+    ``shape`` is a sequence of non-negative integers and ``variance`` a
+    positive finite real.
     """
     if not (_is_number(variance) and 0 < variance < np.inf):
         raise ValidationError(
             f"variance must be a positive finite number, got {variance!r}")
+    try:
+        dims = tuple(_index(d, "shape dimension") for d in shape)
+    except TypeError:
+        raise ValidationError(
+            f"shape must be a sequence of integers, got {shape!r}") from None
+    if any(d < 0 for d in dims):
+        raise ValidationError(
+            f"shape dimensions must be non-negative, got {dims}")
     g = _generator(rng)
-    # Each (re, im) pair of the draw is viewed as one complex128.
-    parts = g.standard_normal(tuple(shape) + (2,))
-    return parts.view(np.complex128)[..., 0] * np.sqrt(variance / 2.0)
+    return _standard_complex(np.empty((1,) + dims + (2,)), [g], variance)[0]
 
 
 @dataclass(eq=False)
@@ -202,8 +223,10 @@ class MatrixPolynomial:
 
 def _trial_coefficients(n: int, k: int, streams) -> np.ndarray:
     """``(T, k, n, n)`` coefficients of one monic Gaussian trial per stream:
-    one flat standard complex Gaussian draw per stream, ``C_0`` first."""
-    return np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
+    one flat standard complex Gaussian draw per stream, ``C_0`` first,
+    filled in place into one buffer for all T trials."""
+    parts = np.empty((len(streams), k, n, n, 2))
+    return _standard_complex(parts, (s.generator() for s in streams))
 
 
 def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
@@ -232,10 +255,12 @@ def _companion_stack(coeffs: np.ndarray) -> np.ndarray:
     t, k, n, _ = coeffs.shape
     kn = k * n
     m = np.zeros((t, kn, kn), dtype=np.complex128)
-    # Top block row -[C_{k-1} ... C_0]; identity blocks below the diagonal.
-    m[:, :n, :] = -coeffs[:, ::-1].transpose(0, 2, 1, 3).reshape(t, n, kn)
-    rows = np.arange(n, kn)
-    m[:, rows, rows - n] = 1.0
+    # Top block row -[C_{k-1} ... C_0]: block j of row i is m[:, i, j, :].
+    np.negative(coeffs[:, ::-1].transpose(0, 2, 1, 3),
+                out=m.reshape(t, kn, k, n)[:, :n])
+    # Identity blocks below the diagonal: entry (r, r - n) for r >= n sits
+    # at flat offset r (kn + 1) - n.
+    m.reshape(t, kn * kn)[:, n * kn::kn + 1] = 1.0
     return m
 
 
@@ -327,26 +352,34 @@ def _powers(x: np.ndarray, k: int) -> np.ndarray:
     return table.reshape(q * b, x.size)[:k + 1].T
 
 
-def _log_derivative(stack: np.ndarray, x: np.ndarray, reverse: bool):
+def _value_slope_operand(stack: np.ndarray) -> np.ndarray:
+    """``(k + 1, 2, n, n)`` operand ``[C | D]`` of ``P = sum_j stack[j] x^j``:
+    the coefficients ``C_0 .. C_k`` and the slopes
+    ``D = (1 C_1, ..., k C_k, 0)``, so that row j of its flattened
+    ``(k + 1, 2 n^2)`` form multiplies ``x^j`` in ``P`` and ``P'``."""
+    k = stack.shape[0] - 1
+    both = np.zeros((k + 1, 2) + stack.shape[1:], dtype=np.complex128)
+    both[:, 0] = stack
+    both[:k, 1] = np.arange(1, k + 1)[:, None, None] * stack[1:]
+    return both
+
+
+def _log_derivative(both: np.ndarray, x: np.ndarray):
     """``tr(P(x)^{-1} P'(x))`` at every point of ``x``, by matrix products.
 
-    ``P = sum_j stack[j] x^j``; ``reverse`` evaluates the reversed
-    polynomial ``sum_j stack[k - j] x^j`` instead.  Per block of
+    ``both`` is ``_value_slope_operand`` of P.  Per block of
     ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V
     (``_powers``), and one matrix product ``V [C | D]`` against the
-    ``(k + 1, 2 n^2)`` flattened coefficients ``C_0 .. C_k`` and slopes
-    ``D = (1 C_1, ..., k C_k, 0)`` gives ``P(x)`` and ``P'(x)`` together.
+    flattened operand gives ``P(x)`` and ``P'(x)`` together.
     The block's ``n x n`` solves follow at once: the working set is one
     block's table, values and derivatives, whatever ``x.size`` is.
     Callers keep ``|x| <= 1``, so every power is at most 1 and the rounding
     error is of the order of Horner's.  The second result flags the points
     where ``P(x)`` is exactly singular, whose trace is left 0.
     """
-    k, n = stack.shape[0] - 1, stack.shape[1]
+    k, n = both.shape[0] - 1, both.shape[2]
     nn = n * n
-    both = np.zeros((k + 1, 2 * nn), dtype=np.complex128)
-    both[:, :nn] = (stack[::-1] if reverse else stack).reshape(k + 1, nn)
-    both[:k, nn:] = np.arange(1, k + 1)[:, None] * both[1:, :nn]
+    both = both.reshape(k + 1, 2 * nn)
     trace = np.zeros(x.size, dtype=np.complex128)
     singular = np.zeros(x.size, dtype=bool)
     for lo in range(0, x.size, _ABERTH_BLOCK):
@@ -432,10 +465,10 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     """
     k, n = coeffs.shape[:2]
     kn = k * n
-    stack = np.empty((k + 1, n, n), dtype=np.complex128)
-    stack[:k] = coeffs
-    stack[k] = np.eye(n)
-    sign, logdet = np.linalg.slogdet(stack[0])
+    # Built once per solve; the operands alone keep the coefficients.
+    forward = _value_slope_operand(np.concatenate((coeffs, np.eye(n)[None])))
+    reverse = _value_slope_operand(forward[::-1, 0])
+    sign, logdet = np.linalg.slogdet(coeffs[0])
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + 0.25) / kn)
     active = np.ones(kn, dtype=bool)
@@ -450,10 +483,10 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
             inner = np.abs(xa) <= 1.0
             if inner.any():
                 trace[inner], singular[inner] = _log_derivative(
-                    stack, xa[inner], reverse=False)
+                    forward, xa[inner])
             if not inner.all():
                 y = 1.0 / xa[~inner]
-                rev, singular[~inner] = _log_derivative(stack, y, reverse=True)
+                rev, singular[~inner] = _log_derivative(reverse, y)
                 trace[~inner] = kn * y - y * y * rev
             newton = np.where(singular, 0.0, 1.0 / trace)
             pull = _aberth_pull(x, idx)
@@ -517,8 +550,12 @@ def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     within ``_ABERTH_MAX_ITER`` sweeps, a non-finite root, or the trace
     identity broken) alone falls back to the dense route.  Every other
     shape is dense: one stacked ``eigenvalues`` call on the ``(T, kn, kn)``
-    companion matrices, so callers bound T to bound memory.
+    companion matrices, so callers bound T to bound memory.  An empty
+    stack is a ``ValidationError`` on either route.
     """
+    if coeffs.ndim != 4 or coeffs.size == 0:
+        raise ValidationError(
+            f"expected a non-empty (T, k, n, n) stack, got {coeffs.shape}")
     k, n = coeffs.shape[1:3]
     if not (k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN):
         return eigenvalues(_companion_stack(coeffs))

@@ -21,8 +21,8 @@ _MARGIN = 48.0
 
 _POINT_STYLE = 'class="pt" r="1.800000" fill="#1f77b4" fill-opacity="0.550000"'
 
-#: One point's line; ``{:.6f}`` formats exactly as ``_fmt`` does.
-_POINT_LINE = '<circle ' + _POINT_STYLE + ' cx="{:.6f}" cy="{:.6f}"/>\n'
+#: One point's line; ``%.6f`` formats exactly as ``_fmt`` does.
+_POINT_LINE = '<circle ' + _POINT_STYLE + ' cx="%.6f" cy="%.6f"/>\n'
 
 #: Points per block of text, for the scatter's point elements and the rows
 #: of a points CSV: a writer holds one block's text at a time, so its peak
@@ -34,13 +34,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _text_blocks(line: str, xs: np.ndarray, ys: np.ndarray):
-    """Yield ``line.format(x, y)`` over the pairs of two float arrays,
-    joined per ``_POINT_BLOCK`` pairs."""
-    for lo in range(0, xs.size, _POINT_BLOCK):
-        hi = lo + _POINT_BLOCK
-        yield "".join(map(line.format, xs[lo:hi].tolist(),
-                          ys[lo:hi].tolist()))
+def _text_blocks(line: str, pairs: np.ndarray):
+    """Yield ``line % (x, y)`` over the rows of an ``(N, 2)`` float array,
+    joined per ``_POINT_BLOCK`` rows.  A block is one ``%`` operation on
+    ``line`` repeated, which formats each value as ``%`` does alone."""
+    for lo in range(0, len(pairs), _POINT_BLOCK):
+        block = pairs[lo:lo + _POINT_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
@@ -111,6 +111,7 @@ def _svg_chunks(points, overlay_unit_circle: bool):
             f'fill="none" stroke="#d62728" stroke-width="1.200000"/>')
     # Elementwise, sx and sy give every coordinate the bits they give it as
     # a scalar.
-    cx, cy = sx(pts.real), sy(pts.imag)
+    xy = np.empty((pts.size, 2))
+    xy[:, 0], xy[:, 1] = sx(pts.real), sy(pts.imag)
     return itertools.chain(["\n".join(out) + "\n"],
-                           _text_blocks(_POINT_LINE, cx, cy), ["</svg>\n"])
+                           _text_blocks(_POINT_LINE, xy), ["</svg>\n"])

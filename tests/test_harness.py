@@ -569,6 +569,32 @@ class TestPersistenceAndExport:
             (docs[1][0] / name).read_bytes()
         assert docs[0][1] == docs[1][1]
 
+    @pytest.mark.parametrize("cpus,started", [(2, 2), (8, 8), (None, None)])
+    def test_worker_count_is_capped_at_the_cpu_count(
+            self, monkeypatch, cpus, started):
+        # A million workers start at most os.cpu_count() processes, and a
+        # pool of one is no pool.  The recording pool maps serially and
+        # starts no process.
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        wide = run_grow_n(_small_cfg(workers=10 ** 6))
+        assert sizes == ([] if started is None else [started])
+        assert wide.cells == run_grow_n(_small_cfg()).cells
+
     def test_structured_solver_cell_matches_across_worker_counts(
             self, tmp_path):
         # n=2, k=64 is solved by Ehrlich-Aberth iteration, not dense QR.

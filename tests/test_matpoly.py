@@ -101,6 +101,25 @@ class TestComplexGaussian:
         with pytest.raises(ValidationError):
             complex_gaussian(object(), (2, 2))
 
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -3), (2.0, 2), (True,),
+                                       ("2",), 4, None])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            complex_gaussian(RngStream(1), shape)
+
+    @pytest.mark.parametrize("variance", [1.0, 0.25])
+    def test_bits_match_one_draw_of_pairs(self, variance):
+        # The reference is the formula of one (..., 2) draw viewed as
+        # complex and multiplied by the scale in complex arithmetic.
+        got = complex_gaussian(RngStream(20, (1,)), (3, 4), variance)
+        parts = RngStream(20, (1,)).generator().standard_normal((3, 4, 2))
+        ref = parts.view(np.complex128)[..., 0] * np.sqrt(variance / 2.0)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_empty_shape_draws_nothing(self):
+        assert complex_gaussian(RngStream(1), (0, 3)).shape == (0, 3)
+
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -157,6 +176,44 @@ class TestSampleMonicGaussian:
             p.coeffs[0][0, 0] = 0.0
 
 
+class TestTrialCoefficients:
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (16, 2), (2, 40)])
+    def test_bits_match_one_draw_per_stream(self, n, k):
+        # Root, one-level and two-level streams: the chunk buffer must keep
+        # every bit of one ``complex_gaussian`` draw per stream.
+        streams = [RngStream(21), RngStream(21, (3,)),
+                   RngStream(21).child(0, 5), RngStream(21).child(0, 6)]
+        got = matpoly._trial_coefficients(n, k, streams)
+        ref = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
+        assert got.shape == (4, k, n, n) and got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_no_streams_give_an_empty_stack(self):
+        assert matpoly._trial_coefficients(2, 3, []).shape == (0, 3, 2, 2)
+
+
+def _blockwise_companion(coeffs):
+    """Companion matrix of ``(k, n, n)`` coefficients, block by block."""
+    k, n = coeffs.shape[:2]
+    ref = np.zeros((k * n, k * n), dtype=np.complex128)
+    for j in range(k):
+        ref[:n, j * n:(j + 1) * n] = -coeffs[k - 1 - j]
+    for i in range(1, k):
+        ref[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+    return ref
+
+
+class TestCompanionStack:
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (4, 2), (2, 5)])
+    def test_bits_match_blockwise_reference(self, n, k):
+        coeffs = matpoly._trial_coefficients(
+            n, k, [RngStream(22, (n, k, t)) for t in range(3)])
+        ref = np.stack([_blockwise_companion(c) for c in coeffs])
+        got = matpoly._companion_stack(coeffs)
+        assert got.shape == (3, k * n, k * n)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 class TestMatrixPolynomial:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_coefficient_is_named(self, bad):
@@ -189,12 +246,7 @@ class TestMatrixPolynomial:
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 5)])
     def test_companion_bits_match_blockwise_reference(self, n, k):
         p = sample_monic_gaussian(n, k, RngStream(19, (n, k)))
-        kn = k * n
-        ref = np.zeros((kn, kn), dtype=np.complex128)
-        for j in range(k):
-            ref[:n, j * n:(j + 1) * n] = -p.coeffs[k - 1 - j]
-        for i in range(1, k):
-            ref[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+        ref = _blockwise_companion(p.stack)
         m = companion(p)
         assert np.array_equal(m.view(np.float64), ref.view(np.float64))
         assert np.array_equal(m[:n].view(np.float64),
@@ -419,7 +471,8 @@ class TestLogDerivative:
         p = sample_monic_gaussian(3, 20, RngStream(32))
         stack = self._stack(p)
         x = self._points(0, 300, 0.8)
-        trace, singular = matpoly._log_derivative(stack, x, reverse=False)
+        trace, singular = matpoly._log_derivative(
+            matpoly._value_slope_operand(stack), x)
         assert not singular.any()
         for xi, t in zip(x, trace):
             ref = np.trace(np.linalg.solve(evaluate(p, xi), sum(
@@ -431,7 +484,8 @@ class TestLogDerivative:
         p = sample_monic_gaussian(3, 20, RngStream(33))
         stack = self._stack(p)
         y = self._points(1, 300, 0.8)
-        trace, singular = matpoly._log_derivative(stack, y, reverse=True)
+        trace, singular = matpoly._log_derivative(
+            matpoly._value_slope_operand(stack[::-1]), y)
         assert not singular.any()
         rev = stack[::-1]
         for yi, t in zip(y, trace):
@@ -447,7 +501,7 @@ class TestLogDerivative:
         c0[:, 1] = 0.0
         stack = np.stack((c0,) + sampled.coeffs[1:] + (np.eye(2),))
         trace, singular = matpoly._log_derivative(
-            stack, np.array([0.5, 0.0, 0.25j]), reverse=False)
+            matpoly._value_slope_operand(stack), np.array([0.5, 0.0, 0.25j]))
         np.testing.assert_array_equal(singular, [False, True, False])
         assert trace[1] == 0.0 and trace[0] != 0.0 and trace[2] != 0.0
 
@@ -649,6 +703,13 @@ class TestTrialEigenvalues:
         with pytest.raises(ValidationError):
             matpoly.trial_eigenvalues(
                 matpoly._trial_coefficients(0, 2, [RngStream(34)]))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (0, 40, 2, 2),
+                                       (3, 40, 0, 0), (40, 2, 2)])
+    def test_empty_or_misshapen_stack_rejected_on_both_routes(self, shape):
+        # (0, 40, 2, 2) is an Ehrlich-Aberth shape, (0, 2, 4, 4) a dense one.
+        with pytest.raises(ValidationError, match="stack"):
+            matpoly.trial_eigenvalues(np.zeros(shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
