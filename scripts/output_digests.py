@@ -16,6 +16,9 @@ the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape, ``n = k = 1``
 and a shape whose stdout spans three blocks of rows, and the ``verify``
 JSON lines at default sizes, one digest per check family
 (``verify/<lemma_id>``), so a ``diff`` names the families that changed.
+The grow-n run is made once more at ``--workers 2`` (at most one worker per
+CPU), so that a ``diff`` also covers what worker processes receive; its
+lines must carry the one-worker digests, and the script fails otherwise.
 A run takes about half a minute of CPU time per seed.
 """
 
@@ -39,11 +42,13 @@ from click.testing import CliRunner  # noqa: E402
 
 from rmpoly.cli import main as rmpoly_main  # noqa: E402
 
-#: ``experiment`` runs: (label, regime, n values, k values, target points).
+#: ``experiment`` runs: (label, regime, n values, k values, target points,
+#: workers).
 EXPERIMENTS = (
-    ("grow-n", "grow-n", (32, 64, 128), (4,), 4096),
-    ("grow-k", "grow-k", (4,), (32, 128, 512), 2048),
-    ("small-many", "grow-n", (4, 8, 16), (2,), 100000),
+    ("grow-n", "grow-n", (32, 64, 128), (4,), 4096, 1),
+    ("grow-k", "grow-k", (4,), (32, 128, 512), 2048, 1),
+    ("small-many", "grow-n", (4, 8, 16), (2,), 100000, 1),
+    ("grow-n-workers-2", "grow-n", (32, 64, 128), (4,), 4096, 2),
 )
 
 #: ``esd`` runs: (label, extra arguments).
@@ -75,24 +80,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seed = str(args.seed)
 
+    files = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, regime, ns, ks, target in EXPERIMENTS:
+        for label, regime, ns, ks, target, workers in EXPERIMENTS:
             out = Path(tmp) / label
             cmd = ["experiment", "--regime", regime, "--target-points",
                    str(target), "--seed", seed, "--format", "svg",
-                   "--out", str(out)]
+                   "--workers", str(workers), "--out", str(out)]
             for n in ns:
                 cmd += ["--n", str(n)]
             for k in ks:
                 cmd += ["--k", str(k)]
             _run(cmd)
-            for path in sorted(out.iterdir()):
-                print(f"{_digest(path.read_bytes())}  {label}/{path.name}")
+            files[label] = [(_digest(path.read_bytes()), path.name)
+                            for path in sorted(out.iterdir())]
+            for digest, name in files[label]:
+                print(f"{digest}  {label}/{name}")
     for label, extra in ESD_RUNS:
         print(f"{_digest(_run(['esd', '--seed', seed, *extra]))}  {label}")
     for line in _run(["verify", "--seed", seed]).splitlines(keepends=True):
         lemma_id = json.loads(line)["lemma_id"]
         print(f"{_digest(line)}  verify/{lemma_id}")
+    if files["grow-n-workers-2"] != files["grow-n"]:
+        sys.exit("error: the --workers 2 grow-n run wrote other bytes than "
+                 "the one-worker run")
     return 0
 
 

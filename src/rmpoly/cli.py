@@ -20,8 +20,7 @@ from .errors import NumericalError, ValidationError
 from .harness import (ExperimentConfig, _csv_blocks, export_result,
                       pooled_esd, read_points_csv, render_scatter,
                       run_experiment, run_verification, write_points_csv)
-from .matpoly import (RngStream, _count, polynomial_to_json,
-                      sample_monic_gaussian)
+from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
 
 
 def _guard(fn):
@@ -106,10 +105,7 @@ def esd(n, k, trials, seed, regime, out):
     with the same seed, so the output equals the points file of a one-cell
     experiment with the same regime, n, k and trial count.
     """
-    _count(trials, "trials")
-    rng = RngStream(seed)
-    pts = pooled_esd(regime, n, k, [rng.child(0, t) for t in range(trials)]
-                     ).points
+    pts = pooled_esd(regime, n, k, RngStream(seed).child(0), trials).points
     if out is None:
         for block in _csv_blocks(pts):
             click.echo(block, nl=False)

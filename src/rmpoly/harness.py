@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _count, _is_int, _is_number, _sizes,
-                      _trial_coefficients, trial_eigenvalues)
+                      _trial_coefficients, _trial_range, trial_eigenvalues)
 from .svgplot import _svg_chunks, _text_blocks
 from .verify import (LemmaCheckConfig, _grow_k_preconditions,
                      _grow_n_preconditions, beta_projection_check,
@@ -180,6 +180,7 @@ class ExperimentConfig:
                     f"infeasible cell (n={n}, k={k}): one trial already "
                     f"yields {n * k} points, more than target_points="
                     f"{self.target_points}")
+            _trial_range(0, self.trials_for(n, k))
 
     def cells(self) -> list:
         # The fixed axis has one value, so the product follows the swept one.
@@ -351,33 +352,39 @@ def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
 
 
 def _chunk_points(task) -> np.ndarray:
-    n, k, scale, streams = task
-    coeffs = _trial_coefficients(n, k, streams)
+    n, k, scale, rng, lo, hi = task
+    coeffs = _trial_coefficients(n, k, rng, lo, hi)
     return scale * trial_eigenvalues(coeffs).ravel()
 
 
-def pooled_esd(regime: str, n: int, k: int, streams, mapper=map
-               ) -> EmpiricalSpectralDistribution:
-    """Pool the scaled eigenvalues of one trial per stream.
+def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
+               mapper=map) -> EmpiricalSpectralDistribution:
+    """Pool the scaled eigenvalues of trials ``0 .. trials-1`` of ``rng``,
+    trial t drawn from ``rng.child(t)``.
 
     The regime sets the scale: ``n**-0.5`` for ``grow-n``, 1 for
     ``grow-k``.  Trials are solved in chunks whose companion stacks hold at
     most ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a
-    worker pool's ``map`` runs them in parallel).  Points follow stream
-    order.
+    worker pool's ``map`` runs them in parallel), each task carrying only
+    the stream and its trial range.  Points follow trial order.  Every
+    input is checked before any draw, including ``trials <= 2**32``.
     """
     n, k = _sizes(n, k)
     if regime not in _REGIMES:
         raise ValidationError(
             f"regime must be one of {_REGIMES}, got {regime!r}")
+    if not isinstance(rng, RngStream):
+        raise ValidationError(f"rng must be an RngStream, got {type(rng)!r}")
+    trials = _count(trials, "trials")
+    _trial_range(0, trials)
     scale = n ** -0.5 if regime == "grow-n" else 1.0
     size = max(1, _CHUNK_ENTRIES // (k * n) ** 2)
-    chunks = [streams[lo:lo + size] for lo in range(0, len(streams), size)]
-    tasks = [(n, k, scale, chunk) for chunk in chunks]
+    tasks = [(n, k, scale, rng, lo, min(lo + size, trials))
+             for lo in range(0, trials, size)]
     return merge([
         EmpiricalSpectralDistribution(points=pts, scale=scale, n=n, k=k,
-                                      trials=len(chunk))
-        for chunk, pts in zip(chunks, mapper(_chunk_points, tasks))
+                                      trials=hi - lo)
+        for (*_, lo, hi), pts in zip(tasks, mapper(_chunk_points, tasks))
     ])
 
 
@@ -400,8 +407,7 @@ def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
         for idx, (n, k) in enumerate(cfg.cells()):
             start = time.monotonic()
             trials = cfg.trials_for(n, k)
-            streams = [rng.child(idx, t) for t in range(trials)]
-            esd = pooled_esd(cfg.regime, n, k, streams,
+            esd = pooled_esd(cfg.regime, n, k, rng.child(idx), trials,
                              pool.map if pool is not None else map)
             report = distance_report(esd, law, atom_radius=cfg.atom_radius)
             points_file = None

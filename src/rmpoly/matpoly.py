@@ -33,9 +33,9 @@ circulant whose spectrum is the k-th roots of unity
 (``circulant_b_eigenvalues``), and M - B is nonzero only in its top block
 row, so it too has rank at most n.  The verification suites and the
 replacement-gap diagnostics compare M against B directly.  Trials of the
-harness and the suites draw with ``_trial_coefficients`` and linearize
-with ``_companion_stack``, as ``sample_monic_gaussian`` and ``companion``
-do for one polynomial.
+harness draw with ``_trial_coefficients`` and linearize with
+``_companion_stack``, as ``sample_monic_gaussian`` and ``companion`` do for
+one polynomial; the suites draw the same trials one at a time.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
@@ -104,14 +104,143 @@ def _sizes(n, k) -> tuple[int, int]:
     return n, k
 
 
+# ---------------------------------------------------------------------------
+# Stream seeding
+#
+# A stream is numpy's ``SeedSequence(seed, spawn_key=key)`` feeding PCG64,
+# and PCG64 asks its seed sequence for ``generate_state(4, np.uint64)``
+# alone.  SeedSequence computes those words with fixed 32-bit integer
+# arithmetic (NEP 19 keeps it stable), so ``_seed_states`` does the same
+# arithmetic itself.  The trials of a cell share every entropy word but
+# the last, so one pass over a column of last words seeds a whole chunk of
+# trials with exactly the streams one SeedSequence per trial would give.
+
+#: SeedSequence's pool size and hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+#: Trials of one stream: trial t enters the seeding as one 32-bit word.
+_MAX_TRIALS = 2 ** 32
+
+
+def _words(v: int) -> list[int]:
+    """32-bit words of a non-negative int, least significant first; 0 is
+    one word."""
+    out = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        out.append(v & _MASK32)
+    return out
+
+
+def _entropy(seed: int, key: tuple) -> list[int]:
+    """Entropy words of ``SeedSequence(seed, spawn_key=key)``: the seed's
+    words zero-padded to the pool size, then each key index's words.
+    numpy pads only when there is a key, but without one the pool takes
+    ``hashmix(0)`` past short entropy, which is the same hash."""
+    out = _words(seed)
+    out += [0] * (_POOL_SIZE - len(out))
+    for i in key:
+        out += _words(i)
+    return out
+
+
+def _hash(value, h: int, mult: int):
+    """One SeedSequence hash step of a word (int) or of a uint32 array,
+    under hash constant ``h``; returns the hash and the next constant."""
+    nxt = h * mult & _MASK32
+    value = (value ^ h) * nxt & _MASK32
+    return value ^ (value >> _XSHIFT), nxt
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words or uint32 arrays."""
+    value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _seed_states(words: list[int], last=None) -> np.ndarray:
+    """PCG64 seed words: ``generate_state(4, np.uint64)`` of SeedSequences.
+
+    Without ``last`` the one SeedSequence has entropy ``words``, which
+    ``_entropy`` pads to at least the pool size.  With ``last``, a uint32
+    array, there is one SeedSequence per t in it, with entropy
+    ``words + [t]``.  Returns one uint64 row of four per SeedSequence.
+    The pool is mixed as ``SeedSequence.mix_entropy`` mixes it, in Python
+    ints until the column enters and in uint32 arrays after that.
+    """
+    h = _INIT_A
+    pool = []
+    for value in words[:_POOL_SIZE]:
+        word, h = _hash(value, h, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, h = _hash(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    rest = words[_POOL_SIZE:] + ([] if last is None else [last])
+    for value in rest:
+        for dst in range(_POOL_SIZE):
+            word, h = _hash(value, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    # generate_state: 32-bit words cycling over the pool, read as
+    # little-endian pairs.
+    state = np.empty((1 if last is None else last.size, 2 * _POOL_SIZE),
+                     dtype="<u4")
+    h = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], h = _hash(pool[i % _POOL_SIZE], h, _MULT_B)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords:
+    """Seed sequence of precomputed words: PCG64's one call,
+    ``generate_state(4, np.uint64)``, returns ``words``.
+
+    ``_generators`` registers it as a numpy ``ISeedSequence`` when it first
+    needs one, so importing rmpoly does not load ``numpy.random``: loaded
+    at import, it raised the peak resident memory of a run by about 0.5 MB.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(states: np.ndarray):
+    """Lazily, one PCG64 ``Generator`` per row of ``_seed_states``."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)  # idempotent
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in states)
+
+
+def _trial_range(lo, hi) -> tuple[int, int]:
+    """``[lo, hi)`` as Python ints, a range of trials of one stream."""
+    lo, hi = _index(lo, "first trial"), _index(hi, "trial bound")
+    if not 0 <= lo <= hi <= _MAX_TRIALS:
+        raise ValidationError(
+            f"trial range [{lo}, {hi}) must satisfy 0 <= lo <= hi <= 2**32")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable random stream: a root seed plus a spawn-key path.
 
     Two streams with equal ``(seed, key)`` produce identical draws; children
-    with distinct paths are statistically independent.  Built on numpy's
-    ``SeedSequence`` spawn keys, giving each (suite, cell, trial) its own
-    counter-based stream regardless of execution order.
+    with distinct paths are statistically independent.  A stream is numpy's
+    ``SeedSequence(seed, spawn_key=key)`` feeding its own PCG64 state, so
+    each (suite, cell, trial) has its own stream regardless of execution
+    order.  The seed words come from ``_seed_states``, which computes them
+    for a whole range of children at once (``_trial_generators``).
     """
 
     seed: int
@@ -129,8 +258,15 @@ class RngStream:
         return RngStream(self.seed, self.key + indices)
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        return np.random.default_rng(ss)
+        return next(_generators(_seed_states(_entropy(self.seed, self.key))))
+
+
+def _trial_generators(rng: RngStream, lo, hi):
+    """Lazily, the generators of ``rng.child(t)`` for t in ``[lo, hi)``,
+    all seeded by one ``_seed_states`` pass; the range is checked first."""
+    lo, hi = _trial_range(lo, hi)
+    trials = np.arange(lo, hi, dtype=np.uint32)
+    return _generators(_seed_states(_entropy(rng.seed, rng.key), trials))
 
 
 def _generator(rng) -> np.random.Generator:
@@ -221,12 +357,14 @@ class MatrixPolynomial:
                 and np.array_equal(self.stack, other.stack))
 
 
-def _trial_coefficients(n: int, k: int, streams) -> np.ndarray:
-    """``(T, k, n, n)`` coefficients of one monic Gaussian trial per stream:
-    one flat standard complex Gaussian draw per stream, ``C_0`` first,
-    filled in place into one buffer for all T trials."""
-    parts = np.empty((len(streams), k, n, n, 2))
-    return _standard_complex(parts, (s.generator() for s in streams))
+def _trial_coefficients(n: int, k: int, rng: RngStream, lo, hi
+                        ) -> np.ndarray:
+    """``(hi - lo, k, n, n)`` coefficients of trials ``lo .. hi-1`` of the
+    cell stream ``rng``: trial t is one flat standard complex Gaussian
+    draw from ``rng.child(t)``, ``C_0`` first, filled in place into one
+    buffer for all the trials."""
+    generators = _trial_generators(rng, lo, hi)
+    return _standard_complex(np.empty((hi - lo, k, n, n, 2)), generators)
 
 
 def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
@@ -238,7 +376,7 @@ def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
     """
     n, k = _sizes(n, k)
     root = isinstance(rng, RngStream) and rng.key == ()
-    coeffs = _trial_coefficients(n, k, [rng])[0]
+    coeffs = complex_gaussian(rng, (k, n, n))
     return MatrixPolynomial(n, k, coeffs, seed=rng.seed if root else None)
 
 

@@ -42,7 +42,7 @@ from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
 from .linalg import log_abs_det, singular_values, woodbury_inverse
 from .matpoly import (RngStream, _companion_stack, _count, _generator,
-                      _index, _is_number, _sizes, _trial_coefficients,
+                      _index, _is_number, _sizes, _trial_generators,
                       circulant_b_eigenvalues, circulant_matrix,
                       complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
@@ -290,11 +290,16 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
 # Deterministic sweeps: many random instances, worst margin per instance
 
 
-def _sweep(lemma_id: str, instances: int, check_instance) -> LemmaReport:
-    """Worst margin of ``check_instance(i)``'s report for each instance i."""
-    return LemmaReport(lemma_id, tuple(
-        min(check_instance(i).per_trial_margins)
-        for i in range(_count(instances, "instances"))))
+def _sweep(lemma_id: str, reports) -> LemmaReport:
+    """Worst margin of each instance's report, in instance order."""
+    return LemmaReport(lemma_id, tuple(min(r.per_trial_margins)
+                                       for r in reports))
+
+
+def _instance_generators(instances: int, rng: RngStream):
+    """Generators of instances ``0 .. instances-1``, instance i drawing
+    from ``rng.child(i)``."""
+    return _trial_generators(rng, 0, _count(instances, "instances"))
 
 
 def _pair_stacks(dim: int, instances: int) -> np.ndarray:
@@ -307,8 +312,7 @@ def _pair_stacks(dim: int, instances: int) -> np.ndarray:
 def sweep_lowrank_interlacing(dim: int, instances: int,
                               rng: RngStream) -> LemmaReport:
     a, e = _pair_stacks(dim, instances)
-    for i in range(instances):
-        gg = rng.child(0, i).generator()
+    for i, gg in enumerate(_instance_generators(instances, rng.child(0))):
         a[i] = complex_gaussian(gg, (dim, dim))
         u = complex_gaussian(gg, (dim, _UPDATE_RANK))
         v = complex_gaussian(gg, (_UPDATE_RANK, dim))
@@ -321,8 +325,7 @@ def sweep_lowrank_interlacing(dim: int, instances: int,
 
 def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
     a, b = _pair_stacks(dim, instances)
-    for i in range(instances):
-        gg = rng.child(1, i).generator()
+    for i, gg in enumerate(_instance_generators(instances, rng.child(1))):
         a[i] = complex_gaussian(gg, (dim, dim))
         b[i] = complex_gaussian(gg, (dim, dim))
     return LemmaReport("mirsky-sv-perturbation",
@@ -331,15 +334,15 @@ def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
 
 def sweep_submatrix_interlacing(dim: int, instances: int,
                                 rng: RngStream) -> LemmaReport:
-    def check(i):
-        gg = rng.child(2, i).generator()
+    def check(gg):
         a = complex_gaussian(gg, (dim, dim))
         p = int(gg.integers(1, dim + 1))
         q = int(gg.integers(1, dim + 1))
         rows = gg.choice(dim, size=p, replace=False)
         cols = gg.choice(dim, size=q, replace=False)
         return check_submatrix_interlacing(a, rows, cols)
-    return _sweep("submatrix-interlacing", instances, check)
+    return _sweep("submatrix-interlacing",
+                  map(check, _instance_generators(instances, rng.child(2))))
 
 
 def sweep_woodbury_identity(dim: int, instances: int,
@@ -356,7 +359,8 @@ def sweep_woodbury_identity(dim: int, instances: int,
                 continue  # precondition failed, redraw
         raise ValidationError(  # pragma: no cover - probability ~ 0
             "could not draw an invertible low-rank update in 100 tries")
-    return _sweep("woodbury-identity", instances, check)
+    return _sweep("woodbury-identity",
+                  map(check, range(_count(instances, "instances"))))
 
 
 def sweep_circulant_shift_bounds(sizes, instances: int,
@@ -364,12 +368,13 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
     """Range check for random shifts z cycling over the given (n, k) sizes."""
     sizes = tuple(sizes)
 
-    def check(i):
-        gg = rng.child(4, i).generator()
+    def check(i, gg):
         n, k = sizes[i % len(sizes)]
         z = complex(gg.standard_normal(), gg.standard_normal())
         return check_circulant_shift_bounds(n, k, z)
-    return _sweep("circulant-shift-sv-range", instances, check)
+    gens = _instance_generators(instances, rng.child(4))
+    return _sweep("circulant-shift-sv-range",
+                  (check(i, gg) for i, gg in enumerate(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +616,8 @@ def _top_row_shift_singular_values(c_t, scale: float,
 def _companions(n: int, k: int, trials: int, rng: RngStream):
     """Companion matrices of trials 0 .. trials-1, one at a time, trial t
     with the coefficients the harness draws from ``rng.child(t)``."""
-    for t in range(trials):
-        yield _companion_stack(_trial_coefficients(n, k, [rng.child(t)]))[0]
+    for g in _trial_generators(rng, 0, trials):
+        yield _companion_stack(complex_gaussian(g, (k, n, n))[None])[0]
 
 
 def _fit_exponent(sizes: np.ndarray, medians: np.ndarray) -> float | None:

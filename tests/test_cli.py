@@ -83,6 +83,18 @@ class TestEsd:
         assert res.exit_code == 1
         assert "trials" in res.stderr
 
+    def test_trial_count_past_32_bits_exits_one_before_any_draw(
+            self, runner, monkeypatch):
+        seeded = []
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: seeded.append(a))
+        res = runner.invoke(main, ["esd", "--n", "1", "--k", "1",
+                                   "--trials", str(2 ** 32 + 1)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "2**32" in res.stderr
+        assert seeded == []
+
     def test_zero_dimension_exits_one(self, runner):
         res = runner.invoke(main, ["esd", "--n", "0", "--k", "2"])
         assert res.exit_code == 1

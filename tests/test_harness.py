@@ -71,6 +71,15 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="infeasible"):
             _small_cfg(n_values=(64,), target_points=100)
 
+    def test_rejects_more_trials_than_a_stream_addresses(self):
+        # Trial t seeds with t as one 32-bit word: 2**32 trials per cell
+        # are the most a stream addresses.
+        ExperimentConfig(regime="grow-n", n_values=(1,), k_values=(1,),
+                         target_points=2 ** 32)
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            ExperimentConfig(regime="grow-n", n_values=(1,), k_values=(1,),
+                             target_points=2 ** 32 + 1)
+
     def test_cells_follow_the_swept_axis(self):
         cfg = ExperimentConfig(regime="grow-n", n_values=(16, 32),
                                k_values=(3,))
@@ -489,6 +498,33 @@ class TestRunGrowN:
         cfg = _small_cfg()
         assert run_experiment(cfg).cells[0].report == \
             run_grow_n(cfg).cells[0].report
+
+    def test_one_stream_object_per_cell(self, monkeypatch):
+        # small-many's shapes, each over more than one chunk of trials:
+        # trial streams are seeded per chunk, not built one object each.
+        cfg = ExperimentConfig(regime="grow-n", n_values=(4, 8, 16),
+                               k_values=(2,), target_points=5000)
+        chunk = {n: harness._CHUNK_ENTRIES // (2 * n) ** 2
+                 for n in cfg.n_values}
+        assert all(cfg.trials_for(n, 2) > chunk[n] for n in cfg.n_values)
+        rng = RngStream(cfg.seed)
+        built = []
+        post_init = RngStream.__post_init__
+        monkeypatch.setattr(RngStream, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        run_experiment(cfg, rng)
+        assert len(built) <= len(cfg.cells())
+
+
+class TestPooledEsd:
+    def test_takes_a_cell_stream_not_a_list_of_streams(self):
+        with pytest.raises(ValidationError, match="RngStream"):
+            harness.pooled_esd("grow-n", 2, 2, [RngStream(1)], 1)
+
+    def test_trials_past_32_bits_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(harness, "_chunk_points", None)
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            harness.pooled_esd("grow-n", 1, 1, RngStream(1), 2 ** 32 + 1)
 
 
 class TestRunGrowK:

@@ -179,17 +179,34 @@ class TestSampleMonicGaussian:
 class TestTrialCoefficients:
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (16, 2), (2, 40)])
     def test_bits_match_one_draw_per_stream(self, n, k):
-        # Root, one-level and two-level streams: the chunk buffer must keep
-        # every bit of one ``complex_gaussian`` draw per stream.
-        streams = [RngStream(21), RngStream(21, (3,)),
-                   RngStream(21).child(0, 5), RngStream(21).child(0, 6)]
-        got = matpoly._trial_coefficients(n, k, streams)
-        ref = np.stack([complex_gaussian(s, (k, n, n)) for s in streams])
-        assert got.shape == (4, k, n, n) and got.dtype == np.complex128
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # Trials of a root, a one-level and a two-level cell stream, over a
+        # range that does not start at 0: the chunk buffer must keep every
+        # bit of one ``complex_gaussian`` draw per trial stream.
+        for rng in (RngStream(21), RngStream(21, (3,)),
+                    RngStream(21).child(0, 5)):
+            got = matpoly._trial_coefficients(n, k, rng, 5, 9)
+            ref = np.stack([complex_gaussian(rng.child(t), (k, n, n))
+                            for t in range(5, 9)])
+            assert got.shape == (4, k, n, n) and got.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("lo,hi", [(2 ** 32 - 1, 2 ** 32 + 1), (-1, 2),
+                                       (3, 2), (0.0, 2), (0, "2"), (True, 2)])
+    def test_bad_trial_range_rejected(self, lo, hi):
+        # Trial 2**32 would need a second key word: never a silent wrap.
+        with pytest.raises(ValidationError):
+            matpoly._trial_coefficients(1, 1, RngStream(1), lo, hi)
+
+    def test_last_trial_index_is_one_32_bit_word(self):
+        # Trial 2**32 - 1 still seeds from one key word.
+        top = 2 ** 32 - 1
+        got = matpoly._trial_coefficients(1, 1, RngStream(1), top, top + 1)
+        ref = complex_gaussian(RngStream(1, (top,)), (1, 1, 1))
+        assert np.array_equal(got[0].view(np.uint64), ref.view(np.uint64))
 
     def test_no_streams_give_an_empty_stack(self):
-        assert matpoly._trial_coefficients(2, 3, []).shape == (0, 3, 2, 2)
+        got = matpoly._trial_coefficients(2, 3, RngStream(1), 4, 4)
+        assert got.shape == (0, 3, 2, 2)
 
 
 def _blockwise_companion(coeffs):
@@ -206,8 +223,7 @@ def _blockwise_companion(coeffs):
 class TestCompanionStack:
     @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (4, 2), (2, 5)])
     def test_bits_match_blockwise_reference(self, n, k):
-        coeffs = matpoly._trial_coefficients(
-            n, k, [RngStream(22, (n, k, t)) for t in range(3)])
+        coeffs = matpoly._trial_coefficients(n, k, RngStream(22, (n, k)), 0, 3)
         ref = np.stack([_blockwise_companion(c) for c in coeffs])
         got = matpoly._companion_stack(coeffs)
         assert got.shape == (3, k * n, k * n)
@@ -649,9 +665,10 @@ class TestTrialEigenvalues:
     def test_rows_match_per_trial_oracle(self, n, k):
         # (2, 64) and (4, 32) take the Ehrlich-Aberth route, the rest the
         # stacked dense solve; both must keep every bit of the per-trial path.
-        streams = [RngStream(32, (n, k, t)) for t in range(3)]
+        rng = RngStream(32, (n, k))
+        streams = [rng.child(t) for t in range(3)]
         got = matpoly.trial_eigenvalues(
-            matpoly._trial_coefficients(n, k, streams))
+            matpoly._trial_coefficients(n, k, rng, 0, 3))
         assert got.shape == (3, k * n)
         for row, stream in zip(got, streams):
             ref = finite_eigenvalues(sample_monic_gaussian(n, k, stream))
@@ -667,8 +684,8 @@ class TestTrialEigenvalues:
             return eigenvalues(m)
 
         monkeypatch.setattr(matpoly, "eigenvalues", counted)
-        streams = [RngStream(33, (t,)) for t in range(5)]
-        matpoly.trial_eigenvalues(matpoly._trial_coefficients(n, k, streams))
+        matpoly.trial_eigenvalues(
+            matpoly._trial_coefficients(n, k, RngStream(33), 0, 5))
         assert calls == stacks
 
     def test_one_trial_falls_back_inside_a_stack(self, monkeypatch):
@@ -676,8 +693,7 @@ class TestTrialEigenvalues:
         # takes the dense route, with the bits of a one-trial dense solve,
         # and never through ``companion``; its neighbours keep their bits.
         n, k = 2, 64
-        coeffs = matpoly._trial_coefficients(
-            n, k, [RngStream(37, (t,)) for t in range(3)])
+        coeffs = matpoly._trial_coefficients(n, k, RngStream(37), 0, 3)
         solve = matpoly._aberth_eigenvalues
         want = [solve(coeffs[0]),
                 eigenvalues(matpoly._companion_stack(coeffs[1:2]))[0],
@@ -702,7 +718,7 @@ class TestTrialEigenvalues:
         # n = 0 draws an empty stack, which the dense route rejects.
         with pytest.raises(ValidationError):
             matpoly.trial_eigenvalues(
-                matpoly._trial_coefficients(0, 2, [RngStream(34)]))
+                matpoly._trial_coefficients(0, 2, RngStream(34), 0, 1))
 
     @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (0, 40, 2, 2),
                                        (3, 40, 0, 0), (40, 2, 2)])

@@ -1,4 +1,5 @@
-"""Property tests: config JSON and points CSV round trips, merge order."""
+"""Property tests: config JSON and points CSV round trips, merge order, and
+stream seeding against numpy's SeedSequence."""
 
 import json
 
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmpoly import (DiscMixture, EmpiricalSpectralDistribution,
-                    ExperimentConfig, UnitCircle, distance_report, merge,
-                    read_points_csv, write_points_csv)
+                    ExperimentConfig, RngStream, UnitCircle, distance_report,
+                    merge, read_points_csv, write_points_csv)
+from rmpoly.matpoly import _trial_generators
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -73,3 +75,50 @@ def test_distance_report_ignores_merge_order(chunks, law, rnd):
     first = distance_report(merge([_esd(c) for c in chunks]), law)
     second = distance_report(merge([_esd(c) for c in shuffled]), law)
     assert first == second
+
+
+#: Seeds of one, two, three and five 32-bit words, and ``2**32 - 1``.
+EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130 + 11)
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2 ** 200))
+keys = st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),
+                          st.integers(2 ** 32, 2 ** 80)),
+                max_size=3).map(tuple)
+
+
+@st.composite
+def trial_ranges(draw):
+    """``[lo, hi)`` around a chunk boundary of the harness (32, 128 or 512
+    trials) or around the last trial index, ``2**32 - 1``."""
+    edge = draw(st.sampled_from([32, 128, 512, 2 ** 32 - 3]))
+    lo = edge - draw(st.integers(0, 3))
+    return lo, min(edge + draw(st.integers(0, 3)), 2 ** 32)
+
+
+def _normal_bits(g) -> list:
+    return g.standard_normal(64).view(np.uint64).tolist()
+
+
+def _oracle(seed, key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+@PROPERTY
+@given(seeds, keys, trial_ranges())
+@example(0, (), (0, 1))
+@example(2 ** 130 + 11, (2 ** 64 + 3, 0, 7), (2 ** 32 - 2, 2 ** 32))
+def test_trial_generators_match_seed_sequence(seed, key, bounds):
+    lo, hi = bounds
+    got = [_normal_bits(g)
+           for g in _trial_generators(RngStream(seed, key), lo, hi)]
+    assert got == [_normal_bits(_oracle(seed, key + (t,)))
+                   for t in range(lo, hi)]
+
+
+@PROPERTY
+@given(seeds, keys)
+@example(0, ())
+@example(2 ** 130 + 11, ())
+def test_stream_generator_matches_seed_sequence(seed, key):
+    # The empty key is numpy's unpadded entropy, which hashes the same.
+    assert _normal_bits(RngStream(seed, key).generator()) == \
+        _normal_bits(_oracle(seed, key))

@@ -650,7 +650,7 @@ class TestGrowKSuite:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: pooled_esd("grow-n", 2.5, 2, [RngStream(1)]),
+    lambda: pooled_esd("grow-n", 2.5, 2, RngStream(1), 1),
     lambda: gaussian_norm_tail(2.5, 3.0, 10, RngStream(1)),
     lambda: gaussian_norm_tail(2, 3.0, 2.5, RngStream(1)),
     lambda: mc_pseudoinverse_tail(2.5, 6, 0.1, None, 10, RngStream(1)),
@@ -674,7 +674,7 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: pseudoinverse_tail_bound(2, 6, math.nan),
     lambda: mc_pseudoinverse_tail(2, 6, math.nan, None, 10, RngStream(1)),
     lambda: tail_log_sum(np.eye(3), 0.5, 1, math.nan),
-    lambda: atom_mass(pooled_esd("grow-n", 2, 2, [RngStream(1)]), math.nan),
+    lambda: atom_mass(pooled_esd("grow-n", 2, 2, RngStream(1), 1), math.nan),
     lambda: radial_cdf(DiscMixture(2), math.nan),
     lambda: gaussian_norm_tail(4, math.nan, 10, RngStream(1)),
     lambda: gaussian_norm_tail(4, math.inf, 10, RngStream(1)),
@@ -683,7 +683,7 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: radial_cdf(DiscMixture(2), ["0.5", "1"]),
     lambda: pseudoinverse_tail_bound(2, 6, "0.1"),
     lambda: mc_pseudoinverse_tail(2, 6, "0.1", None, 10, RngStream(1)),
-    lambda: atom_mass(pooled_esd("grow-n", 2, 2, [RngStream(1)]), "0.1"),
+    lambda: atom_mass(pooled_esd("grow-n", 2, 2, RngStream(1), 1), "0.1"),
     lambda: tail_log_sum(np.eye(3), 0.5, 1, "3"),
 ], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
         "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r",
