@@ -112,8 +112,10 @@ def _sizes(n, k) -> tuple[int, int]:
 # alone.  SeedSequence computes those words with fixed 32-bit integer
 # arithmetic (NEP 19 keeps it stable), so ``_seed_states`` does the same
 # arithmetic itself.  The trials of a cell share every entropy word but
-# the last, so one pass over a column of last words seeds a whole chunk of
-# trials with exactly the streams one SeedSequence per trial would give.
+# the trial's own, so one pass over a column of trial words seeds a whole
+# chunk of trials with exactly the streams one SeedSequence per trial would
+# give.  Key words after the trial's, shared by every trial, are columns
+# too.
 
 #: SeedSequence's pool size and hash constants.
 _POOL_SIZE = 4
@@ -144,9 +146,12 @@ def _entropy(seed: int, key: tuple) -> list[int]:
     ``hashmix(0)`` past short entropy, which is the same hash."""
     out = _words(seed)
     out += [0] * (_POOL_SIZE - len(out))
-    for i in key:
-        out += _words(i)
-    return out
+    return out + _key_words(key)
+
+
+def _key_words(key) -> list[int]:
+    """Entropy words of the key indices ``key``, in order."""
+    return [word for i in key for word in _words(i)]
 
 
 def _hash(value, h: int, mult: int):
@@ -163,16 +168,18 @@ def _mix(x, y):
     return value ^ (value >> _XSHIFT)
 
 
-def _seed_states(words: list[int], last=None) -> np.ndarray:
+def _seed_states(words: list[int], columns=()) -> np.ndarray:
     """PCG64 seed words: ``generate_state(4, np.uint64)`` of SeedSequences.
 
-    Without ``last`` the one SeedSequence has entropy ``words``, which
-    ``_entropy`` pads to at least the pool size.  With ``last``, a uint32
-    array, there is one SeedSequence per t in it, with entropy
-    ``words + [t]``.  Returns one uint64 row of four per SeedSequence.
-    The pool is mixed as ``SeedSequence.mix_entropy`` mixes it, in Python
-    ints until the column enters and in uint32 arrays after that.
+    Each SeedSequence has entropy ``words``, which ``_entropy`` pads to at
+    least the pool size, then one word per entry of ``columns``: an int is
+    a word they all share, a uint32 array holds one word per SeedSequence
+    (all arrays of one length).  Returns one uint64 row of four per
+    SeedSequence; without an array there is one.  The pool is mixed as
+    ``SeedSequence.mix_entropy`` mixes it, in Python ints until an array
+    enters and in uint32 arrays after that.
     """
+    rows = next((c.size for c in columns if isinstance(c, np.ndarray)), 1)
     h = _INIT_A
     pool = []
     for value in words[:_POOL_SIZE]:
@@ -183,15 +190,13 @@ def _seed_states(words: list[int], last=None) -> np.ndarray:
             if src != dst:
                 word, h = _hash(pool[src], h, _MULT_A)
                 pool[dst] = _mix(pool[dst], word)
-    rest = words[_POOL_SIZE:] + ([] if last is None else [last])
-    for value in rest:
+    for value in [*words[_POOL_SIZE:], *columns]:
         for dst in range(_POOL_SIZE):
             word, h = _hash(value, h, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
     # generate_state: 32-bit words cycling over the pool, read as
     # little-endian pairs.
-    state = np.empty((1 if last is None else last.size, 2 * _POOL_SIZE),
-                     dtype="<u4")
+    state = np.empty((rows, 2 * _POOL_SIZE), dtype="<u4")
     h = _INIT_B
     for i in range(2 * _POOL_SIZE):
         state[:, i], h = _hash(pool[i % _POOL_SIZE], h, _MULT_B)
@@ -261,12 +266,14 @@ class RngStream:
         return next(_generators(_seed_states(_entropy(self.seed, self.key))))
 
 
-def _trial_generators(rng: RngStream, lo, hi):
-    """Lazily, the generators of ``rng.child(t)`` for t in ``[lo, hi)``,
-    all seeded by one ``_seed_states`` pass; the range is checked first."""
+def _trial_generators(rng: RngStream, lo, hi, *tail: int):
+    """Lazily, the generators of ``rng.child(t, *tail)`` for t in
+    ``[lo, hi)``, all seeded by one ``_seed_states`` pass; the range is
+    checked first.  ``tail`` holds non-negative Python ints."""
     lo, hi = _trial_range(lo, hi)
     trials = np.arange(lo, hi, dtype=np.uint32)
-    return _generators(_seed_states(_entropy(rng.seed, rng.key), trials))
+    return _generators(_seed_states(_entropy(rng.seed, rng.key),
+                                    [trials, *_key_words(tail)]))
 
 
 def _generator(rng) -> np.random.Generator:
@@ -409,15 +416,21 @@ def companion(p: MatrixPolynomial) -> np.ndarray:
     return m
 
 
+def _circulant_stack(n: int, k: int, t: int) -> np.ndarray:
+    """``t`` copies of the block circulant of ``circulant_matrix``."""
+    kn = k * n
+    b = np.zeros((t, kn * kn), dtype=np.complex128)
+    # Down-shift identity blocks: entry (r, r - n) for r >= n, as in
+    # ``_companion_stack``; the top-right block: (r, (k-1) n + r), r < n.
+    b[:, n * kn::kn + 1] = 1.0
+    b[:, (k - 1) * n:n * kn:kn + 1] = 1.0
+    return b.reshape(t, kn, kn)
+
+
 def circulant_matrix(n: int, k: int) -> np.ndarray:
     """Block circulant B: identity blocks on the down-shift and top-right."""
     n, k = _sizes(n, k)
-    kn = k * n
-    b = np.zeros((kn, kn), dtype=np.complex128)
-    for i in range(1, k):
-        b[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
-    b[:n, (k - 1) * n:] = np.eye(n)
-    return b
+    return _circulant_stack(n, k, 1)[0]
 
 
 def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:

@@ -8,8 +8,9 @@ Two kinds of check live here:
   circulant.  These are exact statements; a check fails only beyond a
   relative slack of ``DETERMINISTIC_SLACK``.  Each ``sweep_*`` runs one of
   them on many random instances, each instance from its own stream.  The
-  Mirsky and low-rank sweeps stack their instances and share the margin
-  formula of the single check, with the same bits.
+  Mirsky, low-rank and circulant sweeps stack their instances and share
+  the margin formula of the single check, with the same bits; the
+  circulant stacks hold at most ``_MC_CHUNK_ENTRIES`` entries each.
 * probabilistic bound checks -- Monte Carlo sweeps confirming that sampled
   quantities respect high-probability bounds at pilot-calibrated constants:
   floors on the smallest singular values of shifted companion matrices,
@@ -21,6 +22,11 @@ The log-determinant diagnostics of the replacement principle follow them:
 ``replacement_gap`` takes both log-determinants from one LU factorization
 each (``linalg.log_abs_det``), and ``tail_log_sum`` sums the logs of the
 smallest singular values.
+
+The probabilistic suites take each trial's companion matrix fresh and
+shift it in place: ``M - zI`` changes only the diagonal, so no ``kn x kn``
+identity or shifted copy is made, and the entries are those of
+``M - z * np.eye(kn)``.
 
 Margins follow one sign convention: >= 0 passes.  For an upper bound the
 margin is (bound - observed); for a lower bound it is (observed - bound).
@@ -40,10 +46,11 @@ import numpy as np
 
 from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
-from .linalg import log_abs_det, singular_values, woodbury_inverse
-from .matpoly import (RngStream, _companion_stack, _count, _generator,
-                      _index, _is_number, _sizes, _trial_generators,
-                      circulant_b_eigenvalues, circulant_matrix,
+from .linalg import (_square, as_matrix, log_abs_det, singular_values,
+                     woodbury_inverse)
+from .matpoly import (RngStream, _circulant_stack, _companion_stack, _count,
+                      _generator, _index, _is_number, _sizes,
+                      _trial_generators, circulant_b_eigenvalues,
                       complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
@@ -98,8 +105,39 @@ _UPDATE_RANK = 1
 
 #: Matrix entries per batch of the Monte Carlo tail checks (512 KB of
 #: complex draws); this bounds their temporaries.  Batches are filled in
-#: sequence from one generator, so the draws do not depend on it.
+#: sequence from one generator, so the draws do not depend on it.  The
+#: circulant sweep's stacks hold at most as many entries, or one matrix.
 _MC_CHUNK_ENTRIES = 2 ** 15
+
+
+def _shift(z) -> complex:
+    """``z`` as a Python complex: any finite complex number type but bool."""
+    if not isinstance(z, numbers.Complex) or isinstance(z, bool):
+        raise ValidationError(f"shift z must be a complex number, got {z!r}")
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"shift z must be finite, got {z!r}")
+    return z
+
+
+def _subtract_shift(m: np.ndarray, z) -> np.ndarray:
+    """``m - zI`` in place and returned, for a square matrix or a stack of
+    them and one shift or one per matrix.  Only the diagonal changes, so
+    the entries are those of ``m - z * np.eye(...)``."""
+    d = np.arange(m.shape[-1])
+    m[..., d, d] -= np.asarray(z)[..., None]
+    return m
+
+
+def _size_pairs(sizes) -> tuple:
+    """``sizes`` as a nonempty tuple of (n, k) pairs of Python ints >= 1."""
+    if not (isinstance(sizes, (tuple, list)) and sizes):
+        raise ValidationError(
+            f"sizes must be a nonempty list of (n, k) pairs, got {sizes!r}")
+    for size in sizes:
+        if not (isinstance(size, (tuple, list)) and len(size) == 2):
+            raise ValidationError(f"size {size!r} is not an (n, k) pair")
+    return tuple(_sizes(*size) for size in sizes)
 
 
 @dataclass(frozen=True)
@@ -116,19 +154,9 @@ class LemmaCheckConfig:
     trials: int = 200
 
     def __post_init__(self):
-        if not isinstance(self.z, numbers.Complex) or isinstance(self.z, bool):
-            raise ValidationError(
-                f"shift z must be a complex number, got {self.z!r}")
-        object.__setattr__(self, "z", complex(self.z))
-        if not cmath.isfinite(self.z):
-            raise ValidationError(f"shift z must be finite, got {self.z!r}")
+        object.__setattr__(self, "z", _shift(self.z))
         _count(self.trials, "trials")
-        if not self.sizes:
-            raise ValidationError("sizes must be nonempty")
-        for size in self.sizes:
-            if not (isinstance(size, (tuple, list)) and len(size) == 2):
-                raise ValidationError(f"size {size!r} is not an (n, k) pair")
-            _sizes(*size)
+        _size_pairs(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -205,9 +233,11 @@ def check_lowrank_interlacing(a, e) -> LemmaReport:
     ``a + e`` and r = numerical rank of ``e``:
     ``alpha_i >= beta_{i+r}`` and ``beta_i >= alpha_{i+r}`` for all valid i.
     """
-    aa = np.asarray(a, dtype=np.complex128)[None]
-    ee = np.asarray(e, dtype=np.complex128)[None]
-    [(_, margins)] = _lowrank_interlacing_margins(aa, ee)
+    aa, ee = as_matrix(a), as_matrix(e)
+    if aa.shape != ee.shape:
+        raise ValidationError(f"interlacing check needs equal shapes, got "
+                              f"{aa.shape} vs {ee.shape}")
+    [(_, margins)] = _lowrank_interlacing_margins(aa[None], ee[None])
     return LemmaReport("lowrank-interlacing", tuple(margins[0]))
 
 
@@ -234,16 +264,32 @@ def check_mirsky(a, b) -> LemmaReport:
     return LemmaReport("mirsky-sv-perturbation", (_mirsky_margins(a, b),))
 
 
+def _subset(indices, size: int, what: str) -> np.ndarray:
+    """``indices`` as a nonempty integer array of distinct indices in
+    ``[0, size)``."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValidationError(
+            f"{what} subset must be a nonempty list, got {indices!r}")
+    if idx.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{what} indices must be integers, got {indices!r}")
+    if idx.min() < 0 or idx.max() >= size:
+        raise ValidationError(
+            f"{what} indices must lie in [0, {size}), got {indices!r}")
+    if len(set(idx.tolist())) != idx.size:
+        raise ValidationError(
+            f"{what} indices must be distinct, got {indices!r}")
+    return idx
+
+
 def check_submatrix_interlacing(a, rows, cols) -> LemmaReport:
     """A p x q submatrix has no larger top singular value and no smaller
     min(p, q)-th one: ``||a|| >= ||b||`` and ``sigma_{min(p,q)}(a) >=
-    sigma_min(b)``."""
-    aa = np.asarray(a, dtype=np.complex128)
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    if rows.size == 0 or cols.size == 0:
-        raise ValidationError("row and column subsets must be nonempty")
-    b = aa[np.ix_(rows, cols)]
+    sigma_min(b)``.  ``rows`` and ``cols`` are distinct indices of ``a``."""
+    aa = as_matrix(a)
+    b = aa[np.ix_(_subset(rows, aa.shape[0], "row"),
+                  _subset(cols, aa.shape[1], "column"))]
     sa = singular_values(aa)
     sb = singular_values(b)
     slack = DETERMINISTIC_SLACK * max(sa[0], 1.0)
@@ -260,7 +306,7 @@ def check_woodbury_identity(a, u, v) -> LemmaReport:
     ``||w (a+uv) - I||_F``, each normalized by ``||a+uv||_F ||w||_F`` so the
     margin is conditioning-free.
     """
-    aa = np.asarray(a, dtype=np.complex128)
+    aa = _square(a)
     w = woodbury_inverse(np.linalg.inv(aa), u, v)
     b = aa + np.asarray(u) @ np.asarray(v)
     scale = np.linalg.norm(b, "fro") * np.linalg.norm(w, "fro")
@@ -271,6 +317,22 @@ def check_woodbury_identity(a, u, v) -> LemmaReport:
                                              DETERMINISTIC_SLACK - left))
 
 
+def _shifted_circulants(n: int, k: int, z: np.ndarray) -> np.ndarray:
+    """Stack of ``B - z_i I``, B the block circulant, one per entry of the
+    1-D complex array ``z``."""
+    return _subtract_shift(_circulant_stack(n, k, z.size), z)
+
+
+def _circulant_margins(s: np.ndarray, az) -> np.ndarray:
+    """Margins ``s - |1 - |z||`` and ``1 + |z| - s``, each plus slack, of
+    rows of singular values ``s``, shape ``(..., kn)``, of shifted block
+    circulants; ``az`` holds |z| per row, shape ``(...)``."""
+    az = np.asarray(az)[..., None]
+    slack = DETERMINISTIC_SLACK * np.maximum(s[..., :1], 1.0)
+    return np.concatenate([s - np.abs(1.0 - az) + slack,
+                           1.0 + az - s + slack], axis=-1)
+
+
 def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
     """Singular values of (block circulant - z I) stay in
     ``[|1 - |z||, 1 + |z|]``.
@@ -278,12 +340,11 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
     The shifted block circulant is normal with eigenvalues (root of unity -
     z), so every singular value is the modulus of such an eigenvalue.
     """
-    s = singular_values(circulant_matrix(n, k) - z * np.eye(k * n))
-    lo = abs(1.0 - abs(z))
-    hi = 1.0 + abs(z)
-    slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
-    margins = np.concatenate([s - lo + slack, hi - s + slack])
-    return LemmaReport("circulant-shift-sv-range", tuple(margins))
+    n, k = _sizes(n, k)
+    z = _shift(z)
+    s = singular_values(_shifted_circulants(n, k, np.array([z]))[0])
+    return LemmaReport("circulant-shift-sv-range",
+                       tuple(_circulant_margins(s, abs(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +357,10 @@ def _sweep(lemma_id: str, reports) -> LemmaReport:
                                        for r in reports))
 
 
-def _instance_generators(instances: int, rng: RngStream):
+def _instance_generators(instances: int, rng: RngStream, *tail: int):
     """Generators of instances ``0 .. instances-1``, instance i drawing
-    from ``rng.child(i)``."""
-    return _trial_generators(rng, 0, _count(instances, "instances"))
+    from ``rng.child(i, *tail)``."""
+    return _trial_generators(rng, 0, _count(instances, "instances"), *tail)
 
 
 def _pair_stacks(dim: int, instances: int) -> np.ndarray:
@@ -347,9 +408,14 @@ def sweep_submatrix_interlacing(dim: int, instances: int,
 
 def sweep_woodbury_identity(dim: int, instances: int,
                             rng: RngStream) -> LemmaReport:
-    def check(i):
+    """Attempt j of instance i draws from ``rng.child(3, i, j)``; the
+    first attempts are seeded in one pass."""
+    stream = rng.child(3)
+
+    def check(i, gg):
         for attempt in range(100):
-            gg = rng.child(3, i, attempt).generator()
+            if attempt:
+                gg = stream.child(i, attempt).generator()
             a = complex_gaussian(gg, (dim, dim))
             u = complex_gaussian(gg, (dim, _UPDATE_RANK))
             v = complex_gaussian(gg, (_UPDATE_RANK, dim))
@@ -359,22 +425,34 @@ def sweep_woodbury_identity(dim: int, instances: int,
                 continue  # precondition failed, redraw
         raise ValidationError(  # pragma: no cover - probability ~ 0
             "could not draw an invertible low-rank update in 100 tries")
+    gens = _instance_generators(instances, stream, 0)
     return _sweep("woodbury-identity",
-                  map(check, range(_count(instances, "instances"))))
+                  (check(i, gg) for i, gg in enumerate(gens)))
 
 
 def sweep_circulant_shift_bounds(sizes, instances: int,
                                  rng: RngStream) -> LemmaReport:
-    """Range check for random shifts z cycling over the given (n, k) sizes."""
-    sizes = tuple(sizes)
+    """Range check for random shifts z cycling over the given (n, k) sizes.
 
-    def check(i, gg):
-        n, k = sizes[i % len(sizes)]
-        z = complex(gg.standard_normal(), gg.standard_normal())
-        return check_circulant_shift_bounds(n, k, z)
-    gens = _instance_generators(instances, rng.child(4))
-    return _sweep("circulant-shift-sv-range",
-                  (check(i, gg) for i, gg in enumerate(gens)))
+    Instance i has size ``sizes[i % len(sizes)]`` and draws z from
+    ``rng.child(4, i)``.  The instances of one size are checked in stacks
+    of at most ``_MC_CHUNK_ENTRIES`` entries, one SVD call per stack, with
+    the margins of ``check_circulant_shift_bounds``, bit for bit.
+    """
+    sizes = _size_pairs(sizes)
+    z = np.array([complex(g.standard_normal(), g.standard_normal())
+                  for g in _instance_generators(instances, rng.child(4))])
+    # Python's complex abs: numpy's can differ in the last bit.
+    az = np.array([abs(zi) for zi in z.tolist()])
+    worst = np.empty(z.size)
+    for first, (n, k) in enumerate(sizes):
+        idx = np.arange(first, z.size, len(sizes))
+        step = max(1, _MC_CHUNK_ENTRIES // (k * n) ** 2)
+        for lo in range(0, idx.size, step):
+            part = idx[lo:lo + step]
+            s = singular_values(_shifted_circulants(n, k, z[part]))
+            worst[part] = _circulant_margins(s, az[part]).min(axis=-1)
+    return LemmaReport("circulant-shift-sv-range", tuple(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +584,12 @@ def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
 
 
 def _shifted(x, z: complex) -> np.ndarray:
-    a = np.asarray(x, dtype=np.complex128)
+    """``x - zI`` as a new array; ``x`` must be square."""
+    z = _shift(z)
+    a = np.array(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return a - z * np.eye(a.shape[0])
+    return _subtract_shift(a, z)
 
 
 def replacement_gap(a, b, z: complex) -> float:
@@ -615,7 +695,8 @@ def _top_row_shift_singular_values(c_t, scale: float,
 
 def _companions(n: int, k: int, trials: int, rng: RngStream):
     """Companion matrices of trials 0 .. trials-1, one at a time, trial t
-    with the coefficients the harness draws from ``rng.child(t)``."""
+    with the coefficients the harness draws from ``rng.child(t)``.  Each
+    is a fresh array, which the caller may shift in place."""
     for g in _trial_generators(rng, 0, trials):
         yield _companion_stack(complex_gaussian(g, (k, n, n))[None])[0]
 
@@ -684,10 +765,10 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         n_floor = n ** -(EXPONENT_A + 2.0)
         tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5
-        eye = np.eye(k * n)
         for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
-            sm = singular_values(scale * m - z * eye)
             se = _top_row_shift_singular_values(m[:n], scale, z)
+            m *= scale
+            sm = singular_values(_subtract_shift(m, z))
             floor_m.append(sm[-1] - n_floor)
             floor_e.append(se[-1] - n_floor)
             cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))
@@ -727,14 +808,13 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     med_min = []
     for s_idx, (n, k) in enumerate(cfg.sizes):
         kn = k * n
-        eye = np.eye(kn)
         idx = np.arange(n, kn - n)  # 0-based i-1 for n < i <= kn - n
         sv_b = np.sort(np.abs(circulant_b_eigenvalues(n, k) - z))[::-1]
         cap_value = CONSTANT_R * math.sqrt(k) + 1.0 + az
         floor_value = CONSTANT_T / k ** 2
         mins = []
         for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
-            s = singular_values(m - z * eye)
+            s = singular_values(_subtract_shift(m, z))
             slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
             cap.append(cap_value - s[0])
             floor_block.append(s[n - 1] - abs(1.0 - az) + slack)

@@ -752,6 +752,29 @@ class TestRunVerification:
             run_verification(cfg, suite_trials=2, deterministic_instances=2,
                              mc_trials=10, z_values=z_values)
 
+    def test_logs_each_family_time_outside_the_jsonl(self, caplog):
+        cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
+                               target_points=320)
+        with caplog.at_level("INFO", logger="rmpoly.harness"):
+            res = run_verification(cfg, suite_trials=2,
+                                   deterministic_instances=2, mc_trials=10)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "rmpoly.harness"]
+        labels = [line.removeprefix("verify ").rsplit(" done in ", 1)[0]
+                  for line in lines]
+        assert labels == [
+            "grow-n suite", "grow-k suite", "lowrank-interlacing",
+            "mirsky-sv-perturbation", "submatrix-interlacing",
+            "woodbury-identity", "circulant-shift-sv-range",
+            "pinv-tail-domination R_D=0", "pinv-tail-domination ||R_D||=5",
+            "unit-vector-projection-beta", "gaussian-norm-tail"]
+        assert all(line.startswith("verify ") and line.endswith("s")
+                   for line in lines)
+        for doc in map(json.loads, res.to_jsonl().splitlines()):
+            assert set(doc) == {"lemma_id", "trials", "violations",
+                                "min_margin", "fitted_exponent",
+                                "per_trial_margins"}
+
     def test_default_shifts_are_the_documented_pair(self, small_run):
         cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),
                                target_points=320)

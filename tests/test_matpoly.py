@@ -350,6 +350,17 @@ class TestCirculantSplit:
         np.testing.assert_array_equal(b, [[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(m - b, [[0.0, -1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (1, 4), (2, 5), (4, 3)])
+    def test_matches_block_loop_reference(self, n, k):
+        kn = k * n
+        ref = np.zeros((kn, kn), dtype=np.complex128)
+        for i in range(1, k):
+            ref[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+        ref[:n, (k - 1) * n:] = np.eye(n)
+        b = circulant_matrix(n, k)
+        assert b.dtype == np.complex128 and b.flags.c_contiguous
+        assert np.array_equal(b.view(np.uint64), ref.view(np.uint64))
+
     def test_subtraction_direction_is_bitwise(self):
         # M - B is exactly the top block row of M with I_n taken off its
         # corner block: the float subtraction rounds like the formula.

@@ -102,15 +102,24 @@ def _oracle(seed, key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+#: Key indices after the trial's, shared by every trial: up to two words.
+tails = st.one_of(st.just(()), st.just((0,)),
+                  st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),
+                                     st.integers(2 ** 32, 2 ** 64 - 1)),
+                           min_size=1, max_size=2).map(tuple))
+
+
 @PROPERTY
-@given(seeds, keys, trial_ranges())
-@example(0, (), (0, 1))
-@example(2 ** 130 + 11, (2 ** 64 + 3, 0, 7), (2 ** 32 - 2, 2 ** 32))
-def test_trial_generators_match_seed_sequence(seed, key, bounds):
+@given(seeds, keys, trial_ranges(), tails)
+@example(0, (), (0, 1), ())
+@example(2 ** 130 + 11, (2 ** 64 + 3, 0, 7), (2 ** 32 - 2, 2 ** 32), ())
+@example(7, (2, 3), (0, 33), (0,))
+@example(2 ** 32, (), (510, 514), (2 ** 32 - 1, 2 ** 64 - 1))
+def test_trial_generators_match_seed_sequence(seed, key, bounds, tail):
     lo, hi = bounds
     got = [_normal_bits(g)
-           for g in _trial_generators(RngStream(seed, key), lo, hi)]
-    assert got == [_normal_bits(_oracle(seed, key + (t,)))
+           for g in _trial_generators(RngStream(seed, key), lo, hi, *tail)]
+    assert got == [_normal_bits(_oracle(seed, key + (t,) + tail))
                    for t in range(lo, hi)]
 
 

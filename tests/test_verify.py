@@ -43,6 +43,7 @@ from rmpoly import (
     tail_split_index,
 )
 from rmpoly import verify
+from rmpoly.errors import SingularUpdateError
 from rmpoly.harness import pooled_esd
 from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
 from rmpoly.verify import (CONSTANT_D, CONSTANT_R, CONSTANT_T, DELTA,
@@ -241,6 +242,32 @@ class TestSubmatrixInterlacing:
         with pytest.raises(ValidationError):
             check_submatrix_interlacing(np.eye(3), [], [0])
 
+    @pytest.mark.parametrize("rows,cols,match", [
+        ([0] * 5, [0, 1], "distinct"),
+        ([0, 1], [1, 1], "distinct"),
+        ([5], [0], r"\[0, 4\)"),
+        ([0], [4], r"\[0, 4\)"),
+        ([-1], [0], r"\[0, 4\)"),
+        ([0.5], [0], "integers"),
+        ([0], [True], "integers"),
+        ([[0, 1]], [0], "nonempty list"),
+    ], ids=["duplicate-rows", "duplicate-cols", "row-past-end",
+            "col-past-end", "negative", "float", "bool", "nested"])
+    def test_bad_indices_rejected_before_any_svd(self, rows, cols, match,
+                                                 monkeypatch):
+        # Each of these once gave a false margin, an IndexError or a
+        # silently truncated index.
+        monkeypatch.setattr(verify, "singular_values", None)
+        with pytest.raises(ValidationError, match=match):
+            check_submatrix_interlacing(np.eye(4), rows, cols)
+
+    def test_numpy_and_range_indices_accepted(self):
+        a = complex_gaussian(RngStream(79), (4, 3))
+        want = check_submatrix_interlacing(a, [2, 0], [1])
+        for rows in (range(2, -1, -2), np.array([2, 0], dtype=np.uint8)):
+            assert check_submatrix_interlacing(a, rows, np.int64(1) + [0]) \
+                == want
+
     def test_sweep_has_zero_violations(self):
         rep = sweep_submatrix_interlacing(8, 300, RngStream(77))
         assert rep.violations == 0
@@ -259,6 +286,39 @@ class TestWoodburyCheck:
         assert rep.violations == 0
         assert len(rep.per_trial_margins) == 200
 
+    def test_sweep_matches_per_instance_checks_with_a_redraw(
+            self, monkeypatch):
+        # Attempt j of instance i draws from rng.child(3, i, j); the first
+        # check of instance 2 is made to fail, so it takes attempt 1.
+        rng = RngStream(84)
+
+        def draw(i, attempt):
+            gg = rng.child(3, i, attempt).generator()
+            return (complex_gaussian(gg, (5, 5)), complex_gaussian(gg, (5, 1)),
+                    complex_gaussian(gg, (1, 5)))
+        expected = [min(check_woodbury_identity(*draw(i, 0 if i != 2 else 1))
+                        .per_trial_margins) for i in range(6)]
+        calls = []
+
+        def flaky(a, u, v):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularUpdateError("forced", sigma_min=0.0)
+            return check_woodbury_identity(a, u, v)
+        monkeypatch.setattr(verify, "check_woodbury_identity", flaky)
+        rep = sweep_woodbury_identity(5, 6, rng)
+        assert len(calls) == 7
+        assert rep.per_trial_margins == tuple(expected)
+
+    @pytest.mark.parametrize("a,u,v", [
+        (np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3))),
+        (np.eye(3), np.ones((2, 1)), np.ones((1, 3))),
+        (np.eye(3), np.ones((3, 1)), np.ones((2, 3))),
+    ], ids=["wide-a", "short-u", "tall-v"])
+    def test_bad_shapes_rejected(self, a, u, v):
+        with pytest.raises(ValidationError):
+            check_woodbury_identity(a, u, v)
+
 
 class TestCirculantShiftBounds:
     @pytest.mark.parametrize("z", [0.5, 0.7 + 0.3j, 2.0, 1e-3j])
@@ -271,6 +331,91 @@ class TestCirculantShiftBounds:
         rep = sweep_circulant_shift_bounds(((2, 8), (3, 5), (4, 16)), 150,
                                            RngStream(80))
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("n,k", [(2, 8), (3, 5), (1, 1), (3, 1)])
+    @pytest.mark.parametrize("z", [0.5, 0.7 + 0.3j, -1.3 - 0.2j])
+    def test_margins_match_dense_shift_bitwise(self, n, k, z):
+        # B - z * eye(kn) with Python's abs of z: the formula the check
+        # had before it shifted the diagonal in place.
+        kn = k * n
+        s = singular_values(circulant_matrix(n, k) - z * np.eye(kn))
+        slack = SLACK * max(s[0], 1.0)
+        want = np.concatenate([s - abs(1.0 - abs(z)) + slack,
+                               1.0 + abs(z) - s + slack])
+        got = check_circulant_shift_bounds(n, k, z).per_trial_margins
+        assert got == tuple(want.tolist())
+
+    def test_sweep_matches_per_instance_checks(self):
+        # 41 instances over four sizes: the (4, 16) class spans two stacks.
+        sizes = ((2, 8), (3, 5), (4, 16), (1, 1))
+        rng = RngStream(85)
+        expected = []
+        for i in range(41):
+            gg = rng.child(4, i).generator()
+            z = complex(gg.standard_normal(), gg.standard_normal())
+            expected.append(min(check_circulant_shift_bounds(
+                *sizes[i % 4], z).per_trial_margins))
+        rep = sweep_circulant_shift_bounds(sizes, 41, rng)
+        assert rep.per_trial_margins == tuple(expected)
+
+    def test_sweep_makes_one_svd_call_per_stack(self, monkeypatch):
+        sizes = ((2, 8), (3, 5), (4, 16))
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return singular_values(x)
+        monkeypatch.setattr(verify, "singular_values", counted)
+        sweep_circulant_shift_bounds(sizes, 1000, RngStream(86))
+        # 334 + 333 + 333 instances; stacks of 128, 145 and 8 matrices.
+        stacks = [math.ceil(count / (verify._MC_CHUNK_ENTRIES // kn ** 2))
+                  for count, kn in ((334, 16), (333, 15), (333, 64))]
+        assert len(shapes) == sum(stacks) == 48
+        assert all(len(shape) == 3 and shape[0] * shape[1] * shape[2]
+                   <= verify._MC_CHUNK_ENTRIES for shape in shapes)
+
+    def test_sweep_peak_is_one_matrix_past_the_stack_budget(self,
+                                                            traced_peak):
+        # At kn = 256 a stack holds one 1 MiB matrix, shifted in place: no
+        # eye, no z * eye, no difference.  Those took the peak to 2.6 MiB.
+        peak = traced_peak(sweep_circulant_shift_bounds, ((4, 64),), 3,
+                           RngStream(87))
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("sizes", [(), ((2,),), ((0, 3),), ((2, 2.5),),
+                                       (8,), "28"],
+                             ids=["empty", "single", "zero", "float",
+                                  "not-a-pair", "string"])
+    def test_sweep_rejects_bad_sizes(self, sizes):
+        with pytest.raises(ValidationError):
+            sweep_circulant_shift_bounds(sizes, 4, RngStream(88))
+
+
+# ---------------------------------------------------------------------------
+# Shift and shape validation
+
+
+@pytest.mark.parametrize("call", [
+    lambda z: check_circulant_shift_bounds(2, 3, z),
+    lambda z: replacement_gap(np.eye(3), np.eye(3), z),
+    lambda z: tail_log_sum(np.eye(3), z, 1, 3.0),
+    lambda z: LemmaCheckConfig(z=z, sizes=((16, 3),)),
+], ids=["circulant", "replacement_gap", "tail_log_sum", "config"])
+@pytest.mark.parametrize("z", ["x", True, np.bool_(False), None,
+                               complex(math.nan, 0.0), math.inf,
+                               np.complex128(1j * math.inf)],
+                         ids=["str", "bool", "numpy-bool", "none", "nan",
+                              "inf", "numpy-inf"])
+def test_bad_shift_rejected_before_any_lapack_call(call, z, monkeypatch):
+    for name in ("singular_values", "log_abs_det"):
+        monkeypatch.setattr(verify, name, None)
+    with pytest.raises(ValidationError, match="shift z"):
+        call(z)
+
+
+def test_interlacing_needs_equal_shapes():
+    with pytest.raises(ValidationError, match="equal shapes"):
+        check_lowrank_interlacing(np.eye(3), np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +778,13 @@ class TestGrowKSuite:
         assert reports["grow-k/block-sv-floor"].violations == 0
         assert reports["grow-k/interlacing-chain"].violations == 0
         assert len(reports["grow-k/interlacing-chain"].per_trial_margins) == 100
+
+    def test_peak_holds_no_shifted_copy(self, traced_peak):
+        # One kn = 256 cell: each trial's 1 MiB companion is shifted in
+        # place.  With M - z * eye(kn) the peak was 4.2 MiB.
+        cfg = LemmaCheckConfig(z=0.5, sizes=((2, 128),), trials=3)
+        peak = traced_peak(lemma_suite_grow_k, cfg, RngStream(102))
+        assert peak < 3.5 * 2 ** 20
 
     def test_sigma_min_floor_across_degrees(self):
         # sigma_kn(M - zI) >= 1e-3 * k**-2 from k=8 up to k=256.
