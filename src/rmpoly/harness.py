@@ -552,37 +552,39 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
         freq = gaussian_norm_tail(32, 3.0, NORM_TAIL_TRIALS, tail.child(3))
         # At threshold 3 sqrt(n) the norm tail is exponentially small;
         # allow three Poisson sigmas around zero events.
-        return LemmaReport("gaussian-norm-tail",
-                           (3.0 / NORM_TAIL_TRIALS - freq,))
+        return [LemmaReport("gaussian-norm-tail",
+                            (3.0 / NORM_TAIL_TRIALS - freq,))]
 
-    # Each check family with its label in the timing log.
+    # Each check family, with its label in the timing log, returns a list
+    # of reports.
     families = (
         ("grow-n suite", lambda: lemma_suite_grow_n(cfg_n, rng.child(0))),
         ("grow-k suite", lambda: lemma_suite_grow_k(cfg_k, rng.child(1))),
-        ("lowrank-interlacing", lambda: sweep_lowrank_interlacing(
-            DETERMINISTIC_DIM, deterministic_instances, det)),
-        ("mirsky-sv-perturbation", lambda: sweep_mirsky(
-            DETERMINISTIC_DIM, deterministic_instances, det)),
-        ("submatrix-interlacing", lambda: sweep_submatrix_interlacing(
-            DETERMINISTIC_DIM, deterministic_instances, det)),
-        ("woodbury-identity", lambda: sweep_woodbury_identity(
-            DETERMINISTIC_DIM, deterministic_instances, det)),
-        ("circulant-shift-sv-range", lambda: sweep_circulant_shift_bounds(
-            CIRCULANT_SIZES, deterministic_instances, det)),
-        ("pinv-tail-domination R_D=0", lambda: check_pinv_tail_domination(
-            2, 6, 0.1, None, mc_trials, tail.child(0))),
+        ("lowrank-interlacing", lambda: [sweep_lowrank_interlacing(
+            DETERMINISTIC_DIM, deterministic_instances, det)]),
+        ("mirsky-sv-perturbation", lambda: [sweep_mirsky(
+            DETERMINISTIC_DIM, deterministic_instances, det)]),
+        ("submatrix-interlacing", lambda: [sweep_submatrix_interlacing(
+            DETERMINISTIC_DIM, deterministic_instances, det)]),
+        ("woodbury-identity", lambda: [sweep_woodbury_identity(
+            DETERMINISTIC_DIM, deterministic_instances, det)]),
+        ("circulant-shift-sv-range",
+         lambda: [sweep_circulant_shift_bounds(
+             CIRCULANT_SIZES, deterministic_instances, det)]),
+        ("pinv-tail-domination R_D=0",
+         lambda: [check_pinv_tail_domination(
+             2, 6, 0.1, None, mc_trials, tail.child(0))]),
         ("pinv-tail-domination ||R_D||=5",
-         lambda: check_pinv_tail_domination(
-             2, 6, 0.1, r_d, mc_trials, tail.child(1))),
+         lambda: [check_pinv_tail_domination(
+             2, 6, 0.1, r_d, mc_trials, tail.child(1))]),
         ("unit-vector-projection-beta",
-         lambda: beta_projection_check(6, 10000, tail.child(2))),
+         lambda: [beta_projection_check(6, 10000, tail.child(2))]),
         ("gaussian-norm-tail", norm_tail),
     )
     reports: list[LemmaReport] = []
     for label, check in families:
         t0 = time.monotonic()
-        out = check()
-        reports.extend(out if isinstance(out, list) else [out])
+        reports.extend(check())
         logger.info("verify %s done in %.2fs", label, time.monotonic() - t0)
 
     return VerificationResult(reports=tuple(reports))

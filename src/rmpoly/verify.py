@@ -317,12 +317,6 @@ def check_woodbury_identity(a, u, v) -> LemmaReport:
                                              DETERMINISTIC_SLACK - left))
 
 
-def _shifted_circulants(n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """Stack of ``B - z_i I``, B the block circulant, one per entry of the
-    1-D complex array ``z``."""
-    return _subtract_shift(_circulant_stack(n, k, z.size), z)
-
-
 def _circulant_margins(s: np.ndarray, az) -> np.ndarray:
     """Margins ``s - |1 - |z||`` and ``1 + |z| - s``, each plus slack, of
     rows of singular values ``s``, shape ``(..., kn)``, of shifted block
@@ -342,7 +336,8 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
     """
     n, k = _sizes(n, k)
     z = _shift(z)
-    s = singular_values(_shifted_circulants(n, k, np.array([z]))[0])
+    s = singular_values(
+        _subtract_shift(_circulant_stack(n, k, 1), np.array([z]))[0])
     return LemmaReport("circulant-shift-sv-range",
                        tuple(_circulant_margins(s, abs(z))))
 
@@ -450,7 +445,8 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
         step = max(1, _MC_CHUNK_ENTRIES // (k * n) ** 2)
         for lo in range(0, idx.size, step):
             part = idx[lo:lo + step]
-            s = singular_values(_shifted_circulants(n, k, z[part]))
+            s = singular_values(_subtract_shift(
+                _circulant_stack(n, k, part.size), z[part]))
             worst[part] = _circulant_margins(s, az[part]).min(axis=-1)
     return LemmaReport("circulant-shift-sv-range", tuple(worst))
 

@@ -12,6 +12,9 @@ from rmpoly import (ExperimentConfig, LemmaReport, polynomial_from_json,
 from rmpoly.cli import main
 from rmpoly.harness import _FIELDS, VerificationResult
 
+# Tail of the INFO line each verify check family logs when it finishes.
+FAMILY_DONE = " done in "
+
 
 @pytest.fixture()
 def runner():
@@ -280,6 +283,7 @@ class TestVerify:
         assert len(lines) == 17
         assert all("lemma_id" in json.loads(line) for line in lines)
         assert "verification passed" in res.stderr
+        assert "verify grow-n suite" + FAMILY_DONE in res.stderr
 
     def test_out_writes_jsonl_file(self, runner, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -309,7 +313,7 @@ class TestVerify:
         assert any(line.startswith("error: ")
                    for line in res.stderr.splitlines())
         assert "instances" in res.stderr
-        assert "lemma suites done" not in res.stderr
+        assert FAMILY_DONE not in res.stderr
 
     def test_zero_mc_trials_exit_one_before_any_suite(self, runner):
         res = runner.invoke(main, ["verify", "--trials", "2", "--instances",
@@ -318,7 +322,7 @@ class TestVerify:
         assert any(line.startswith("error: ")
                    for line in res.stderr.splitlines())
         assert "mc_trials" in res.stderr
-        assert "lemma suites done" not in res.stderr
+        assert FAMILY_DONE not in res.stderr
 
     def test_bad_degree_grown_shift_exits_before_any_suite(self, runner,
                                                           monkeypatch):
@@ -332,7 +336,7 @@ class TestVerify:
         assert res.exit_code == 1
         assert any(line.startswith("error: ")
                    for line in res.stderr.splitlines())
-        assert "lemma suites done" not in res.stderr
+        assert FAMILY_DONE not in res.stderr
         assert entered == []
 
     @pytest.mark.parametrize("shift", ["nan", "inf", "0.5,nan"])
@@ -345,7 +349,7 @@ class TestVerify:
                                    "--instances", "5", "--mc-trials", "50"])
         assert res.exit_code == 1
         assert "shift z must be finite" in res.stderr
-        assert "lemma suites done" not in res.stderr
+        assert FAMILY_DONE not in res.stderr
         assert entered == []
 
     def test_zero_shift_exits_one(self, runner):
