@@ -14,8 +14,11 @@ The outputs are the points CSV, scatter SVG and summary JSON of three
 ``experiment`` runs at the benchmark's sizes (grow-n, grow-k, small-many),
 the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape, ``n = k = 1``
 and a shape whose stdout spans three blocks of rows, and the ``verify``
-JSON lines at default sizes, one digest per check family
-(``verify/<lemma_id>``), so a ``diff`` names the families that changed.
+JSON lines, one digest per check family (``<label>/<lemma_id>``), so a
+``diff`` names the families that changed.  ``verify`` runs at default
+sizes and once more at 15 suite trials, 50 instances and 2000 Monte Carlo
+draws (``verify-small``), whose suite trials fall into other chunks: one
+of 15 trials at (2, 8) and 14 + 1 at (16, 3).
 The grow-n run is made once more at ``--workers 2`` (at most one worker per
 CPU), so that a ``diff`` also covers what worker processes receive; its
 lines must carry the one-worker digests, and the script fails otherwise.
@@ -49,6 +52,13 @@ EXPERIMENTS = (
     ("grow-k", "grow-k", (4,), (32, 128, 512), 2048, 1),
     ("small-many", "grow-n", (4, 8, 16), (2,), 100000, 1),
     ("grow-n-workers-2", "grow-n", (32, 64, 128), (4,), 4096, 2),
+)
+
+#: ``verify`` runs: (label, extra arguments).
+VERIFY_RUNS = (
+    ("verify", []),
+    ("verify-small", ["--trials", "15", "--instances", "50",
+                      "--mc-trials", "2000"]),
 )
 
 #: ``esd`` runs: (label, extra arguments).
@@ -98,9 +108,11 @@ def main(argv=None) -> int:
                 print(f"{digest}  {label}/{name}")
     for label, extra in ESD_RUNS:
         print(f"{_digest(_run(['esd', '--seed', seed, *extra]))}  {label}")
-    for line in _run(["verify", "--seed", seed]).splitlines(keepends=True):
-        lemma_id = json.loads(line)["lemma_id"]
-        print(f"{_digest(line)}  verify/{lemma_id}")
+    for label, extra in VERIFY_RUNS:
+        lines = _run(["verify", "--seed", seed, *extra])
+        for line in lines.splitlines(keepends=True):
+            lemma_id = json.loads(line)["lemma_id"]
+            print(f"{_digest(line)}  {label}/{lemma_id}")
     if files["grow-n-workers-2"] != files["grow-n"]:
         sys.exit("error: the --workers 2 grow-n run wrote other bytes than "
                  "the one-worker run")

@@ -42,12 +42,9 @@ def _parse_z(_ctx, _param, values):
     for v in values:
         parts = v.split(",")
         try:
-            if len(parts) == 1:
-                out.append(complex(float(parts[0]), 0.0))
-            elif len(parts) == 2:
-                out.append(complex(float(parts[0]), float(parts[1])))
-            else:
+            if len(parts) > 2:
                 raise ValueError("too many fields")
+            out.append(complex(*map(float, parts)))
         except ValueError:
             raise click.BadParameter(
                 f"expected 're' or 're,im', got {v!r}") from None
@@ -157,8 +154,8 @@ def experiment(config_path, regime, n_values, k_values, target_points, seed,
 
 @main.command()
 @click.option("--z", "z_values", multiple=True, callback=_parse_z,
-              help="Shift as 're,im' (repeatable; first feeds the "
-                   "dimension-grown suite, second the degree-grown one).")
+              help="Shift as 're,im' (at most twice; the first feeds the "
+                   "dimension-grown suite, the second the degree-grown one).")
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--trials", type=int, default=200, show_default=True,
               help="Trials per size in each probabilistic suite.")

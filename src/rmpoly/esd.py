@@ -156,8 +156,8 @@ class EmpiricalSpectralDistribution:
 def esd_of_polynomial(p: MatrixPolynomial, scale: float
                       ) -> EmpiricalSpectralDistribution:
     """ESD of one polynomial: its kn finite eigenvalues times ``scale``."""
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValidationError(f"scale must be positive, got {scale}")
+    if not (_is_number(scale) and 0 < scale < np.inf):
+        raise ValidationError(f"scale must be positive, got {scale!r}")
     pts = scale * finite_eigenvalues(p)
     return EmpiricalSpectralDistribution(points=pts, scale=float(scale),
                                          n=p.n, k=p.k, trials=1)
@@ -215,11 +215,11 @@ def radial_ks(esd: EmpiricalSpectralDistribution, law: LimitLaw,
     ESD converges to the law.  Laws without an origin atom never use the
     proxy, so the statistic is the plain one-sample KS there.
     """
+    if not (_is_number(atom_proxy) and 0.0 < atom_proxy <= 1.0):
+        raise ValidationError(
+            f"atom_proxy must lie in (0, 1], got {atom_proxy!r}")
     radii = np.abs(esd.points)
     if law.atom > 0:
-        if not 0.0 < atom_proxy <= 1.0:
-            raise ValidationError(
-                f"atom_proxy must lie in (0, 1], got {atom_proxy}")
         radii = np.where(radii <= atom_proxy, 0.0, radii)
     radii.sort()
     return _ks_statistic(law.cdf(radii), law.cdf_left(radii))
@@ -235,7 +235,7 @@ def angular_ks(esd: EmpiricalSpectralDistribution,
     depends on the branch-cut origin; it is a convergence diagnostic, not a
     rotation-free test statistic.
     """
-    if not exclusion_radius >= 0:
+    if not (_is_number(exclusion_radius) and exclusion_radius >= 0):
         raise ValidationError("exclusion_radius must be >= 0")
     pts = esd.points[np.abs(esd.points) > exclusion_radius]
     if pts.size == 0:

@@ -39,8 +39,9 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
-from .matpoly import (RngStream, _count, _is_int, _is_number, _sizes,
-                      _trial_coefficients, _trial_range, trial_eigenvalues)
+from .matpoly import (RngStream, _chunks, _count, _is_int, _is_number,
+                      _sizes, _trial_coefficients, _trial_range,
+                      trial_eigenvalues)
 from .svgplot import _svg_chunks, _text_blocks
 from .verify import (LemmaCheckConfig, _grow_k_preconditions,
                      _grow_n_preconditions, beta_projection_check,
@@ -79,11 +80,6 @@ ATOM_RADIUS_SWEEP = (0.1, 0.2, 0.3)
 
 #: Half-width of the near-unit-circle annulus reported in grow-k cells.
 ANNULUS_HALFWIDTH = 0.1
-
-#: Entries of the companion stack one chunk of trials may build (512 KB);
-#: a trial with kn > 128 is a chunk of its own.  Solving n in {4, 8, 16},
-#: k = 2 cells took the same time with chunks of 2**12 to 2**18 entries.
-_CHUNK_ENTRIES = 2 ** 15
 
 
 def _is_seq_of(check):
@@ -363,11 +359,12 @@ def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
     trial t drawn from ``rng.child(t)``.
 
     The regime sets the scale: ``n**-0.5`` for ``grow-n``, 1 for
-    ``grow-k``.  Trials are solved in chunks whose companion stacks hold at
-    most ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a
-    worker pool's ``map`` runs them in parallel), each task carrying only
-    the stream and its trial range.  Points follow trial order.  Every
-    input is checked before any draw, including ``trials <= 2**32``.
+    ``grow-k``.  Trials are solved in the chunks of ``matpoly._chunks``,
+    as the verification suites walk theirs, each companion stack of at most
+    ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a worker
+    pool's ``map`` runs them in parallel), each task carrying only the
+    stream and its trial range.  Points follow trial order.  Every input is
+    checked before any draw, including ``trials <= 2**32``.
     """
     n, k = _sizes(n, k)
     if regime not in _REGIMES:
@@ -378,9 +375,8 @@ def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
     trials = _count(trials, "trials")
     _trial_range(0, trials)
     scale = n ** -0.5 if regime == "grow-n" else 1.0
-    size = max(1, _CHUNK_ENTRIES // (k * n) ** 2)
-    tasks = [(n, k, scale, rng, lo, min(lo + size, trials))
-             for lo in range(0, trials, size)]
+    tasks = [(n, k, scale, rng, lo, hi)
+             for lo, hi in _chunks(trials, (k * n) ** 2)]
     return merge([
         EmpiricalSpectralDistribution(points=pts, scale=scale, n=n, k=k,
                                       trials=hi - lo)
@@ -524,22 +520,22 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
                      ) -> VerificationResult:
     """Run both probabilistic lemma suites plus all deterministic sweeps.
 
-    Only ``cfg.seed`` is read.  ``z_values[0]`` shifts the dimension-grown
-    suite (needs z != 0), ``z_values[1]`` -- falling back to
-    ``z_values[0]`` -- the degree-grown suite (needs |z| not in {0, 1}).
-    All three counts must be >= 1; every input is checked before any draw.
+    Only ``cfg.seed`` is read.  ``z_values`` holds one or two shifts: the
+    first shifts the dimension-grown suite (needs z != 0), the last the
+    degree-grown suite (needs |z| not in {0, 1}).  All three counts must be
+    >= 1; every input is checked before any draw.
     """
     for name, count in (("suite_trials", suite_trials),
                         ("deterministic_instances", deterministic_instances),
                         ("mc_trials", mc_trials)):
         _count(count, name)
-    if not (isinstance(z_values, (tuple, list)) and z_values):
+    if not (isinstance(z_values, (tuple, list)) and 1 <= len(z_values) <= 2):
         raise ValidationError(
-            f"z_values must be a nonempty list of shifts, got {z_values!r}")
-    z_k = z_values[1] if len(z_values) > 1 else z_values[0]
+            f"z_values must list one or two shifts, got {z_values!r}")
     cfg_n = LemmaCheckConfig(z=z_values[0], sizes=GROW_N_SIZES,
                              trials=suite_trials)
-    cfg_k = LemmaCheckConfig(z=z_k, sizes=GROW_K_SIZES, trials=suite_trials)
+    cfg_k = LemmaCheckConfig(z=z_values[-1], sizes=GROW_K_SIZES,
+                             trials=suite_trials)
     _grow_n_preconditions(cfg_n)
     _grow_k_preconditions(cfg_k)
     rng = RngStream(cfg.seed) if rng is None else rng

@@ -185,6 +185,7 @@ def match_distance(a, b) -> float:
             f"spectra have different cardinality: {pa.size} vs {pb.size}")
     if pa.size == 0:
         return 0.0
+    as_matrix((pa, pb))  # rejects NaN and Inf
     # Imported here: no pipeline calls this, and importing scipy.optimize
     # adds about 20 MB to the resident memory of every rmpoly process.
     from scipy.optimize import linear_sum_assignment

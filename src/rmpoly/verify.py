@@ -10,7 +10,7 @@ Two kinds of check live here:
   them on many random instances, each instance from its own stream.  The
   Mirsky, low-rank and circulant sweeps stack their instances and share
   the margin formula of the single check, with the same bits; the
-  circulant stacks hold at most ``_MC_CHUNK_ENTRIES`` entries each.
+  circulant stacks hold at most ``matpoly._CHUNK_ENTRIES`` entries each.
 * probabilistic bound checks -- Monte Carlo sweeps confirming that sampled
   quantities respect high-probability bounds at pilot-calibrated constants:
   floors on the smallest singular values of shifted companion matrices,
@@ -23,10 +23,10 @@ The log-determinant diagnostics of the replacement principle follow them:
 each (``linalg.log_abs_det``), and ``tail_log_sum`` sums the logs of the
 smallest singular values.
 
-The probabilistic suites take each trial's companion matrix fresh and
-shift it in place: ``M - zI`` changes only the diagonal, so no ``kn x kn``
-identity or shifted copy is made, and the entries are those of
-``M - z * np.eye(kn)``.
+The probabilistic suites walk their trials in the chunks an experiment
+uses (``matpoly._map_companions``), shift each fresh companion stack in
+place (``M - zI`` changes only the diagonal, and the entries are those of
+``M - z * np.eye(kn)``), and take one stacked SVD per chunk.
 
 Margins follow one sign convention: >= 0 passes.  For an upper bound the
 margin is (bound - observed); for a lower bound it is (observed - bound).
@@ -36,9 +36,7 @@ margin of the trial.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,10 +46,10 @@ from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
 from .linalg import (_square, as_matrix, log_abs_det, singular_values,
                      woodbury_inverse)
-from .matpoly import (RngStream, _circulant_stack, _companion_stack, _count,
-                      _generator, _index, _is_number, _sizes,
-                      _trial_generators, circulant_b_eigenvalues,
-                      complex_gaussian)
+from .matpoly import (RngStream, _chunks, _circulant_stack, _complex,
+                      _count, _generator, _index, _is_number,
+                      _map_companions, _sizes, _trial_generators,
+                      circulant_b_eigenvalues, complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
 __all__ = [
@@ -103,23 +101,6 @@ CONSTANT_R = 3.0
 #: sweeps.
 _UPDATE_RANK = 1
 
-#: Matrix entries per batch of the Monte Carlo tail checks (512 KB of
-#: complex draws); this bounds their temporaries.  Batches are filled in
-#: sequence from one generator, so the draws do not depend on it.  The
-#: circulant sweep's stacks hold at most as many entries, or one matrix.
-_MC_CHUNK_ENTRIES = 2 ** 15
-
-
-def _shift(z) -> complex:
-    """``z`` as a Python complex: any finite complex number type but bool."""
-    if not isinstance(z, numbers.Complex) or isinstance(z, bool):
-        raise ValidationError(f"shift z must be a complex number, got {z!r}")
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValidationError(f"shift z must be finite, got {z!r}")
-    return z
-
-
 def _subtract_shift(m: np.ndarray, z) -> np.ndarray:
     """``m - zI`` in place and returned, for a square matrix or a stack of
     them and one shift or one per matrix.  Only the diagonal changes, so
@@ -154,7 +135,7 @@ class LemmaCheckConfig:
     trials: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _shift(self.z))
+        object.__setattr__(self, "z", _complex(self.z, "shift z"))
         _count(self.trials, "trials")
         _size_pairs(self.sizes)
 
@@ -335,7 +316,7 @@ def check_circulant_shift_bounds(n: int, k: int, z: complex) -> LemmaReport:
     z), so every singular value is the modulus of such an eigenvalue.
     """
     n, k = _sizes(n, k)
-    z = _shift(z)
+    z = _complex(z, "shift z")
     s = singular_values(
         _subtract_shift(_circulant_stack(n, k, 1), np.array([z]))[0])
     return LemmaReport("circulant-shift-sv-range",
@@ -431,8 +412,9 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
 
     Instance i has size ``sizes[i % len(sizes)]`` and draws z from
     ``rng.child(4, i)``.  The instances of one size are checked in stacks
-    of at most ``_MC_CHUNK_ENTRIES`` entries, one SVD call per stack, with
-    the margins of ``check_circulant_shift_bounds``, bit for bit.
+    of at most ``_CHUNK_ENTRIES`` entries (``_chunks``), one SVD call per
+    stack, with the margins of ``check_circulant_shift_bounds``, bit for
+    bit.
     """
     sizes = _size_pairs(sizes)
     z = np.array([complex(g.standard_normal(), g.standard_normal())
@@ -442,9 +424,7 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
     worst = np.empty(z.size)
     for first, (n, k) in enumerate(sizes):
         idx = np.arange(first, z.size, len(sizes))
-        step = max(1, _MC_CHUNK_ENTRIES // (k * n) ** 2)
-        for lo in range(0, idx.size, step):
-            part = idx[lo:lo + step]
+        for part in (idx[lo:hi] for lo, hi in _chunks(idx.size, (k * n) ** 2)):
             s = singular_values(_subtract_shift(
                 _circulant_stack(n, k, part.size), z[part]))
             worst[part] = _circulant_margins(s, az[part]).min(axis=-1)
@@ -455,24 +435,26 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
 # Rectangular Gaussian tail bounds
 
 
-def _rect_sizes(n, big_n) -> tuple[int, int]:
+def _rect_args(n, big_n, tau) -> tuple[int, int]:
+    """``(n, N)`` as ints with 1 <= n <= N; ``tau`` must be real, >= 0."""
     n, big_n = _index(n, "n"), _index(big_n, "N")
     if n < 1 or big_n < n:
         raise ValidationError(f"need 1 <= n <= N, got n={n}, N={big_n}")
+    if not (_is_number(tau) and tau >= 0):
+        raise ValidationError(f"tau must be a real number >= 0, got {tau!r}")
     return n, big_n
 
 
 def _tail_frequency(shape, variance: float, trials: int, rng, event) -> float:
     """Frequency of ``event``, which maps a ``(m, *shape)`` batch to m
     booleans, over i.i.d. complex Gaussian matrices drawn from one generator
-    in batches of at most ``_MC_CHUNK_ENTRIES`` entries."""
+    in the batches of ``_chunks``, filled in sequence: the draws do not
+    depend on the batch size."""
     trials = _count(trials, "trials")
     g = _generator(rng)
-    size = max(1, _MC_CHUNK_ENTRIES // math.prod(shape))
-    hits = 0
-    for done in range(0, trials, size):
-        m = min(size, trials - done)
-        hits += int(np.sum(event(complex_gaussian(g, (m, *shape), variance))))
+    hits = sum(int(np.sum(event(complex_gaussian(g, (hi - lo, *shape),
+                                                 variance))))
+               for lo, hi in _chunks(trials, math.prod(shape)))
     return hits / trials
 
 
@@ -490,9 +472,7 @@ def pseudoinverse_tail_bound(n: int, big_n: int, tau: float) -> float:
     capped at 1 where the formula is vacuous.  The cap keeps the result a
     probability while preserving monotonicity in ``tau``.
     """
-    n, big_n = _rect_sizes(n, big_n)
-    if not (_is_number(tau) and tau >= 0):
-        raise ValidationError(f"tau must be a real number >= 0, got {tau!r}")
+    n, big_n = _rect_args(n, big_n, tau)
     if tau == 0.0:
         return 0.0
     q = big_n - n + 1
@@ -512,9 +492,7 @@ def mc_pseudoinverse_tail(n: int, big_n: int, tau: float, r_deterministic,
     ``G`` has i.i.d. complex Gaussian entries of variance 1/n (matching the
     closed-form bound's convention).
     """
-    n, big_n = _rect_sizes(n, big_n)
-    if not (_is_number(tau) and tau >= 0):
-        raise ValidationError(f"tau must be a real number >= 0, got {tau!r}")
+    n, big_n = _rect_args(n, big_n, tau)
     r_d = np.zeros((n, big_n), dtype=np.complex128) if r_deterministic is None \
         else np.asarray(r_deterministic, dtype=np.complex128)
     if r_d.shape != (n, big_n):
@@ -581,7 +559,7 @@ def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
 
 def _shifted(x, z: complex) -> np.ndarray:
     """``x - zI`` as a new array; ``x`` must be square."""
-    z = _shift(z)
+    z = _complex(z, "shift z")
     a = np.array(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -622,7 +600,7 @@ def tail_split_index(n: int, k: int, delta: float) -> int:
     rejected rather than silently clamped.
     """
     n, k = _sizes(n, k)
-    if not 0.0 < delta < 0.5:
+    if not (_is_number(delta) and 0.0 < delta < 0.5):
         raise ValidationError(f"delta must lie in (0, 1/2), got {delta}")
     f = math.floor(k * n - n ** (1.0 - delta))
     if f < n:
@@ -644,6 +622,7 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
     """
     a = _shifted(x, z)
     dim = a.shape[0]
+    from_index = _index(from_index, "from_index")
     if not 1 <= from_index <= dim + 1:
         raise ValidationError(
             f"from_index must lie in [1, {dim + 1}], got {from_index}")
@@ -667,9 +646,9 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
 def _top_row_shift_singular_values(c_t, scale: float,
                                    z: complex) -> np.ndarray:
     """Singular values, descending, of S_E = scale * E_1 c_t - zI from a
-    2n x 2n core.
+    2n x 2n core, one row per matrix of the ``(..., n, kn)`` stack ``c_t``.
 
-    ``c_t`` is n x kn with k >= 2.  S_E = [[X, Y], [0, -zI]] with
+    Each c_t has k >= 2.  S_E = [[X, Y], [0, -zI]] with
     X = scale * c_t[:, :n] - zI_n and Y = scale * c_t[:, n:].  If
     Y^* = QR (R n x n), S_E is unitarily equivalent to diag(K, -zI) with
     K = [[X, R^*], [0, -zI_n]], so kn - 2n of its singular values equal
@@ -678,31 +657,26 @@ def _top_row_shift_singular_values(c_t, scale: float,
     sigma_n(K) >= |z| >= sigma_{n+1}(K): the copies fill positions
     n+1 .. kn-n.
     """
-    n, kn = c_t.shape
-    core = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    core[:n, :n] = scale * c_t[:, :n] - z * np.eye(n)
-    core[:n, n:] = np.linalg.qr((scale * c_t[:, n:]).conj().T,
-                                mode="r").conj().T
-    core[n:, n:] = -z * np.eye(n)
+    *lead, n, kn = c_t.shape
+    core = np.zeros((*lead, 2 * n, 2 * n), dtype=np.complex128)
+    core[..., :n, :n] = scale * c_t[..., :n] - z * np.eye(n)
+    core[..., :n, n:] = np.linalg.qr(
+        np.swapaxes(scale * c_t[..., n:], -1, -2).conj(),
+        mode="r").swapaxes(-1, -2).conj()
+    core[..., n:, n:] = -z * np.eye(n)
     merged = np.concatenate([singular_values(core),
-                             np.full(kn - 2 * n, abs(z))])
-    return np.sort(merged)[::-1]
+                             np.full((*lead, kn - 2 * n), abs(z))], axis=-1)
+    return np.sort(merged, axis=-1)[..., ::-1]
 
 
-def _companions(n: int, k: int, trials: int, rng: RngStream):
-    """Companion matrices of trials 0 .. trials-1, one at a time, trial t
-    with the coefficients the harness draws from ``rng.child(t)``.  Each
-    is a fresh array, which the caller may shift in place."""
-    for g in _trial_generators(rng, 0, trials):
-        yield _companion_stack(complex_gaussian(g, (k, n, n))[None])[0]
-
-
-def _fit_exponent(sizes: np.ndarray, medians: np.ndarray) -> float | None:
-    # Least-squares slope of log(median) against log(size).
-    if len(set(sizes.tolist())) < 2 or np.any(medians <= 0):
+def _fit_exponent(sizes: list, values: np.ndarray) -> float | None:
+    """Least-squares slope of log(median) against log(size), where ``values``
+    holds an equal run of per-trial values for each size, in order."""
+    medians = np.median(values.reshape(len(sizes), -1), axis=1)
+    if len(set(sizes)) < 2 or np.any(medians <= 0):
         return None
-    slope = np.polyfit(np.log(sizes.astype(float)), np.log(medians), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(np.asarray(sizes, dtype=float)),
+                            np.log(medians), 1)[0])
 
 
 def _grow_n_preconditions(cfg: LemmaCheckConfig) -> None:
@@ -747,40 +721,38 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     A, D and T are ``EXPONENT_A``, ``CONSTANT_D`` and ``CONSTANT_T``.
     S_E is -zI plus a rank-n top block row, so kn - 2n of its singular
     values equal |z| and the other 2n are those of a 2n x 2n core
-    (``_top_row_shift_singular_values``); S_M takes a full SVD.
+    (``_top_row_shift_singular_values``); S_M takes a full SVD.  A chunk
+    of trials makes one stacked SVD call for each (``_map_companions``).
 
     Needs z != 0 and k >= 2 for every size.
     """
     _grow_n_preconditions(cfg)
     z = cfg.z
-    floor_m, floor_e, cap, tail = [], [], [], []
-    med_m, med_e = [], []
+    chunks = []
     for s_idx, (n, k) in enumerate(cfg.sizes):
         f = tail_split_index(n, k, DELTA)
-        sm_mins, se_mins = [], []
         n_floor = n ** -(EXPONENT_A + 2.0)
         tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5
-        for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
-            se = _top_row_shift_singular_values(m[:n], scale, z)
+
+        def margins(m):
+            se = _top_row_shift_singular_values(m[:, :n], scale, z)
             m *= scale
             sm = singular_values(_subtract_shift(m, z))
-            floor_m.append(sm[-1] - n_floor)
-            floor_e.append(se[-1] - n_floor)
-            cap.append(min(CONSTANT_D - sm[0], CONSTANT_D - se[0]))
-            tail.append(se[f - 1] - tail_floor)
-            sm_mins.append(sm[-1])
-            se_mins.append(se[-1])
-        med_m.append(float(np.median(sm_mins)))
-        med_e.append(float(np.median(se_mins)))
-    ns = np.asarray([n for n, _ in cfg.sizes])
+            return np.stack([
+                sm[:, -1] - n_floor, se[:, -1] - n_floor,
+                np.minimum(CONSTANT_D - sm[:, 0], CONSTANT_D - se[:, 0]),
+                se[:, f - 1] - tail_floor, sm[:, -1], se[:, -1]])
+        chunks += _map_companions(margins, n, k, rng.child(s_idx), cfg.trials)
+    floor_m, floor_e, cap, tail, min_m, min_e = np.concatenate(chunks, axis=1)
+    ns = [n for n, _ in cfg.sizes]
     return [
-        LemmaReport("grow-n/sigma-min-companion-floor", tuple(floor_m),
-                    fitted_exponent=_fit_exponent(ns, np.asarray(med_m))),
-        LemmaReport("grow-n/sigma-min-lowrank-floor", tuple(floor_e),
-                    fitted_exponent=_fit_exponent(ns, np.asarray(med_e))),
-        LemmaReport("grow-n/spectral-norm-cap", tuple(cap)),
-        LemmaReport("grow-n/tail-index-floor", tuple(tail)),
+        LemmaReport("grow-n/sigma-min-companion-floor", floor_m,
+                    fitted_exponent=_fit_exponent(ns, min_m)),
+        LemmaReport("grow-n/sigma-min-lowrank-floor", floor_e,
+                    fitted_exponent=_fit_exponent(ns, min_e)),
+        LemmaReport("grow-n/spectral-norm-cap", cap),
+        LemmaReport("grow-n/tail-index-floor", tail),
     ]
 
 
@@ -796,35 +768,34 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
       sigma_{i-n}(B - zI) for n < i <= kn - n, against the analytic
       singular values of the shifted block circulant  (deterministic).
 
-    R is ``CONSTANT_R``.  Needs |z| not in {0, 1} and k > 2 for every size.
+    R is ``CONSTANT_R``.  One stacked SVD call per chunk of trials
+    (``_map_companions``).  Needs |z| not in {0, 1} and k > 2 everywhere.
     """
     _grow_k_preconditions(cfg)
     z, az = cfg.z, abs(cfg.z)
-    cap, floor_block, floor_min, chain = [], [], [], []
-    med_min = []
+    chunks = []
     for s_idx, (n, k) in enumerate(cfg.sizes):
-        kn = k * n
-        idx = np.arange(n, kn - n)  # 0-based i-1 for n < i <= kn - n
+        idx = np.arange(n, k * n - n)  # 0-based i-1 for n < i <= kn - n
         sv_b = np.sort(np.abs(circulant_b_eigenvalues(n, k) - z))[::-1]
         cap_value = CONSTANT_R * math.sqrt(k) + 1.0 + az
         floor_value = CONSTANT_T / k ** 2
-        mins = []
-        for m in _companions(n, k, cfg.trials, rng.child(s_idx)):
+
+        def margins(m):
             s = singular_values(_subtract_shift(m, z))
-            slack = DETERMINISTIC_SLACK * max(s[0], 1.0)
-            cap.append(cap_value - s[0])
-            floor_block.append(s[n - 1] - abs(1.0 - az) + slack)
-            floor_min.append(s[-1] - floor_value)
-            lower = np.min(s[idx] - sv_b[idx + n])
-            upper = np.min(sv_b[idx - n] - s[idx])
-            chain.append(min(lower, upper) + slack)
-            mins.append(s[-1])
-        med_min.append(float(np.median(mins)))
-    ks = np.asarray([k for _, k in cfg.sizes])
+            slack = DETERMINISTIC_SLACK * np.maximum(s[:, 0], 1.0)
+            lower = np.min(s[:, idx] - sv_b[idx + n], axis=1)
+            upper = np.min(sv_b[idx - n] - s[:, idx], axis=1)
+            return np.stack([
+                cap_value - s[:, 0], s[:, n - 1] - abs(1.0 - az) + slack,
+                s[:, -1] - floor_value, np.minimum(lower, upper) + slack,
+                s[:, -1]])
+        chunks += _map_companions(margins, n, k, rng.child(s_idx), cfg.trials)
+    cap, floor_block, floor_min, chain, mins = np.concatenate(chunks, axis=1)
     return [
-        LemmaReport("grow-k/top-sv-cap", tuple(cap)),
-        LemmaReport("grow-k/block-sv-floor", tuple(floor_block)),
-        LemmaReport("grow-k/sigma-min-floor", tuple(floor_min),
-                    fitted_exponent=_fit_exponent(ks, np.asarray(med_min))),
-        LemmaReport("grow-k/interlacing-chain", tuple(chain)),
+        LemmaReport("grow-k/top-sv-cap", cap),
+        LemmaReport("grow-k/block-sv-floor", floor_block),
+        LemmaReport("grow-k/sigma-min-floor", floor_min,
+                    fitted_exponent=_fit_exponent(
+                        [k for _, k in cfg.sizes], mins)),
+        LemmaReport("grow-k/interlacing-chain", chain),
     ]

@@ -329,8 +329,8 @@ class TestVerify:
         # |z| = 1 is invalid only for the degree-grown suite, which runs
         # second; it is rejected before the first suite draws a trial.
         entered = []
-        monkeypatch.setattr("rmpoly.verify._companions",
-                            lambda *a: entered.append(a) or iter(()))
+        monkeypatch.setattr("rmpoly.verify._map_companions",
+                            lambda *a: entered.append(a) or [])
         res = runner.invoke(main, ["verify", "--z", "0.5", "--z", "1",
                                    "--instances", "5", "--mc-trials", "50"])
         assert res.exit_code == 1
@@ -339,12 +339,26 @@ class TestVerify:
         assert FAMILY_DONE not in res.stderr
         assert entered == []
 
+    def test_third_shift_exits_one_before_any_suite(self, runner,
+                                                    monkeypatch):
+        # Two suites take two shifts; a third is an error, not ignored.
+        entered = []
+        monkeypatch.setattr("rmpoly.verify._map_companions",
+                            lambda *a: entered.append(a) or [])
+        res = runner.invoke(main, ["verify", "--z", "0.7,0.3", "--z", "0.5",
+                                   "--z", "9", "--instances", "5",
+                                   "--mc-trials", "50"])
+        assert res.exit_code == 1
+        assert "one or two shifts" in res.stderr
+        assert FAMILY_DONE not in res.stderr
+        assert entered == []
+
     @pytest.mark.parametrize("shift", ["nan", "inf", "0.5,nan"])
     def test_non_finite_shift_exits_before_any_suite(self, runner,
                                                      monkeypatch, shift):
         entered = []
-        monkeypatch.setattr("rmpoly.verify._companions",
-                            lambda *a: entered.append(a) or iter(()))
+        monkeypatch.setattr("rmpoly.verify._map_companions",
+                            lambda *a: entered.append(a) or [])
         res = runner.invoke(main, ["verify", "--z", "0.5", "--z", shift,
                                    "--instances", "5", "--mc-trials", "50"])
         assert res.exit_code == 1

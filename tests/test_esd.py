@@ -148,6 +148,8 @@ class TestEsdContainer:
         p = sample_monic_gaussian(1, 1, RngStream(44))
         with pytest.raises(ValidationError):
             esd_of_polynomial(p, 0.0)
+        with pytest.raises(ValidationError, match="scale"):
+            esd_of_polynomial(p, "x")
 
     def test_point_count_enforced(self):
         with pytest.raises(ValidationError):
@@ -243,11 +245,13 @@ class TestRadialDistances:
         assert radial_ks(esd, DiscMixture(4), atom_proxy=0.35) == \
             pytest.approx(0.25)
 
-    @pytest.mark.parametrize("proxy", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("proxy", [0.0, -0.1, 1.5, "x"])
     def test_ks_rejects_bad_proxy_radius(self, proxy):
         esd = _esd_from_points([0.5])
         with pytest.raises(ValidationError, match="atom_proxy"):
             radial_ks(esd, DiscMixture(4), atom_proxy=proxy)
+        with pytest.raises(ValidationError, match="atom_proxy"):
+            radial_ks(esd, UnitCircle(), atom_proxy=proxy)
 
     def test_exact_rotation_invariance(self):
         # Multiplication by i and by -1 permutes float components exactly.
@@ -290,6 +294,8 @@ class TestAngularKs:
     def test_negative_exclusion_rejected(self):
         with pytest.raises(ValidationError):
             angular_ks(_esd_from_points([1.0]), -1.0)
+        with pytest.raises(ValidationError, match="exclusion_radius"):
+            angular_ks(_esd_from_points([1.0]), "x")
 
 
 # ---------------------------------------------------------------------------

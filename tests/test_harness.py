@@ -14,7 +14,7 @@ from rmpoly import (DiscMixture, EmpiricalSpectralDistribution,
                     distance_report, export_result, read_points_csv,
                     render_scatter, run_experiment, run_grow_k, run_grow_n,
                     run_verification, svg_scatter, write_points_csv)
-from rmpoly import cli, harness, svgplot
+from rmpoly import cli, harness, matpoly, svgplot
 from rmpoly.harness import SCHEMA_VERSION
 
 
@@ -504,7 +504,7 @@ class TestRunGrowN:
         # trial streams are seeded per chunk, not built one object each.
         cfg = ExperimentConfig(regime="grow-n", n_values=(4, 8, 16),
                                k_values=(2,), target_points=5000)
-        chunk = {n: harness._CHUNK_ENTRIES // (2 * n) ** 2
+        chunk = {n: matpoly._CHUNK_ENTRIES // (2 * n) ** 2
                  for n in cfg.n_values}
         assert all(cfg.trials_for(n, 2) > chunk[n] for n in cfg.n_values)
         rng = RngStream(cfg.seed)
@@ -598,7 +598,7 @@ class TestPersistenceAndExport:
                              workers=workers)
             (summary,) = export_result(run_grow_n(cfg))
             docs.append((out, summary.read_bytes()))
-        chunk = harness._CHUNK_ENTRIES // 16 ** 2
+        chunk = matpoly._CHUNK_ENTRIES // 16 ** 2
         assert 2 * chunk < cfg.trials_for(8, 2) < 3 * chunk
         name = "points_grow-n_n8_k2_seed11.csv"
         assert (docs[0][0] / name).read_bytes() == \
@@ -741,8 +741,10 @@ class TestRunVerification:
             run_verification(cfg, suite_trials=2, deterministic_instances=2,
                              mc_trials=10, z_values=(0.7 + 0.3j, 1.0 + 0j))
 
-    @pytest.mark.parametrize("z_values", [(), 0.5, ("0.5",), (0.5, True)],
-                             ids=["empty", "scalar", "str", "bool-second"])
+    @pytest.mark.parametrize("z_values", [(), 0.5, ("0.5",), (0.5, True),
+                                          (0.7 + 0.3j, 0.3, 9.0)],
+                             ids=["empty", "scalar", "str", "bool-second",
+                                  "three"])
     def test_malformed_shifts_rejected_before_any_suite(self, z_values,
                                                         monkeypatch):
         cfg = ExperimentConfig(regime="grow-n", n_values=(8,), k_values=(2,),

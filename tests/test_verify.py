@@ -24,9 +24,11 @@ from rmpoly import (
     circulant_matrix,
     companion,
     complex_gaussian,
+    evaluate,
     gaussian_norm_tail,
     lemma_suite_grow_k,
     lemma_suite_grow_n,
+    match_distance,
     mc_pseudoinverse_tail,
     pseudoinverse_tail_bound,
     radial_cdf,
@@ -42,7 +44,7 @@ from rmpoly import (
     tail_log_sum,
     tail_split_index,
 )
-from rmpoly import verify
+from rmpoly import matpoly, verify
 from rmpoly.errors import SingularUpdateError
 from rmpoly.harness import pooled_esd
 from rmpoly.tolerances import DETERMINISTIC_SLACK as SLACK
@@ -368,11 +370,11 @@ class TestCirculantShiftBounds:
         monkeypatch.setattr(verify, "singular_values", counted)
         sweep_circulant_shift_bounds(sizes, 1000, RngStream(86))
         # 334 + 333 + 333 instances; stacks of 128, 145 and 8 matrices.
-        stacks = [math.ceil(count / (verify._MC_CHUNK_ENTRIES // kn ** 2))
+        stacks = [math.ceil(count / (matpoly._CHUNK_ENTRIES // kn ** 2))
                   for count, kn in ((334, 16), (333, 15), (333, 64))]
         assert len(shapes) == sum(stacks) == 48
         assert all(len(shape) == 3 and shape[0] * shape[1] * shape[2]
-                   <= verify._MC_CHUNK_ENTRIES for shape in shapes)
+                   <= matpoly._CHUNK_ENTRIES for shape in shapes)
 
     def test_sweep_peak_is_one_matrix_past_the_stack_budget(self,
                                                             traced_peak):
@@ -477,7 +479,7 @@ class TestMcPseudoinverseTail:
     def test_frequency_independent_of_chunk(self, monkeypatch, chunk):
         # Batches of 1, 4 (50 entries of 2 x 6) and all 3000 matrices.
         ref = mc_pseudoinverse_tail(2, 6, 1.0, None, 3000, RngStream(84))
-        monkeypatch.setattr(verify, "_MC_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(matpoly, "_CHUNK_ENTRIES", chunk)
         got = mc_pseudoinverse_tail(2, 6, 1.0, None, 3000, RngStream(84))
         assert 0.0 < got < 1.0
         assert got == ref
@@ -498,7 +500,7 @@ class TestGaussianNormTail:
     @pytest.mark.parametrize("chunk", [1, 200, 2 ** 30])
     def test_frequency_independent_of_chunk(self, monkeypatch, chunk):
         ref = gaussian_norm_tail(8, 1.9, 500, RngStream(87))
-        monkeypatch.setattr(verify, "_MC_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(matpoly, "_CHUNK_ENTRIES", chunk)
         got = gaussian_norm_tail(8, 1.9, 500, RngStream(87))
         assert 0.0 < got < 1.0
         assert got == ref
@@ -586,6 +588,8 @@ class TestTailSplitIndex:
     def test_delta_validated(self):
         with pytest.raises(ValidationError):
             tail_split_index(16, 3, 0.6)
+        with pytest.raises(ValidationError, match="delta"):
+            tail_split_index(64, 3, "x")
 
 
 class TestTailLogSum:
@@ -617,6 +621,9 @@ class TestTailLogSum:
             tail_log_sum(np.eye(3), 0.5, 0, 1.0)
         with pytest.raises(ValidationError):
             tail_log_sum(np.eye(3), 0.5, 5, 1.0)
+        for index in (1.5, "2", True):
+            with pytest.raises(ValidationError, match="from_index"):
+                tail_log_sum(np.eye(3), 0.5, index, 4)
 
     def test_bad_normalizer_rejected(self):
         with pytest.raises(ValidationError):
@@ -668,6 +675,17 @@ def _reference_grow_k(cfg, rng):
             chain.append(min(np.min(s[i] - sv_b[i + n]),
                              np.min(sv_b[i - n] - s[i])) + slack)
     return [cap, floor_block, floor_min, chain]
+
+
+def _count_svd_calls(monkeypatch) -> list:
+    """Shapes of the suites' ``singular_values`` calls, in call order."""
+    shapes = []
+
+    def counted(x):
+        shapes.append(x.shape)
+        return singular_values(x)
+    monkeypatch.setattr(verify, "singular_values", counted)
+    return shapes
 
 
 class TestTopRowShiftCore:
@@ -737,6 +755,32 @@ class TestGrowNSuite:
             np.testing.assert_allclose(rep.per_trial_margins, ref,
                                        rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("chunk", [1, 2 ** 30])
+    def test_margins_match_full_svd_reference_at_any_chunk_budget(
+            self, monkeypatch, chunk):
+        # One trial per chunk, and every size's trials in one chunk.
+        monkeypatch.setattr(matpoly, "_CHUNK_ENTRIES", chunk)
+        cfg = LemmaCheckConfig(z=0.7 + 0.3j, sizes=((4, 2), (8, 3), (6, 5)),
+                               trials=6)
+        reports = lemma_suite_grow_n(cfg, RngStream(82))
+        reference = _full_svd_grow_n(cfg, RngStream(82))
+        for rep, ref in zip(reports, reference):
+            np.testing.assert_allclose(rep.per_trial_margins, ref,
+                                       rtol=0, atol=1e-13)
+
+    def test_two_svd_calls_per_chunk(self, monkeypatch):
+        # Per chunk one call for S_M and one for the S_E cores.  (16, 3):
+        # 14 trials per chunk, so 14 + 6; (32, 3): 3 per chunk, 7 chunks.
+        shapes = _count_svd_calls(monkeypatch)
+        cfg = LemmaCheckConfig(z=0.7 + 0.3j, sizes=((16, 3), (32, 3)),
+                               trials=20)
+        lemma_suite_grow_n(cfg, RngStream(85))
+        chunks = [14, 6] + [3] * 6 + [2]
+        kns = [48, 48] + [96] * 7
+        n = [16, 16] + [32] * 7
+        assert shapes[0::2] == [(t, 2 * m, 2 * m) for t, m in zip(chunks, n)]
+        assert shapes[1::2] == [(t, kn, kn) for t, kn in zip(chunks, kns)]
+
     def test_multi_size_fits_exponent(self):
         cfg = LemmaCheckConfig(z=0.7 + 0.3j, sizes=((16, 3), (32, 3)),
                                trials=30)
@@ -770,6 +814,27 @@ class TestGrowKSuite:
         for rep, ref in zip(reports, reference):
             np.testing.assert_array_equal(rep.per_trial_margins, ref)
 
+    @pytest.mark.parametrize("chunk", [1, 2 ** 30])
+    def test_margins_match_reference_at_any_chunk_budget(self, monkeypatch,
+                                                         chunk):
+        # One trial per chunk, and every size's trials in one chunk.
+        monkeypatch.setattr(matpoly, "_CHUNK_ENTRIES", chunk)
+        cfg = LemmaCheckConfig(z=0.5 + 0.2j, sizes=((2, 8), (3, 5), (1, 32)),
+                               trials=5)
+        reports = lemma_suite_grow_k(cfg, RngStream(83))
+        reference = _reference_grow_k(cfg, RngStream(83))
+        for rep, ref in zip(reports, reference):
+            np.testing.assert_array_equal(rep.per_trial_margins, ref)
+
+    def test_one_svd_call_per_chunk(self, monkeypatch):
+        # (2, 8): 128 trials per chunk, so one chunk of 20; (2, 32): 8 per
+        # chunk, so 8 + 8 + 4.
+        shapes = _count_svd_calls(monkeypatch)
+        cfg = LemmaCheckConfig(z=0.5, sizes=((2, 8), (2, 32)), trials=20)
+        lemma_suite_grow_k(cfg, RngStream(84))
+        assert shapes == [(20, 16, 16), (8, 64, 64), (8, 64, 64),
+                          (4, 64, 64)]
+
     def test_block_floor_reference_run(self):
         # n=2, k=64, z=0.5, 100 trials: sigma_n(M - zI) >= |1 - |z|| = 0.5
         # with zero violations, and the interlacing chain holds throughout.
@@ -781,10 +846,12 @@ class TestGrowKSuite:
 
     def test_peak_holds_no_shifted_copy(self, traced_peak):
         # One kn = 256 cell: each trial's 1 MiB companion is shifted in
-        # place.  With M - z * eye(kn) the peak was 4.2 MiB.
+        # place, and dropped before the next one is built.  With
+        # M - z * eye(kn) the peak was 4.2 MiB, and with the previous
+        # companion alive during the next one's build 2.0 MiB.
         cfg = LemmaCheckConfig(z=0.5, sizes=((2, 128),), trials=3)
         peak = traced_peak(lemma_suite_grow_k, cfg, RngStream(102))
-        assert peak < 3.5 * 2 ** 20
+        assert peak < 1.5 * 2 ** 20
 
     def test_sigma_min_floor_across_degrees(self):
         # sigma_kn(M - zI) >= 1e-3 * k**-2 from k=8 up to k=256.
@@ -837,11 +904,21 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: mc_pseudoinverse_tail(2, 6, "0.1", None, 10, RngStream(1)),
     lambda: atom_mass(pooled_esd("grow-n", 2, 2, RngStream(1), 1), "0.1"),
     lambda: tail_log_sum(np.eye(3), 0.5, 1, "3"),
+    lambda: tail_log_sum(np.eye(3), 0.5, 1.5, 4),
+    lambda: tail_log_sum(np.eye(3), 0.5, "2", 4),
+    lambda: tail_log_sum(np.eye(3), 0.5, True, 4),
+    lambda: tail_split_index(64, 3, "x"),
+    lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), "x"),
+    lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), math.inf),
+    lambda: match_distance([math.nan], [1.0]),
 ], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
         "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r",
         "norm_tail-nan", "norm_tail-inf", "norm_tail-str", "radial_cdf-str",
         "radial_cdf-str-array", "pinv_bound-str", "pinv_tail-str",
-        "atom_mass-str", "tail_log_sum-str"])
+        "atom_mass-str", "tail_log_sum-str", "tail_log_sum-index-float",
+        "tail_log_sum-index-str", "tail_log_sum-index-bool",
+        "tail_split-delta-str", "evaluate-str", "evaluate-inf",
+        "match_distance-nan"])
 def test_nan_and_mistyped_thresholds_rejected(call):
     # NaN compares false both ways, so each guard is stated positively.
     with pytest.raises(ValidationError):
