@@ -13,7 +13,9 @@ copy of the script digests any checkout.
 The outputs are the points CSV, scatter SVG and summary JSON of three
 ``experiment`` runs at the benchmark's sizes (grow-n, grow-k, small-many),
 the ``esd`` stdout of a dense shape, an Ehrlich-Aberth shape, ``n = k = 1``
-and a shape whose stdout spans three blocks of rows, and the ``verify``
+and a shape whose stdout spans three blocks of rows, the ``sample`` JSON
+of two shapes, the ``plot --no-unit-circle`` SVG of the grow-n run's
+first points file, and the ``verify``
 JSON lines, one digest per check family (``<label>/<lemma_id>``), so a
 ``diff`` names the families that changed.  ``verify`` runs at default
 sizes and once more at 15 suite trials, 50 instances and 2000 Monte Carlo
@@ -70,6 +72,12 @@ ESD_RUNS = (
     ("esd-blocks", ["--n", "4", "--k", "2", "--trials", "1100"]),
 )
 
+#: ``sample`` runs: (label, extra arguments).
+SAMPLE_RUNS = (
+    ("sample-n3-k4", ["--n", "3", "--k", "4"]),
+    ("sample-n1-k1", ["--n", "1", "--k", "1"]),
+)
+
 
 def _run(argv) -> bytes:
     """Stdout of ``rmpoly argv``; a nonzero exit aborts the script."""
@@ -106,8 +114,15 @@ def main(argv=None) -> int:
                             for path in sorted(out.iterdir())]
             for digest, name in files[label]:
                 print(f"{digest}  {label}/{name}")
+        # Without the overlay: the experiments' scatters all carry it.
+        points = min((Path(tmp) / "grow-n").glob("points_*.csv"))
+        svg = Path(tmp) / "plot.svg"
+        _run(["plot", str(points), "--no-unit-circle", "--out", str(svg)])
+        print(f"{_digest(svg.read_bytes())}  plot-no-unit-circle")
     for label, extra in ESD_RUNS:
         print(f"{_digest(_run(['esd', '--seed', seed, *extra]))}  {label}")
+    for label, extra in SAMPLE_RUNS:
+        print(f"{_digest(_run(['sample', '--seed', seed, *extra]))}  {label}")
     for label, extra in VERIFY_RUNS:
         lines = _run(["verify", "--seed", seed, *extra])
         for line in lines.splitlines(keepends=True):

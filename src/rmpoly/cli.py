@@ -17,8 +17,8 @@ import click
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harness import (ExperimentConfig, _csv_blocks, export_result,
-                      pooled_esd, read_points_csv, render_scatter,
+from .harness import (_REGIMES, ExperimentConfig, _csv_blocks,
+                      export_result, pooled_esd, render_scatter,
                       run_experiment, run_verification, write_points_csv)
 from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
 
@@ -28,7 +28,8 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ValidationError as exc:
+        except (ValidationError, OSError) as exc:
+            # An OSError is a path the command could not read or write.
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -89,7 +90,7 @@ def sample(n, k, seed, out):
 @click.option("--k", type=int, required=True, help="Polynomial degree.")
 @click.option("--trials", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--regime", type=click.Choice(["grow-n", "grow-k"]),
+@click.option("--regime", type=click.Choice(_REGIMES),
               default="grow-n", show_default=True,
               help="Chooses the eigenvalue scaling: n**-0.5 or 1.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -113,8 +114,7 @@ def esd(n, k, trials, seed, regime, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               default=None, help="JSON experiment config; flags override it.")
-@click.option("--regime", type=click.Choice(["grow-n", "grow-k"]),
-              default=None)
+@click.option("--regime", type=click.Choice(_REGIMES), default=None)
 @click.option("--n", "n_values", type=int, multiple=True,
               help="Dimension value (repeatable).")
 @click.option("--k", "k_values", type=int, multiple=True,
@@ -168,6 +168,10 @@ def experiment(config_path, regime, n_values, k_values, target_points, seed,
 @_guard
 def verify(z_values, seed, trials, instances, mc_trials, out):
     """Run every bound check; exit 3 if any check records a violation."""
+    if out is not None and not Path(out).parent.is_dir():
+        # Checked before the run, which would otherwise be lost.
+        raise ValidationError(f"cannot write {out}: no directory "
+                              f"{Path(out).parent}")
     # The config carries only the seed; its sizes are placeholders.
     cfg = ExperimentConfig(regime="grow-n", n_values=(16, 32, 64),
                            k_values=(3,), seed=seed)

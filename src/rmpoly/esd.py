@@ -297,10 +297,11 @@ def atom_mass(esd: EmpiricalSpectralDistribution, radius: float) -> float:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Distance diagnostics of one ESD against one law; all values in [0, 1]."""
+    """Distance diagnostics of one ESD against one law; all values in
+    [0, 1].  ``angular_ks`` is None when no point has an angle to test."""
 
     radial_ks: float
-    angular_ks: float
+    angular_ks: float | None
     discrepancy: float
     atom_mass_observed: float
     atom_radius: float
@@ -309,6 +310,8 @@ class DistanceReport:
         for name in ("radial_ks", "angular_ks", "discrepancy",
                      "atom_mass_observed", "atom_radius"):
             v = getattr(self, name)
+            if v is None and name == "angular_ks":
+                continue
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
 
@@ -332,11 +335,14 @@ def distance_report(esd: EmpiricalSpectralDistribution, law: LimitLaw,
     """Bundle the four distance diagnostics for one ESD/law pair.
 
     The discrepancy uses the default 8 ring x 16 sector grid, and
-    ``angular_ks`` drops moduli at or below ``ANGULAR_EXCLUSION``.
+    ``angular_ks`` drops moduli at or below ``ANGULAR_EXCLUSION``; with no
+    point left it is None, so a small cell still gets its other distances.
     """
+    angular = (angular_ks(esd, ANGULAR_EXCLUSION)
+               if np.any(np.abs(esd.points) > ANGULAR_EXCLUSION) else None)
     return DistanceReport(
         radial_ks=radial_ks(esd, law, atom_proxy=atom_radius),
-        angular_ks=angular_ks(esd, ANGULAR_EXCLUSION),
+        angular_ks=angular,
         discrepancy=annulus_sector_discrepancy(esd, law),
         atom_mass_observed=atom_mass(esd, atom_radius),
         atom_radius=atom_radius,

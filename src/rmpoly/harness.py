@@ -8,8 +8,9 @@ Two experiment regimes mirror the two limit statements:
   compared against ``UnitCircle``.
 
 Cells keep the pooled point count roughly constant: a cell at (n, k) runs
-``ceil(target_points / (k n))`` trials.  Every trial draws from its own
-addressable RNG stream keyed by (cell index, trial index).  Trials are
+``ceil(target_points / (k n))`` trials.  A run is seeded by its config
+alone: every trial draws from its own addressable RNG stream, keyed by
+(cell index, trial index) under ``cfg.seed``.  Trials are
 solved in chunks, each one stacked eigensolve (``trial_eigenvalues``), and
 a chunk is also the unit handed to a worker pool; since streams stay per
 trial, results are identical whether chunks run sequentially or on a pool,
@@ -40,7 +41,7 @@ from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
 from .matpoly import (RngStream, _chunks, _count, _is_int, _is_number,
-                      _sizes, _trial_coefficients, _trial_range,
+                      _sizes, _trial_draws, _trial_range,
                       trial_eigenvalues)
 from .svgplot import _svg_chunks, _text_blocks
 from .verify import (LemmaCheckConfig, _grow_k_preconditions,
@@ -349,7 +350,7 @@ def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
 
 def _chunk_points(task) -> np.ndarray:
     n, k, scale, rng, lo, hi = task
-    coeffs = _trial_coefficients(n, k, rng, lo, hi)
+    coeffs = _trial_draws(rng, lo, hi, (k, n, n))
     return scale * trial_eigenvalues(coeffs).ravel()
 
 
@@ -384,9 +385,8 @@ def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
     ])
 
 
-def _run_cells(cfg: ExperimentConfig, rng: RngStream | None, law,
-               extras_of) -> ExperimentResult:
-    rng = RngStream(cfg.seed) if rng is None else rng
+def _run_cells(cfg: ExperimentConfig, law, extras_of) -> ExperimentResult:
+    rng = RngStream(cfg.seed)
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,26 +432,23 @@ def _annulus_extras(esd: EmpiricalSpectralDistribution) -> dict:
     return {f"annulus_mass_hw{ANNULUS_HALFWIDTH}": float(np.mean(band))}
 
 
-def run_grow_n(cfg: ExperimentConfig, rng: RngStream | None = None
-               ) -> ExperimentResult:
+def run_grow_n(cfg: ExperimentConfig) -> ExperimentResult:
     """Sweep n at fixed k; eigenvalues scaled by ``n**-0.5`` and compared
     against the disc mixture with atom weight (k-1)/k."""
     if cfg.regime != "grow-n":
         raise ValidationError(f"config regime is {cfg.regime!r}, not 'grow-n'")
-    return _run_cells(cfg, rng, DiscMixture(cfg.k_values[0]), _atom_sweep)
+    return _run_cells(cfg, DiscMixture(cfg.k_values[0]), _atom_sweep)
 
 
-def run_grow_k(cfg: ExperimentConfig, rng: RngStream | None = None
-               ) -> ExperimentResult:
+def run_grow_k(cfg: ExperimentConfig) -> ExperimentResult:
     """Sweep k at fixed n; unscaled eigenvalues against the unit circle."""
     if cfg.regime != "grow-k":
         raise ValidationError(f"config regime is {cfg.regime!r}, not 'grow-k'")
-    return _run_cells(cfg, rng, UnitCircle(), _annulus_extras)
+    return _run_cells(cfg, UnitCircle(), _annulus_extras)
 
 
-def run_experiment(cfg: ExperimentConfig, rng: RngStream | None = None
-                   ) -> ExperimentResult:
-    return (run_grow_n if cfg.regime == "grow-n" else run_grow_k)(cfg, rng)
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    return (run_grow_n if cfg.regime == "grow-n" else run_grow_k)(cfg)
 
 
 def export_result(result: ExperimentResult) -> list:
@@ -512,8 +509,7 @@ CIRCULANT_SIZES = ((2, 8), (3, 5), (4, 16))
 NORM_TAIL_TRIALS = 1000
 
 
-def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
-                     suite_trials: int = 200,
+def run_verification(cfg: ExperimentConfig, suite_trials: int = 200,
                      deterministic_instances: int = 1000,
                      mc_trials: int = 100000,
                      z_values: tuple = (0.7 + 0.3j, 0.5 + 0.0j)
@@ -538,7 +534,7 @@ def run_verification(cfg: ExperimentConfig, rng: RngStream | None = None,
                              trials=suite_trials)
     _grow_n_preconditions(cfg_n)
     _grow_k_preconditions(cfg_k)
-    rng = RngStream(cfg.seed) if rng is None else rng
+    rng = RngStream(cfg.seed)
 
     det, tail = rng.child(2), rng.child(3)
     r_d = np.zeros((2, 6), dtype=np.complex128)

@@ -33,14 +33,16 @@ circulant whose spectrum is the k-th roots of unity
 (``circulant_b_eigenvalues``), and M - B is nonzero only in its top block
 row, so it too has rank at most n.  The verification suites and the
 replacement-gap diagnostics compare M against B directly.  Trials of the
-harness and of the suites draw with ``_trial_coefficients`` and linearize
-with ``_companion_stack``, as ``sample_monic_gaussian`` and ``companion``
-do for one polynomial, in the chunks of ``_chunks`` (``_map_companions``
-for the suites), which every batched loop takes under one budget.
+harness and of the suites linearize with ``_companion_stack``, as
+``companion`` does for one polynomial, in the chunks of ``_chunks``
+(``_map_companions`` for the suites), which every batched loop takes under
+one budget.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
 through ``RngStream`` so that any draw is addressable and reproducible.
+Per-trial streams are drawn one way, by ``_trial_draws``: one flat draw per
+trial, for the experiments, the suites and the stacked verify sweeps.
 """
 
 from __future__ import annotations
@@ -376,14 +378,16 @@ class MatrixPolynomial:
                 and np.array_equal(self.stack, other.stack))
 
 
-def _trial_coefficients(n: int, k: int, rng: RngStream, lo, hi
-                        ) -> np.ndarray:
-    """``(hi - lo, k, n, n)`` coefficients of trials ``lo .. hi-1`` of the
-    cell stream ``rng``: trial t is one flat standard complex Gaussian
-    draw from ``rng.child(t)``, ``C_0`` first, filled in place into one
-    buffer for all the trials."""
-    generators = _trial_generators(rng, lo, hi)
-    return _standard_complex(np.empty((hi - lo, k, n, n, 2)), generators)
+def _trial_draws(rng: RngStream, lo, hi, shape: tuple, *tail: int,
+                 variance: float = 1.0) -> np.ndarray:
+    """``(hi - lo, *shape)`` complex Gaussians of trials ``lo .. hi-1`` of
+    ``rng``: row t is one flat draw of ``E|X|^2 = variance`` from
+    ``rng.child(t, *tail)``, filled in place into one buffer for all the
+    trials.  A row has the bits of ``complex_gaussian`` on its stream; a
+    trial's coefficients are shape ``(k, n, n)``, ``C_0`` first."""
+    generators = _trial_generators(rng, lo, hi, *tail)
+    return _standard_complex(np.empty((hi - lo, *shape, 2)), generators,
+                             variance)
 
 
 def sample_monic_gaussian(n: int, k: int, rng) -> MatrixPolynomial:
@@ -447,7 +451,7 @@ def _map_companions(fn, n: int, k: int, rng: RngStream, trials: int) -> list:
     """``fn`` of each chunk's ``(T, kn, kn)`` companion stack, trials
     ``0 .. trials-1`` of the cell stream ``rng`` in order.  A stack is fresh,
     ``fn`` may change it, and it is dropped before the next one is built."""
-    return [fn(_companion_stack(_trial_coefficients(n, k, rng, lo, hi)))
+    return [fn(_companion_stack(_trial_draws(rng, lo, hi, (k, n, n))))
             for lo, hi in _chunks(trials, (k * n) ** 2)]
 
 

@@ -7,9 +7,11 @@ Two kinds of check live here:
   the Woodbury identity, and the singular-value range of a shifted block
   circulant.  These are exact statements; a check fails only beyond a
   relative slack of ``DETERMINISTIC_SLACK``.  Each ``sweep_*`` runs one of
-  them on many random instances, each instance from its own stream.  The
-  Mirsky, low-rank and circulant sweeps stack their instances and share
-  the margin formula of the single check, with the same bits; the
+  them on many random instances, each instance from its own stream.  All
+  but the submatrix sweep, whose draws mix Gaussians with integers, take
+  their instances' draws as one stack (``matpoly._trial_draws``).  The
+  Mirsky, low-rank and circulant sweeps check their instances stacked and
+  share the margin formula of the single check, with the same bits; the
   circulant stacks hold at most ``matpoly._CHUNK_ENTRIES`` entries each.
 * probabilistic bound checks -- Monte Carlo sweeps confirming that sampled
   quantities respect high-probability bounds at pilot-calibrated constants:
@@ -48,8 +50,9 @@ from .linalg import (_square, as_matrix, log_abs_det, singular_values,
                      woodbury_inverse)
 from .matpoly import (RngStream, _chunks, _circulant_stack, _complex,
                       _count, _generator, _index, _is_number,
-                      _map_companions, _sizes, _trial_generators,
-                      circulant_b_eigenvalues, complex_gaussian)
+                      _map_companions, _sizes, _trial_draws,
+                      _trial_generators, circulant_b_eigenvalues,
+                      complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
 
 __all__ = [
@@ -333,40 +336,34 @@ def _sweep(lemma_id: str, reports) -> LemmaReport:
                                        for r in reports))
 
 
-def _instance_generators(instances: int, rng: RngStream, *tail: int):
-    """Generators of instances ``0 .. instances-1``, instance i drawing
-    from ``rng.child(i, *tail)``."""
-    return _trial_generators(rng, 0, _count(instances, "instances"), *tail)
-
-
-def _pair_stacks(dim: int, instances: int) -> np.ndarray:
-    # Filled in place by the batched sweeps: no per-instance array
-    # outlives its draw.
-    return np.empty((2, _count(instances, "instances"), dim, dim),
-                    dtype=np.complex128)
+def _matrix_and_update(draws: np.ndarray, dim: int):
+    """Views ``a``, ``u`` and ``v`` of flat rows of ``dim * (dim + 2 r)``
+    draws, r the update rank: a ``dim x dim`` matrix, then the ``dim x r``
+    and ``r x dim`` factors of its update, in the order the sweeps drew
+    them one array at a time."""
+    dd, r = dim * dim, _UPDATE_RANK
+    lead = draws.shape[:-1]
+    return (draws[..., :dd].reshape(*lead, dim, dim),
+            draws[..., dd:dd + dim * r].reshape(*lead, dim, r),
+            draws[..., dd + dim * r:].reshape(*lead, r, dim))
 
 
 def sweep_lowrank_interlacing(dim: int, instances: int,
                               rng: RngStream) -> LemmaReport:
-    a, e = _pair_stacks(dim, instances)
-    for i, gg in enumerate(_instance_generators(instances, rng.child(0))):
-        a[i] = complex_gaussian(gg, (dim, dim))
-        u = complex_gaussian(gg, (dim, _UPDATE_RANK))
-        v = complex_gaussian(gg, (_UPDATE_RANK, dim))
-        e[i] = u @ v
+    instances = _count(instances, "instances")
+    a, u, v = _matrix_and_update(_trial_draws(
+        rng.child(0), 0, instances, (dim * (dim + 2 * _UPDATE_RANK),)), dim)
     worst = np.empty(instances)
-    for idx, margins in _lowrank_interlacing_margins(a, e):
+    for idx, margins in _lowrank_interlacing_margins(a, u @ v):
         worst[idx] = margins.min(axis=1)
     return LemmaReport("lowrank-interlacing", tuple(worst))
 
 
 def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
-    a, b = _pair_stacks(dim, instances)
-    for i, gg in enumerate(_instance_generators(instances, rng.child(1))):
-        a[i] = complex_gaussian(gg, (dim, dim))
-        b[i] = complex_gaussian(gg, (dim, dim))
+    instances = _count(instances, "instances")
+    pairs = _trial_draws(rng.child(1), 0, instances, (2, dim, dim))
     return LemmaReport("mirsky-sv-perturbation",
-                       tuple(_mirsky_margins(a, b)))
+                       tuple(_mirsky_margins(pairs[:, 0], pairs[:, 1])))
 
 
 def sweep_submatrix_interlacing(dim: int, instances: int,
@@ -378,32 +375,30 @@ def sweep_submatrix_interlacing(dim: int, instances: int,
         rows = gg.choice(dim, size=p, replace=False)
         cols = gg.choice(dim, size=q, replace=False)
         return check_submatrix_interlacing(a, rows, cols)
-    return _sweep("submatrix-interlacing",
-                  map(check, _instance_generators(instances, rng.child(2))))
+    gens = _trial_generators(rng.child(2), 0, _count(instances, "instances"))
+    return _sweep("submatrix-interlacing", map(check, gens))
 
 
 def sweep_woodbury_identity(dim: int, instances: int,
                             rng: RngStream) -> LemmaReport:
     """Attempt j of instance i draws from ``rng.child(3, i, j)``; the
-    first attempts are seeded in one pass."""
+    first attempts are one stack (``_trial_draws``)."""
     stream = rng.child(3)
+    flat = (dim * (dim + 2 * _UPDATE_RANK),)
 
-    def check(i, gg):
+    def check(i, draw):
         for attempt in range(100):
             if attempt:
-                gg = stream.child(i, attempt).generator()
-            a = complex_gaussian(gg, (dim, dim))
-            u = complex_gaussian(gg, (dim, _UPDATE_RANK))
-            v = complex_gaussian(gg, (_UPDATE_RANK, dim))
+                draw = complex_gaussian(stream.child(i, attempt), flat)
             try:
-                return check_woodbury_identity(a, u, v)
+                return check_woodbury_identity(*_matrix_and_update(draw, dim))
             except SingularUpdateError:
                 continue  # precondition failed, redraw
         raise ValidationError(  # pragma: no cover - probability ~ 0
             "could not draw an invertible low-rank update in 100 tries")
-    gens = _instance_generators(instances, stream, 0)
+    first = _trial_draws(stream, 0, _count(instances, "instances"), flat, 0)
     return _sweep("woodbury-identity",
-                  (check(i, gg) for i, gg in enumerate(gens)))
+                  (check(i, draw) for i, draw in enumerate(first)))
 
 
 def sweep_circulant_shift_bounds(sizes, instances: int,
@@ -411,14 +406,14 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
     """Range check for random shifts z cycling over the given (n, k) sizes.
 
     Instance i has size ``sizes[i % len(sizes)]`` and draws z from
-    ``rng.child(4, i)``.  The instances of one size are checked in stacks
-    of at most ``_CHUNK_ENTRIES`` entries (``_chunks``), one SVD call per
-    stack, with the margins of ``check_circulant_shift_bounds``, bit for
-    bit.
+    ``rng.child(4, i)``, a complex Gaussian of ``E|z|^2 = 2``.  The
+    instances of one size are checked in stacks of at most
+    ``_CHUNK_ENTRIES`` entries (``_chunks``), one SVD call per stack, with
+    the margins of ``check_circulant_shift_bounds``, bit for bit.
     """
     sizes = _size_pairs(sizes)
-    z = np.array([complex(g.standard_normal(), g.standard_normal())
-                  for g in _instance_generators(instances, rng.child(4))])
+    z = _trial_draws(rng.child(4), 0, _count(instances, "instances"), (),
+                     variance=2.0)
     # Python's complex abs: numpy's can differ in the last bit.
     az = np.array([abs(zi) for zi in z.tolist()])
     worst = np.empty(z.size)

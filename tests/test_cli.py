@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rmpoly import (ExperimentConfig, LemmaReport, polynomial_from_json,
-                    read_points_csv, run_grow_n)
+from rmpoly import (EmpiricalSpectralDistribution, ExperimentConfig,
+                    LemmaReport, ValidationError, angular_ks,
+                    polynomial_from_json, read_points_csv, run_grow_n)
 from rmpoly.cli import main
 from rmpoly.harness import _FIELDS, VerificationResult
 
@@ -46,6 +47,14 @@ class TestSample:
         res = runner.invoke(main, ["sample", "--n", "0", "--k", "2"])
         assert res.exit_code == 1
         assert "error:" in res.stderr
+
+    def test_out_in_missing_directory_exits_one(self, runner, tmp_path):
+        res = runner.invoke(main, ["sample", "--n", "2", "--k", "2", "--out",
+                                   str(tmp_path / "missing" / "p.json")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
 
 
 class TestEsd:
@@ -97,6 +106,14 @@ class TestEsd:
         assert isinstance(res.exception, SystemExit)
         assert "2**32" in res.stderr
         assert seeded == []
+
+    def test_out_in_missing_directory_exits_one(self, runner, tmp_path):
+        res = runner.invoke(main, ["esd", "--n", "2", "--k", "2", "--out",
+                                   str(tmp_path / "missing" / "p.csv")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
 
     def test_zero_dimension_exits_one(self, runner):
         res = runner.invoke(main, ["esd", "--n", "0", "--k", "2"])
@@ -204,6 +221,31 @@ class TestExperiment:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 1
         assert "infeasible" in res.stderr
+
+    def test_out_under_a_file_exits_one(self, runner, tmp_path):
+        (tmp_path / "file").write_text("")
+        res = runner.invoke(main, self.BASE
+                            + ["--out", str(tmp_path / "file" / "sub")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
+
+    def test_cell_without_angles_reports_null_angular_ks(self, runner,
+                                                         tmp_path):
+        # Seed 1 draws one eigenvalue of modulus <= 0.5: the cell has no
+        # angle to test, but its other distances stand.
+        res = runner.invoke(main, ["experiment", "--regime", "grow-n",
+                                   "--n", "1", "--k", "1", "--target-points",
+                                   "1", "--seed", "1", "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        (cell,) = json.loads(
+            (tmp_path / "result_grow-n_seed1.json").read_text())["cells"]
+        assert cell["report"]["angular_ks"] is None
+        assert 0.0 <= cell["report"]["radial_ks"] <= 1.0
+        pts = read_points_csv(tmp_path / cell["points_file"])
+        with pytest.raises(ValidationError, match="angular KS undefined"):
+            angular_ks(EmpiricalSpectralDistribution(pts, 1.0, 1, 1, 1), 0.5)
 
     def test_svg_format_renders_scatter(self, runner, tmp_path):
         res = runner.invoke(main, self.BASE + ["--format", "svg",
@@ -364,6 +406,19 @@ class TestVerify:
         assert res.exit_code == 1
         assert "shift z must be finite" in res.stderr
         assert FAMILY_DONE not in res.stderr
+        assert entered == []
+
+    def test_out_in_missing_directory_exits_one_before_any_suite(
+            self, runner, monkeypatch, tmp_path):
+        entered = []
+        monkeypatch.setattr("rmpoly.verify._map_companions",
+                            lambda *a: entered.append(a) or [])
+        res = runner.invoke(main, self.SMALL + [
+            "--out", str(tmp_path / "missing" / "r.jsonl")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
         assert entered == []
 
     def test_zero_shift_exits_one(self, runner):

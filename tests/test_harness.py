@@ -488,12 +488,6 @@ class TestRunGrowN:
         assert a.cells[0].report == b.cells[0].report
         assert a.cells[0].extras == b.cells[0].extras
 
-    def test_explicit_rng_matches_seeded_default(self):
-        cfg = _small_cfg()
-        a = run_grow_n(cfg)
-        b = run_grow_n(cfg, RngStream(cfg.seed))
-        assert a.cells[0].report == b.cells[0].report
-
     def test_run_experiment_dispatches_on_regime(self):
         cfg = _small_cfg()
         assert run_experiment(cfg).cells[0].report == \
@@ -507,13 +501,13 @@ class TestRunGrowN:
         chunk = {n: matpoly._CHUNK_ENTRIES // (2 * n) ** 2
                  for n in cfg.n_values}
         assert all(cfg.trials_for(n, 2) > chunk[n] for n in cfg.n_values)
-        rng = RngStream(cfg.seed)
         built = []
         post_init = RngStream.__post_init__
         monkeypatch.setattr(RngStream, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        run_experiment(cfg, rng)
-        assert len(built) <= len(cfg.cells())
+        run_experiment(cfg)
+        # The run's root stream, then one per cell.
+        assert len(built) <= len(cfg.cells()) + 1
 
 
 class TestPooledEsd:

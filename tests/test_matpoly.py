@@ -1,5 +1,6 @@
 """Tests for polynomial sampling, evaluation, and the companion splittings."""
 
+import itertools
 import json
 import math
 
@@ -177,35 +178,48 @@ class TestSampleMonicGaussian:
 
 
 class TestTrialCoefficients:
+    """``_trial_draws``: a trial's coefficients, or any other flat draw per
+    trial stream."""
+
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (16, 2), (2, 40)])
     def test_bits_match_one_draw_per_stream(self, n, k):
         # Trials of a root, a one-level and a two-level cell stream, over a
-        # range that does not start at 0: the chunk buffer must keep every
-        # bit of one ``complex_gaussian`` draw per trial stream.
-        for rng in (RngStream(21), RngStream(21, (3,)),
-                    RngStream(21).child(0, 5)):
-            got = matpoly._trial_coefficients(n, k, rng, 5, 9)
-            ref = np.stack([complex_gaussian(rng.child(t), (k, n, n))
+        # range that does not start at 0, with and without a tail key, at
+        # variance 1 and 2, for a trial's coefficients and for one value
+        # per trial: the buffer must keep every bit of one
+        # ``complex_gaussian`` draw per trial stream.
+        for rng, tail, variance, shape in itertools.product(
+                (RngStream(21), RngStream(21, (3,)),
+                 RngStream(21).child(0, 5)),
+                ((), (0,), (4, 1)), (1.0, 2.0), ((k, n, n), ())):
+            got = matpoly._trial_draws(rng, 5, 9, shape, *tail,
+                                       variance=variance)
+            ref = np.stack([complex_gaussian(rng.child(t, *tail), shape,
+                                             variance)
                             for t in range(5, 9)])
-            assert got.shape == (4, k, n, n) and got.dtype == np.complex128
+            assert got.shape == (4, *shape) and got.dtype == np.complex128
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # At variance 2 the scale is 1.0: the parts are the raw normals.
+        g = RngStream(21, (5,)).generator()
+        (z,) = matpoly._trial_draws(RngStream(21), 5, 6, (), variance=2.0)
+        assert z == complex(g.standard_normal(), g.standard_normal())
 
     @pytest.mark.parametrize("lo,hi", [(2 ** 32 - 1, 2 ** 32 + 1), (-1, 2),
                                        (3, 2), (0.0, 2), (0, "2"), (True, 2)])
     def test_bad_trial_range_rejected(self, lo, hi):
         # Trial 2**32 would need a second key word: never a silent wrap.
         with pytest.raises(ValidationError):
-            matpoly._trial_coefficients(1, 1, RngStream(1), lo, hi)
+            matpoly._trial_draws(RngStream(1), lo, hi, (1, 1, 1))
 
     def test_last_trial_index_is_one_32_bit_word(self):
         # Trial 2**32 - 1 still seeds from one key word.
         top = 2 ** 32 - 1
-        got = matpoly._trial_coefficients(1, 1, RngStream(1), top, top + 1)
+        got = matpoly._trial_draws(RngStream(1), top, top + 1, (1, 1, 1))
         ref = complex_gaussian(RngStream(1, (top,)), (1, 1, 1))
         assert np.array_equal(got[0].view(np.uint64), ref.view(np.uint64))
 
     def test_no_streams_give_an_empty_stack(self):
-        got = matpoly._trial_coefficients(2, 3, RngStream(1), 4, 4)
+        got = matpoly._trial_draws(RngStream(1), 4, 4, (3, 2, 2))
         assert got.shape == (0, 3, 2, 2)
 
 
@@ -223,7 +237,7 @@ def _blockwise_companion(coeffs):
 class TestCompanionStack:
     @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (4, 2), (2, 5)])
     def test_bits_match_blockwise_reference(self, n, k):
-        coeffs = matpoly._trial_coefficients(n, k, RngStream(22, (n, k)), 0, 3)
+        coeffs = matpoly._trial_draws(RngStream(22, (n, k)), 0, 3, (k, n, n))
         ref = np.stack([_blockwise_companion(c) for c in coeffs])
         got = matpoly._companion_stack(coeffs)
         assert got.shape == (3, k * n, k * n)
@@ -679,7 +693,7 @@ class TestTrialEigenvalues:
         rng = RngStream(32, (n, k))
         streams = [rng.child(t) for t in range(3)]
         got = matpoly.trial_eigenvalues(
-            matpoly._trial_coefficients(n, k, rng, 0, 3))
+            matpoly._trial_draws(rng, 0, 3, (k, n, n)))
         assert got.shape == (3, k * n)
         for row, stream in zip(got, streams):
             ref = finite_eigenvalues(sample_monic_gaussian(n, k, stream))
@@ -696,7 +710,7 @@ class TestTrialEigenvalues:
 
         monkeypatch.setattr(matpoly, "eigenvalues", counted)
         matpoly.trial_eigenvalues(
-            matpoly._trial_coefficients(n, k, RngStream(33), 0, 5))
+            matpoly._trial_draws(RngStream(33), 0, 5, (k, n, n)))
         assert calls == stacks
 
     def test_one_trial_falls_back_inside_a_stack(self, monkeypatch):
@@ -704,7 +718,7 @@ class TestTrialEigenvalues:
         # takes the dense route, with the bits of a one-trial dense solve,
         # and never through ``companion``; its neighbours keep their bits.
         n, k = 2, 64
-        coeffs = matpoly._trial_coefficients(n, k, RngStream(37), 0, 3)
+        coeffs = matpoly._trial_draws(RngStream(37), 0, 3, (k, n, n))
         solve = matpoly._aberth_eigenvalues
         want = [solve(coeffs[0]),
                 eigenvalues(matpoly._companion_stack(coeffs[1:2]))[0],
@@ -729,7 +743,7 @@ class TestTrialEigenvalues:
         # n = 0 draws an empty stack, which the dense route rejects.
         with pytest.raises(ValidationError):
             matpoly.trial_eigenvalues(
-                matpoly._trial_coefficients(0, 2, RngStream(34), 0, 1))
+                matpoly._trial_draws(RngStream(34), 0, 1, (2, 0, 0)))
 
     @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (0, 40, 2, 2),
                                        (3, 40, 0, 0), (40, 2, 2)])
