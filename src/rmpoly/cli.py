@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .harness import (_REGIMES, ExperimentConfig, _csv_blocks,
-                      export_result, pooled_esd, render_scatter,
-                      run_experiment, run_verification, write_points_csv)
+                      export_result, pooled_esd, read_points_csv,
+                      render_scatter, run_experiment, run_verification,
+                      write_points_csv)
 from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
 
 
@@ -202,7 +203,7 @@ def verify(z_values, seed, trials, instances, mc_trials, out):
 @_guard
 def plot(points_file, out, unit_circle):
     """Render a persisted re,im point cloud as an SVG scatter."""
-    render_scatter(points_file, out, overlay_unit_circle=unit_circle)
+    render_scatter(read_points_csv(points_file), out, unit_circle)
     click.echo(out)
 
 

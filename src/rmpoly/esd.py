@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .matpoly import (MatrixPolynomial, _count, _generator, _is_number,
-                      finite_eigenvalues)
+                      _sizes, finite_eigenvalues)
 
 __all__ = [
     "DiscMixture",
@@ -130,7 +130,8 @@ class EmpiricalSpectralDistribution:
     """Uniform measure on ``points``; carries provenance (n, k, trials).
 
     ``len(points)`` is always ``n * k * trials``; ``scale`` is the factor
-    that was applied to the raw eigenvalues.
+    that was applied to the raw eigenvalues.  Sizes are stored as Python
+    ints and the scale as a Python float.
     """
 
     points: np.ndarray
@@ -143,14 +144,17 @@ class EmpiricalSpectralDistribution:
         pts = np.asarray(self.points, dtype=np.complex128).ravel()
         if not np.all(np.isfinite(pts)):
             raise ValidationError("ESD points contain NaN or Inf")
-        if not (np.isfinite(self.scale) and self.scale > 0):
+        if not (_is_number(self.scale) and 0 < self.scale < np.inf):
             raise ValidationError(f"scale must be positive, got {self.scale}")
-        expected = self.n * self.k * self.trials
-        if pts.size != expected:
-            raise ValidationError(
-                f"ESD has {pts.size} points, expected n*k*trials = {expected}")
+        n, k = _sizes(self.n, self.k)
+        trials = _count(self.trials, "trials")
+        if pts.size != n * k * trials:
+            raise ValidationError(f"ESD has {pts.size} points, expected "
+                                  f"n*k*trials = {n * k * trials}")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        for name, value in (("points", pts), ("scale", float(self.scale)),
+                            ("n", n), ("k", k), ("trials", trials)):
+            object.__setattr__(self, name, value)
 
 
 def esd_of_polynomial(p: MatrixPolynomial, scale: float
@@ -345,5 +349,5 @@ def distance_report(esd: EmpiricalSpectralDistribution, law: LimitLaw,
         angular_ks=angular,
         discrepancy=annulus_sector_discrepancy(esd, law),
         atom_mass_observed=atom_mass(esd, atom_radius),
-        atom_radius=atom_radius,
+        atom_radius=float(atom_radius),
     )

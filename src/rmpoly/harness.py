@@ -118,12 +118,11 @@ class ExperimentConfig:
 
     The swept axis must carry the multiple values: ``grow-n`` needs exactly
     one k and at least one n, ``grow-k`` the reverse.  With ``output_dir``
-    set, the run writes each cell's points there, and ``export_result``
-    writes the summary, plus one scatter per cell when ``format`` is
-    ``svg``.  Every field but ``workers`` changes what a run writes;
-    ``workers`` is an upper bound, and a run starts at most
-    ``os.cpu_count()`` worker processes.  Only an override, never a config
-    document, sets ``output_dir``.
+    set, the run writes each cell's points there, plus its scatter when
+    ``format`` is ``svg``, and ``export_result`` writes the summary.  Every
+    field but ``workers`` changes what a run writes; ``workers`` is an upper
+    bound, and a run starts at most ``os.cpu_count()`` worker processes.
+    Only an override, never a config document, sets ``output_dir``.
     """
 
     regime: str
@@ -336,10 +335,10 @@ def read_points_csv(path) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128)
 
 
-def render_scatter(points_file, out_path, overlay_unit_circle: bool = True
+def render_scatter(points, out_path, overlay_unit_circle: bool = True
                    ) -> None:
-    """Render a persisted point cloud to SVG; empty input writes nothing."""
-    chunks = _svg_chunks(read_points_csv(points_file), overlay_unit_circle)
+    """Render complex points as an SVG scatter; bad input writes nothing."""
+    chunks = _svg_chunks(points, overlay_unit_circle)
     with Path(out_path).open("w") as fh:
         fh.writelines(chunks)
 
@@ -385,6 +384,12 @@ def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
     ])
 
 
+def _cell_files(cfg: ExperimentConfig, n: int, k: int) -> tuple:
+    """The names of a cell's points CSV and scatter SVG."""
+    stem = f"{cfg.regime}_n{n}_k{k}_seed{cfg.seed}"
+    return f"points_{stem}.csv", f"scatter_{stem}.svg"
+
+
 def _run_cells(cfg: ExperimentConfig, law, extras_of) -> ExperimentResult:
     rng = RngStream(cfg.seed)
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
@@ -408,9 +413,10 @@ def _run_cells(cfg: ExperimentConfig, law, extras_of) -> ExperimentResult:
             report = distance_report(esd, law, atom_radius=cfg.atom_radius)
             points_file = None
             if out_dir is not None:
-                name = (f"points_{cfg.regime}_n{n}_k{k}_seed{cfg.seed}.csv")
-                write_points_csv(esd.points, out_dir / name)
-                points_file = name
+                points_file, scatter = _cell_files(cfg, n, k)
+                write_points_csv(esd.points, out_dir / points_file)
+                if cfg.format == "svg":
+                    render_scatter(esd.points, out_dir / scatter)
             logger.info("cell %s n=%d k=%d trials=%d points=%d "
                         "wallclock=%.2fs", cfg.regime, n, k, trials,
                         esd.points.size, time.monotonic() - start)
@@ -452,11 +458,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def export_result(result: ExperimentResult) -> list:
-    """Write a run's summary into its config's ``output_dir``; returns the
-    paths written.
+    """Write a run's summary into its config's ``output_dir``; returns its
+    path, then each cell's scatter path when ``format`` is ``svg``.
 
-    The run has already written its points files there.  With
-    ``format="svg"`` each cell's points are also rendered as a scatter.  A
+    The run has already written the points files and scatters there.  A
     config without ``output_dir`` is a ``ValidationError``.
     """
     cfg = result.config
@@ -467,14 +472,8 @@ def export_result(result: ExperimentResult) -> list:
     summary = out_dir / f"result_{cfg.regime}_seed{cfg.seed}.json"
     summary.write_text(json.dumps(result.to_json_dict(), indent=2,
                                   sort_keys=True) + "\n")
-    written = [summary]
-    if cfg.format == "svg":
-        for cell in result.cells:
-            name = (f"scatter_{cfg.regime}_n{cell.n}_k{cell.k}"
-                    f"_seed{cfg.seed}.svg")
-            render_scatter(out_dir / cell.points_file, out_dir / name)
-            written.append(out_dir / name)
-    return written
+    return [summary, *(out_dir / _cell_files(cfg, c.n, c.k)[1]
+                       for c in result.cells if cfg.format == "svg")]
 
 
 # ---------------------------------------------------------------------------

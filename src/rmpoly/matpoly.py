@@ -353,10 +353,11 @@ class MatrixPolynomial:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k != len(self.coeffs) or self.k < 1:
+        self.n, self.k = _sizes(self.n, self.k)
+        if self.k != len(self.coeffs):
             raise ValidationError(
                 f"degree k={self.k} does not match {len(self.coeffs)} "
-                "coefficients (need k >= 1)")
+                "coefficients")
         for j, shape in enumerate(map(np.shape, self.coeffs)):
             if shape != (self.n, self.n):
                 raise ValidationError(

@@ -129,8 +129,9 @@ class LemmaCheckConfig:
     """Sweep layout for the probabilistic lemma suites.
 
     ``sizes`` lists (n, k) cells, each run for ``trials`` trials; ``z`` is
-    the spectral shift, any finite complex number type but bool, stored as
-    a Python complex.  The bound constants are the module constants above.
+    the spectral shift, any finite complex number type but bool.  They are
+    stored as a tuple of int pairs, an int and a Python complex, so a
+    config hashes.  The bound constants are the module constants above.
     """
 
     z: complex
@@ -139,8 +140,8 @@ class LemmaCheckConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "z", _complex(self.z, "shift z"))
-        _count(self.trials, "trials")
-        _size_pairs(self.sizes)
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        object.__setattr__(self, "sizes", _size_pairs(self.sizes))
 
 
 @dataclass(frozen=True)

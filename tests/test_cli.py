@@ -11,6 +11,7 @@ from rmpoly import (EmpiricalSpectralDistribution, ExperimentConfig,
                     LemmaReport, ValidationError, angular_ks,
                     polynomial_from_json, read_points_csv, run_grow_n)
 from rmpoly.cli import main
+from rmpoly import harness
 from rmpoly.harness import _FIELDS, VerificationResult
 
 # Tail of the INFO line each verify check family logs when it finishes.
@@ -253,6 +254,30 @@ class TestExperiment:
         assert res.exit_code == 0
         svg = (tmp_path / "scatter_grow-n_n8_k2_seed11.svg").read_text()
         assert svg.count('class="pt"') == 320
+
+    def test_svg_run_reads_no_points_file_back(self, runner, tmp_path,
+                                               monkeypatch):
+        args = self.BASE[:5] + ["--n", "4"] + self.BASE[5:] + [
+            "--format", "svg"]
+        assert runner.invoke(main, args + [
+            "--out", str(tmp_path / "a")]).exit_code == 0
+
+        def refuse(path):
+            raise AssertionError(f"read back {path}")
+
+        monkeypatch.setattr(harness, "read_points_csv", refuse)
+        res = runner.invoke(main, ["--quiet"] + args + [
+            "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.splitlines() == [
+            str(tmp_path / "b" / name) for name in (
+                "result_grow-n_seed11.json", "scatter_grow-n_n8_k2_seed11.svg",
+                "scatter_grow-n_n4_k2_seed11.svg")]
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,7 @@
 """Tests for ESD containers, limit laws, and distance diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,13 @@ class TestEsdContainer:
         with pytest.raises(ValidationError):
             EmpiricalSpectralDistribution(points=np.array([np.nan + 0j]),
                                           scale=1.0, n=1, k=1, trials=1)
+
+    def test_numpy_sizes_and_scale_stored_as_python_numbers(self):
+        esd = EmpiricalSpectralDistribution(
+            points=[1, 2], scale=np.float32(0.5), n=np.int64(2), k=1,
+            trials=np.uint8(1))
+        assert [type(v) for v in (esd.scale, esd.n, esd.k, esd.trials)] == \
+            [float, int, int, int]
 
 
 class TestMerge:
@@ -369,6 +378,14 @@ class TestDistanceReport:
         assert rep.discrepancy == annulus_sector_discrepancy(esd, law, 8, 16)
         assert rep.atom_mass_observed == atom_mass(esd, 0.2)
         assert rep.atom_radius == 0.2
+
+    def test_numpy_atom_radius_serializes(self):
+        law = DiscMixture(4)
+        esd = _esd_from_points(sample_points(law, 200, RngStream(56)))
+        rep = distance_report(esd, law, atom_radius=np.float32(0.5))
+        assert type(rep.atom_radius) is float
+        assert json.loads(json.dumps(rep.to_json_dict()))["atom_radius"] \
+            == 0.5
 
     def test_json_dict_round_trip_keys(self):
         rep = DistanceReport(0.1, 0.2, 0.3, 0.4, 0.2)

@@ -366,35 +366,28 @@ class TestBulkFormatting:
 
 class TestRenderScatter:
     def test_four_points_four_glyphs_one_circle(self, tmp_path):
-        src = tmp_path / "pts.csv"
-        write_points_csv([1 + 0j, -1 + 0j, 1j, -1j], src)
         out = tmp_path / "plot.svg"
-        render_scatter(src, out)
+        render_scatter([1 + 0j, -1 + 0j, 1j, -1j], out)
         svg = out.read_text()
         assert svg.count('class="pt"') == 4
         assert svg.count('class="unit-circle"') == 1
 
     def test_rendering_is_byte_deterministic(self, tmp_path):
-        src = tmp_path / "pts.csv"
-        write_points_csv([0.5 + 0.25j, -0.125 + 0j], src)
+        pts = np.array([0.5 + 0.25j, -0.125 + 0j])
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_scatter(src, a)
-        render_scatter(src, b)
+        render_scatter(pts, a)
+        render_scatter(pts, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_input_writes_nothing(self, tmp_path):
-        src = tmp_path / "pts.csv"
-        src.write_text("re,im\n")
         out = tmp_path / "plot.svg"
         with pytest.raises(ValidationError):
-            render_scatter(src, out)
+            render_scatter(np.array([], dtype=np.complex128), out)
         assert not out.exists()
 
     def test_coordinates_pinned_to_six_decimals(self, tmp_path):
-        src = tmp_path / "pts.csv"
-        write_points_csv([0.1 + 0.1j], src)
         out = tmp_path / "plot.svg"
-        render_scatter(src, out)
+        render_scatter([0.1 + 0.1j], out)
         for token in out.read_text().split('"'):
             try:
                 float(token)
@@ -413,8 +406,9 @@ class TestRenderScatter:
 
 
 class TestStreamedPointFiles:
-    """At 2e5 points, writing, reading and rendering a points file holds
-    far less memory than the text of the file it handles."""
+    """At 2e5 points, writing or reading a points file, and rendering the
+    points, hold far less memory than the text of the file written or
+    read."""
 
     COUNT = 200_000
 
@@ -438,10 +432,10 @@ class TestStreamedPointFiles:
         peak = traced_peak(read_points_csv, csv_path)
         assert peak < csv_path.stat().st_size
 
-    def test_render_peak_below_half_of_svg(self, tmp_path, csv_path,
+    def test_render_peak_below_half_of_svg(self, tmp_path, points,
                                            traced_peak):
         out = tmp_path / "plot.svg"
-        peak = traced_peak(render_scatter, csv_path, out)
+        peak = traced_peak(render_scatter, points, out)
         assert peak < out.stat().st_size / 2
 
 
@@ -549,7 +543,9 @@ class TestPersistenceAndExport:
         cfg = _small_cfg(output_dir=str(tmp_path))
         res = run_grow_n(cfg)
         assert res.cells[0].points_file == "points_grow-n_n8_k2_seed11.csv"
-        assert (tmp_path / res.cells[0].points_file).exists()
+        # A csv run writes the points file and nothing else.
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [res.cells[0].points_file]
 
     def test_persisted_points_round_trip_as_multiset(self, tmp_path):
         cfg = _small_cfg(output_dir=str(tmp_path))
@@ -661,15 +657,33 @@ class TestPersistenceAndExport:
         assert set(cell["extras"]) == {"atom_mass_r0.1", "atom_mass_r0.2",
                                        "atom_mass_r0.3"}
 
-    def test_export_svg_renders_each_persisted_cell(self, tmp_path):
+    def test_export_svg_lists_the_summary_then_each_scatter(self, tmp_path):
         cfg = _small_cfg(output_dir=str(tmp_path), format="svg")
         res = run_grow_n(cfg)
         written = export_result(res)
-        names = sorted(p.name for p in written)
-        assert names == ["result_grow-n_seed11.json",
-                         "scatter_grow-n_n8_k2_seed11.svg"]
+        assert [p.name for p in written] == [
+            "result_grow-n_seed11.json", "scatter_grow-n_n8_k2_seed11.svg"]
         svg = (tmp_path / "scatter_grow-n_n8_k2_seed11.svg").read_text()
         assert svg.count('class="pt"') == 320
+
+    def test_run_renders_each_cell_as_its_points_file_renders(self,
+                                                              tmp_path):
+        # The run writes the scatters itself, without export_result; each
+        # matches what rendering the cell's persisted points gives.
+        cfg = _small_cfg(output_dir=str(tmp_path / "run"), format="svg",
+                         n_values=(4, 8))
+        res = run_experiment(cfg)
+        stems = [f"grow-n_n{n}_k2_seed11" for n in (4, 8)]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+            sorted(f"{kind}_{stem}.{ext}" for stem in stems
+                   for kind, ext in (("points", "csv"), ("scatter", "svg")))
+        for cell, stem in zip(res.cells, stems):
+            assert cell.points_file == f"points_{stem}.csv"
+            oracle = tmp_path / f"oracle_{stem}.svg"
+            points = read_points_csv(tmp_path / "run" / cell.points_file)
+            render_scatter(points, oracle)
+            assert (tmp_path / "run" / f"scatter_{stem}.svg").read_bytes() \
+                == oracle.read_bytes()
 
     def test_export_svg_requires_persisted_points(self):
         res = run_grow_n(_small_cfg(format="svg"))  # nothing persisted

@@ -8,8 +8,10 @@ import pytest
 
 from rmpoly import (
     DiscMixture,
+    EmpiricalSpectralDistribution,
     LemmaCheckConfig,
     LemmaReport,
+    MatrixPolynomial,
     RngStream,
     ValidationError,
     atom_mass,
@@ -93,6 +95,12 @@ class TestLemmaCheckConfig:
         cfg = LemmaCheckConfig(z=np.complex64(0.25j), sizes=((2, 8),))
         assert type(cfg.z) is complex and cfg.z == 0.25j
         assert LemmaCheckConfig(z=np.int64(2), sizes=((2, 8),)).z == 2
+
+    def test_stores_python_values_and_hashes(self):
+        cfg = LemmaCheckConfig(z=0.5, sizes=[[2, 8]], trials=np.int64(3))
+        assert cfg.sizes == ((2, 8),) and type(cfg.trials) is int
+        assert hash(cfg) == hash(LemmaCheckConfig(z=0.5, sizes=((2, 8),),
+                                                  trials=3))
 
     @pytest.mark.parametrize("trials", [2.5, "200", True])
     def test_non_integer_trials_rejected(self, trials):
@@ -879,9 +887,17 @@ class TestGrowKSuite:
     lambda: tail_split_index(40.5, 3, 0.3),
     lambda: pseudoinverse_tail_bound(1.5, 6, 0.1),
     lambda: DiscMixture(2.5),
+    lambda: MatrixPolynomial(2.0, 1, (np.eye(2),)),
+    lambda: MatrixPolynomial(2, 1.0, (np.eye(2),)),
+    lambda: MatrixPolynomial(2.0, True, (np.eye(2),)),
+    lambda: MatrixPolynomial(2, True, (np.eye(2),)),
+    lambda: EmpiricalSpectralDistribution([1, 2], 1.0, 2.0, 1, 1),
+    lambda: EmpiricalSpectralDistribution([1, 2], 1.0, 2, 1, 1.0),
 ], ids=["pooled_esd-n", "norm_tail-n", "norm_tail-trials", "pinv_tail-n",
         "pinv_tail-trials", "beta-trials", "sample_points-count",
-        "tail_split-n", "pinv_bound-n", "disc_mixture-k"])
+        "tail_split-n", "pinv_bound-n", "disc_mixture-k", "polynomial-n",
+        "polynomial-k", "polynomial-n-k-bool", "polynomial-k-bool",
+        "esd-n", "esd-trials"])
 def test_non_integer_sizes_and_counts_rejected(call):
     with pytest.raises(ValidationError, match="must be an integer"):
         call()
@@ -911,6 +927,8 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), "x"),
     lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), math.inf),
     lambda: match_distance([math.nan], [1.0]),
+    lambda: EmpiricalSpectralDistribution([1, 2], True, 2, 1, 1),
+    lambda: EmpiricalSpectralDistribution([1, 2], "1", 2, 1, 1),
 ], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
         "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r",
         "norm_tail-nan", "norm_tail-inf", "norm_tail-str", "radial_cdf-str",
@@ -918,7 +936,7 @@ def test_non_integer_sizes_and_counts_rejected(call):
         "atom_mass-str", "tail_log_sum-str", "tail_log_sum-index-float",
         "tail_log_sum-index-str", "tail_log_sum-index-bool",
         "tail_split-delta-str", "evaluate-str", "evaluate-inf",
-        "match_distance-nan"])
+        "match_distance-nan", "esd-scale-bool", "esd-scale-str"])
 def test_nan_and_mistyped_thresholds_rejected(call):
     # NaN compares false both ways, so each guard is stated positively.
     with pytest.raises(ValidationError):
