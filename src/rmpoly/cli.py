@@ -13,15 +13,17 @@ import logging
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
+# These load before click: compiled after it, they raised peak RSS.
 from .errors import NumericalError, ValidationError
 from .harness import (_REGIMES, ExperimentConfig, _csv_blocks,
                       export_result, pooled_esd, read_points_csv,
                       render_scatter, run_experiment, run_verification,
                       write_points_csv)
 from .matpoly import RngStream, polynomial_to_json, sample_monic_gaussian
+
+import click
 
 
 def _guard(fn):
@@ -187,7 +189,8 @@ def verify(z_values, seed, trials, instances, mc_trials, out):
         Path(out).write_text(text)
     for r in result.reports:
         status = "ok" if r.violations == 0 else f"{r.violations} VIOLATIONS"
-        click.echo(f"{r.lemma_id}: {status}", err=True)
+        click.echo(f"{r.lemma_id}: {status} (min margin {r.min_margin:.1e})",
+                   err=True)
     if not result.passed:
         click.echo("verification FAILED", err=True)
         sys.exit(3)

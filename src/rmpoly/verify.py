@@ -168,12 +168,16 @@ class LemmaReport:
     def passed(self) -> bool:
         return self.violations == 0
 
+    @property
+    def min_margin(self) -> float:
+        return min(self.per_trial_margins)
+
     def to_json_dict(self) -> dict:
         return {
             "lemma_id": self.lemma_id,
             "trials": len(self.per_trial_margins),
             "violations": self.violations,
-            "min_margin": min(self.per_trial_margins),
+            "min_margin": self.min_margin,
             "fitted_exponent": self.fitted_exponent,
             "per_trial_margins": list(self.per_trial_margins),
         }

@@ -451,6 +451,27 @@ class TestVerify:
         assert res.exit_code == 1
         assert "nonzero shift" in res.stderr
 
+    def test_status_lines_give_each_min_margin(self, runner, monkeypatch):
+        passing = runner.invoke(main, self.SMALL)
+        stub = VerificationResult(reports=(
+            LemmaReport("stub-ok", (2.0, 3.1e-4)),
+            LemmaReport("stub-bad", (0.5, -7.9e-5, 1.0))))
+        monkeypatch.setattr("rmpoly.cli.run_verification",
+                            lambda *a, **kw: stub)
+        failing = runner.invoke(main, ["verify"])
+        assert (passing.exit_code, failing.exit_code) == (0, 3)
+        for res in (passing, failing):
+            lines = dict(line.split(": ", 1)
+                         for line in res.stderr.splitlines() if ": " in line)
+            for report in map(json.loads, res.stdout.splitlines()):
+                status = ("ok" if report["violations"] == 0
+                          else f"{report['violations']} VIOLATIONS")
+                assert lines[report["lemma_id"]] == \
+                    f"{status} (min margin {report['min_margin']:.1e})"
+        assert "stub-ok: ok (min margin 3.1e-04)" in failing.stderr
+        assert "stub-bad: 1 VIOLATIONS (min margin -7.9e-05)" in \
+            failing.stderr
+
     def test_violations_exit_three(self, runner, monkeypatch):
         stub = VerificationResult(
             reports=(LemmaReport("stub-check", (-1.0,)),))

@@ -101,6 +101,32 @@ def test_gesvd_fallback_loads_scipy_linalg_on_demand():
     assert out["error"] <= 1e-13
 
 
+_PROBE = """
+import json, sys
+import rmpoly
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "rmpoly" or m.startswith("rmpoly."))
+bare = loaded()
+# The benchmark's set-up probe.
+rmpoly.finite_eigenvalues(rmpoly.sample_monic_gaussian(4, 2,
+                                                       rmpoly.RngStream(1)))
+print(json.dumps({"bare": bare, "probe": loaded(),
+                  "others": [m for m in ("logging", "click")
+                             if m in sys.modules]}))
+"""
+
+
+def test_probe_loads_only_the_solver_layer():
+    # A submodule loads on first use of one of its names.
+    out = _run(_PROBE)
+    assert out["bare"] == ["rmpoly"]
+    assert out["probe"] == ["rmpoly", "rmpoly.errors", "rmpoly.linalg",
+                            "rmpoly.matpoly", "rmpoly.tolerances"]
+    assert out["others"] == []
+
+
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
