@@ -4,12 +4,14 @@ For each shape it draws a few monic Gaussian polynomials and measures, in
 process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
 companion matrix and running dense ``eigvals`` on it.  A solve that falls
 back to dense is charged both times, as ``finite_eigenvalues`` would be.
-One extra, untimed Aberth solve per draw counts its sweeps (calls of
-``matpoly._aberth_pull``, one per sweep) and its root evaluations per root
-(points passed to ``matpoly._log_derivative``, over kn), by wrapping both
-functions here; ``dist`` is the paired distance (``match_distance``) of
-its roots to the dense spectrum.  ``peak_mb`` is the traced peak
-(``tracemalloc``, 2**20 bytes) of one more untimed solve.
+One extra Aberth solve per draw counts its sweeps (float32 calls of
+``matpoly._aberth_pull``, one per sweep; a sweep that redoes its pull in
+float64 calls it once more) and its root evaluations per root (points
+passed to ``matpoly._log_derivative``, over kn), by wrapping both
+functions here, and gives ``pull_share``, the CPU share of that solve
+spent in ``_aberth_pull``; ``dist`` is the paired distance
+(``match_distance``) of its roots to the dense spectrum.  ``peak_mb`` is
+the traced peak (``tracemalloc``, 2**20 bytes) of one more untimed solve.
 Its table is the measurement behind ``matpoly._ABERTH_MIN_KN`` and
 ``_ABERTH_MAX_N``.  Run it from the repository root; it imports rmpoly
 from ``src/``:
@@ -76,13 +78,17 @@ def _traced_peak_mb(fn) -> float:
 
 
 def _counted_solve(coeffs):
-    """Sweeps of one Aberth solve and the points it evaluated."""
-    counts = {"sweeps": 0, "points": 0}
+    """Sweeps of one Aberth solve, the points it evaluated and the CPU
+    share of its pulls."""
+    counts = {"sweeps": 0, "points": 0, "pull_s": 0.0}
     pull, log_derivative = matpoly._aberth_pull, matpoly._log_derivative
 
-    def counted_pull(x, idx):
-        counts["sweeps"] += 1
-        return pull(x, idx)
+    def counted_pull(x, idx, dtype=np.float64):
+        counts["sweeps"] += dtype is np.float32
+        start = time.process_time()
+        out = pull(x, idx, dtype)
+        counts["pull_s"] += time.process_time() - start
+        return out
 
     def counted_log_derivative(both, x):
         counts["points"] += x.size
@@ -90,12 +96,14 @@ def _counted_solve(coeffs):
 
     matpoly._aberth_pull = counted_pull
     matpoly._log_derivative = counted_log_derivative
+    start = time.process_time()
     try:
         _aberth_eigenvalues(coeffs)
     finally:
         matpoly._aberth_pull = pull
         matpoly._log_derivative = log_derivative
-    return counts["sweeps"], counts["points"]
+    share = counts["pull_s"] / (time.process_time() - start)
+    return counts["sweeps"], counts["points"], share
 
 
 def main(argv=None) -> int:
@@ -110,8 +118,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     shapes = SHAPES if args.skip_large else SHAPES + [LARGE_SHAPE]
     print(f"{'n':>3} {'k':>4} {'kn':>5}  {'aberth_s':>9} {'dense_s':>9} "
-          f"{'dense/aberth':>12} {'sweeps':>6} {'evals':>6} {'dist':>8} "
-          f"{'peak_mb':>8}")
+          f"{'dense/aberth':>12} {'sweeps':>6} {'evals':>6} "
+          f"{'pull_share':>10} {'dist':>8} {'peak_mb':>8}")
     for n, k in shapes:
         ratios = []
         for d in range(args.draws):
@@ -120,7 +128,7 @@ def main(argv=None) -> int:
                 lambda: _aberth_eigenvalues(p.stack))
             t_dense, dense = _cpu_seconds(
                 lambda: eigenvalues(companion(p)))
-            sweeps, points = _counted_solve(p.stack)
+            sweeps, points, share = _counted_solve(p.stack)
             peak = _traced_peak_mb(lambda: _aberth_eigenvalues(p.stack))
             note, dist = "", "-"
             if lam is None:
@@ -131,7 +139,8 @@ def main(argv=None) -> int:
             ratios.append(t_dense / t_aberth)
             print(f"{n:>3} {k:>4} {k * n:>5}  {t_aberth:>9.4f} "
                   f"{t_dense:>9.4f} {ratios[-1]:>12.2f} {sweeps:>6} "
-                  f"{points / (k * n):>6.1f} {dist:>8} {peak:>8.2f}{note}",
+                  f"{points / (k * n):>6.1f} {share:>10.2f} {dist:>8} "
+                  f"{peak:>8.2f}{note}",
                   flush=True)
         print(f"{n:>3} {k:>4} {k * n:>5}  median dense/aberth "
               f"{np.median(ratios):.2f}", flush=True)

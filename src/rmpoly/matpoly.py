@@ -13,7 +13,10 @@ by Ehrlich-Aberth iteration on ``det P``.  A sweep evaluates P and P' at all
 kn roots as one matrix product against the flattened coefficients and
 their slopes, solves kn small n x n systems, and forms the pull between
 roots once per pair of active roots, which is cheaper there than dense QR
-at O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  A trial
+at O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  The
+pull's terms are float32, its sums and everything else float64: the pull
+only steers the iteration, whose fixed points are the zeros of the float64
+Newton correction, so the roots do not depend on its precision.  A trial
 that fails its self-check falls back to the dense route.  Every other shape
 takes the spectrum of the block companion matrix
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -485,11 +489,15 @@ def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
 #: of ``scripts/aberth_crossover.py`` (one BLAS thread, against building
 #: the companion and running dense ``eigvals`` on it; kn a multiple of 16)
 #: at which the iteration won on every draw.  As dense time over Aberth
-#: time, per draw: kn = 48: 0.49-0.78; kn = 64: 0.92-1.28 (it lost every
-#: draw at n = 4, k = 16); kn = 80: 1.66-3.43; kn = 96: 2.46-4.63;
-#: kn = 128: 1.73-7.21; kn = 256: 3.9-16.5; n = 4, k = 512: about 70.
-#: At k = 2n the sweep count grows with n: 28 at n = 16, more than 60 at
-#: n = 32, k = 64, which falls back to dense and loses (0.80).
+#: time, per draw, with the float32 pull terms: kn = 48: 0.45-0.77;
+#: kn = 64: 1.14-1.48; kn = 80: 1.35-3.65; kn = 96: 2.70-6.29;
+#: kn = 128: 1.66-7.37; kn = 256: 5.96-17.4; n = 4, k = 512: about 70
+#: (measured with float64 terms).  kn = 64 won every draw of this run,
+#: with float32 or float64 terms, but lost every draw at n = 4, k = 16 in
+#: an earlier one (0.92-1.28), and lowering the threshold would move the
+#: outputs of shapes solved dense today.  At k = 2n the sweep count grows
+#: with n: 28 at n = 16, more than 60 at n = 32, k = 64, which falls back
+#: to dense and loses (0.80, float64 terms).
 _ABERTH_MIN_KN = 80
 _ABERTH_MAX_N = 16
 
@@ -510,11 +518,13 @@ _ABERTH_MAX_ITER = 60
 #: last bits of ``P(x)``, follows the row count.
 _ABERTH_BLOCK = 256
 
-#: Side of the square tiles of the Aberth pull: a tile of r active rows
-#: spans ``max(_ABERTH_TILE**2, kn) // r`` roots, and its four float64
+#: Side of the square tiles of a float64 Aberth pull: a tile of r active
+#: rows spans ``max(_ABERTH_TILE**2, kn) // r`` roots, and its four float64
 #: temporaries hold ``4 * _ABERTH_TILE**2`` entries (512 KB) up to
-#: kn = 16384.  A tile never holds less than one row's kn entries: the
-#: solve keeps O(kn) vectors anyway, and narrower tiles add only loop turns.
+#: kn = 16384.  Float32 tiles keep the bytes, so their side is
+#: ``isqrt(2 * _ABERTH_TILE**2)`` = 181.  A tile never holds less than one
+#: row's kn entries: the solve keeps O(kn) vectors anyway, and narrower
+#: tiles add only loop turns.
 _ABERTH_TILE = 128
 
 
@@ -590,7 +600,8 @@ def _log_derivative(both: np.ndarray, x: np.ndarray):
     return trace, singular
 
 
-def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _aberth_pull(x: np.ndarray, idx: np.ndarray,
+                 dtype=np.float64) -> np.ndarray:
     """``sum_{j != i} 1 / (x_i - x_j)`` for each root ``i = idx[..]``.
 
     ``idx`` lists the active roots; the others are frozen.  Since
@@ -598,22 +609,29 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     formed once: a block of active rows meets the active roots after it,
     whose column sums are subtracted from their pulls, and the frozen
     roots, whose pulls are not needed.  A term is formed in real arithmetic
-    as ``conj(d) / |d|^2``, so two roots closer than about 1e-154 give a
-    non-finite pull.  Rows and columns are taken in tiles of at most
-    ``max(_ABERTH_TILE**2, x.size)`` entries.
+    as ``conj(d) / |d|^2``, with the positions, ``d`` and ``1 / |d|^2`` in
+    ``dtype``; both sums accumulate in float64, so the tiling moves the
+    result only at float64 summation level.  Two roots closer than about
+    1e-154 (4e-23 in float32), or equal once rounded to ``dtype``, give a
+    non-finite pull; two farther apart than about 1e154 (2e19) give a zero
+    term.  Rows and columns are taken in tiles of at most
+    ``max(side**2, x.size)`` entries, with ``side`` the tile side whose
+    four temporaries take the bytes of ``_ABERTH_TILE**2`` float64 ones.
     """
     m = idx.size
     if m < x.size:
         frozen = np.ones(x.size, dtype=bool)
         frozen[idx] = False
         x = np.concatenate((x[idx], x[frozen]))
-    xr, xi = x.real.copy(), x.imag.copy()
-    area = max(_ABERTH_TILE ** 2, x.size)
-    size = min(area, min(m, _ABERTH_TILE) * x.size)
-    parts, sq, tmp = np.empty((2, size)), np.empty(size), np.empty(size)
+    xr, xi = x.real.astype(dtype), x.imag.astype(dtype)
+    side = math.isqrt(_ABERTH_TILE ** 2 * 8 // np.dtype(dtype).itemsize)
+    area = max(side ** 2, x.size)
+    size = min(area, min(m, side) * x.size)
+    parts = np.empty((2, size), dtype)
+    sq, tmp = np.empty(size, dtype), np.empty(size, dtype)
     pull = np.zeros((2, m))
-    for lo in range(0, m, _ABERTH_TILE):
-        hi = min(lo + _ABERTH_TILE, m)
+    for lo in range(0, m, side):
+        hi = min(lo + side, m)
         rows = hi - lo
         width = area // rows
         for c0 in range(lo, x.size, width):
@@ -631,10 +649,11 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
                 np.fill_diagonal(s, np.inf)
             np.divide(1.0, s, out=s)
             d *= s
-            pull[:, lo:hi] += d.sum(axis=2)
+            pull[:, lo:hi] += d.sum(axis=2, dtype=np.float64)
             later, end = max(c0, hi), min(c1, m)
             if later < end:
-                pull[:, later:end] -= d[:, :, later - c0:end - c0].sum(axis=1)
+                pull[:, later:end] -= d[:, :, later - c0:end - c0].sum(
+                    axis=1, dtype=np.float64)
     return pull[0] - 1j * pull[1]
 
 
@@ -647,12 +666,18 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     using ``tr(P^{-1} P')(x) = kn y - y^2 tr(Q^{-1} Q')(y)``.  A root where
     ``P(x)`` is exactly singular takes a zero step.  Start points lie on the
     circle of radius ``|det C_0|^{1/kn}``.  The pull ``sum_j 1/(x_i - x_j)``
-    (``_aberth_pull``) forms each pair of active roots once, in tiles of
-    ``max(_ABERTH_TILE**2, kn)`` entries, and ``_log_derivative`` works in
-    blocks of ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the
-    working set does not grow with kn.  Returns None when a step is
-    non-finite, when the sweeps run out, or when the roots break the trace
-    identity ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
+    (``_aberth_pull``) forms each pair of active roots once, in tiles
+    of 512 KB or one row, and ``_log_derivative`` works in blocks of
+    ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
+    does not grow with kn.  The pull's terms are float32 and its sums
+    float64.  An error e in the pull changes a step ``N / (1 - N pull)``,
+    N the Newton correction, by about ``N^2 e``, which vanishes as N does;
+    the stopping test and N are float64, so the roots are the float64
+    iteration's at rounding level.  A sweep whose float32 pull is
+    non-finite (two roots equal once rounded to float32, or |x| past its
+    range) redoes it in float64.  Returns None when a step is non-finite,
+    when the sweeps run out, or when the roots break the trace identity
+    ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
     k, n = coeffs.shape[:2]
     kn = k * n
@@ -680,7 +705,9 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
                 rev, singular[~inner] = _log_derivative(reverse, y)
                 trace[~inner] = kn * y - y * y * rev
             newton = np.where(singular, 0.0, 1.0 / trace)
-            pull = _aberth_pull(x, idx)
+            pull = _aberth_pull(x, idx, np.float32)
+            if not np.all(np.isfinite(pull)):
+                pull = _aberth_pull(x, idx)
             step = newton / (1.0 - newton * pull)
             if not np.all(np.isfinite(step)):
                 return None

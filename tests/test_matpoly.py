@@ -572,6 +572,16 @@ class TestLogDerivative:
         assert np.all(np.abs(got - ref) <= (k + 1) * EPS * np.abs(ref))
 
 
+#: ``(kn, active)`` shapes of the pull; the comments say how float64 tiles
+#: of 128 rows split them.
+_PULL_SHAPES = [
+    (300, 300),   # all active, a partial tile of 44 rows
+    (257, 257),   # a last tile of one row
+    (130, 129),   # all but one
+    (700, 40),    # mostly frozen: 40 rows span two column tiles
+    (300, 1)]     # one active root
+
+
 class TestAberthPull:
     @staticmethod
     def _brute_force(x, idx):
@@ -580,12 +590,7 @@ class TestAberthPull:
             out[row] = np.sum(1.0 / (x[i] - np.delete(x, i)))
         return out
 
-    @pytest.mark.parametrize("kn,active", [
-        (300, 300),   # all active, a partial tile of 44 rows
-        (257, 257),   # a last tile of one row
-        (130, 129),   # all but one
-        (700, 40),    # mostly frozen: 40 rows span two column tiles
-        (300, 1)])    # one active root
+    @pytest.mark.parametrize("kn,active", _PULL_SHAPES)
     def test_matches_brute_force(self, kn, active):
         g = np.random.default_rng(kn + active)
         x = np.sqrt(g.random(kn)) * np.exp(2j * np.pi * g.random(kn))
@@ -593,6 +598,61 @@ class TestAberthPull:
         ref = self._brute_force(x, idx)
         got = matpoly._aberth_pull(x, idx)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("kn,active", _PULL_SHAPES + [
+        (182, 182),   # float32 tiles of 181 rows: a last tile of one row
+        (1500, 40)])  # 40 float32 rows span two column tiles
+    def test_float32_terms_match_brute_force(self, kn, active):
+        # Each term's error comes from rounding x_i, x_j to float32, at most
+        # sqrt(2) u (|x_i| + |x_j|) in d, and from the few float32
+        # operations that form conj(d) / |d|^2, at most 6 u relative; the
+        # float64 sums add nothing at this scale.  The bound doubles both.
+        g = np.random.default_rng(kn + active)
+        x = np.sqrt(g.random(kn)) * np.exp(2j * np.pi * g.random(kn))
+        idx = np.sort(g.choice(kn, active, replace=False))
+        ref = self._brute_force(x, idx)
+        got = matpoly._aberth_pull(x, idx, np.float32)
+        u = 2.0 ** -24
+        size = np.abs(x[idx, None]) + np.abs(x)
+        with np.errstate(divide="ignore"):
+            dist = 1.0 / np.abs(x[idx, None] - x)
+        dist[np.arange(active), idx] = 0.0
+        bound = 2.0 * np.sum(np.sqrt(2.0) * u * size * dist ** 2
+                             + 6.0 * u * dist, axis=1)
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_roots_equal_in_float32_give_non_finite_float32_pull(self):
+        # 1 + 1e-9 rounds to 1 in float32, not in float64.
+        x = np.array([1.0, 1.0 + 1e-9, 1j, -1.0, -1j])
+        with np.errstate(all="ignore"):
+            pull32 = matpoly._aberth_pull(x, np.arange(5), np.float32)
+        pull = matpoly._aberth_pull(x, np.arange(5))
+        assert not np.isfinite(pull32[:2]).any()
+        assert np.isfinite(pull32[2:]).all()
+        assert np.isfinite(pull).all()
+
+    def test_non_finite_float32_pull_is_redone_in_float64(self, monkeypatch):
+        # Every float32 pull has one root moved 1e-9 from the first active
+        # root, so it is non-finite; each sweep redoes it in float64 from
+        # the true roots, and the solve stays on the Ehrlich-Aberth route.
+        pull = matpoly._aberth_pull
+        dtypes = []
+
+        def collided32(x, idx, dtype=np.float64):
+            dtypes.append(dtype)
+            if dtype is np.float32:
+                x = x.copy()
+                x[(idx[0] + 1) % x.size] = x[idx[0]] + 1e-9
+            return pull(x, idx, dtype)
+
+        p = sample_monic_gaussian(2, 64, RngStream(40))
+        monkeypatch.setattr(matpoly, "_aberth_pull", collided32)
+        calls = TestFiniteEigenvalues._count_dense_calls(monkeypatch)
+        lams = finite_eigenvalues(p)
+        assert calls == []
+        assert dtypes and dtypes == [np.float32, np.float64] * (
+            len(dtypes) // 2)
+        assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
 
     def test_roots_closer_than_underflow_give_non_finite_pull(self):
         x = np.array([0.0, 1e-170, 1.0, 1j])
@@ -607,10 +667,10 @@ class TestAberthPull:
         # solved dense.
         pull = matpoly._aberth_pull
 
-        def collided(x, idx):
+        def collided(x, idx, dtype=np.float64):
             y = x.copy()
             y[1] = y[0] + 1e-170
-            return pull(y, idx)
+            return pull(y, idx, dtype)
 
         p = sample_monic_gaussian(2, 64, RngStream(40))
         monkeypatch.setattr(matpoly, "_aberth_pull", collided)
