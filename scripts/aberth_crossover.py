@@ -4,13 +4,16 @@ For each shape it draws a few monic Gaussian polynomials and measures, in
 process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
 companion matrix and running dense ``eigvals`` on it.  A solve that falls
 back to dense is charged both times, as ``finite_eigenvalues`` would be.
-One extra Aberth solve per draw counts its sweeps (float32 calls of
-``matpoly._aberth_pull``, one per sweep; a sweep that redoes its pull in
-float64 calls it once more) and its root evaluations per root (points
-passed to ``matpoly._log_derivative``, over kn), by wrapping both
-functions here, and gives ``pull_share``, the CPU share of that solve
-spent in ``_aberth_pull``; ``dist`` is the paired distance
-(``match_distance``) of its roots to the dense spectrum.  ``peak_mb`` is
+One extra Aberth solve per draw counts its sweeps and its root
+evaluations per root (points evaluated, over kn), by wrapping three
+functions here: the first sweep is the one call of
+``matpoly._circle_log_derivative``, at all kn start points, which makes
+no pull; every later sweep makes one float32 call of
+``matpoly._aberth_pull`` (a sweep that redoes its pull in float64 calls it
+once more) and passes its points to ``matpoly._log_derivative``.
+``pull_share`` is the CPU share of that solve spent in ``_aberth_pull``;
+``dist`` is the paired distance (``match_distance``) of its roots to the
+dense spectrum.  ``peak_mb`` is
 the traced peak (``tracemalloc``, 2**20 bytes) of one more untimed solve.
 Its table is the measurement behind ``matpoly._ABERTH_MIN_KN`` and
 ``_ABERTH_MAX_N``.  Run it from the repository root; it imports rmpoly
@@ -82,6 +85,7 @@ def _counted_solve(coeffs):
     share of its pulls."""
     counts = {"sweeps": 0, "points": 0, "pull_s": 0.0}
     pull, log_derivative = matpoly._aberth_pull, matpoly._log_derivative
+    circle_log_derivative = matpoly._circle_log_derivative
 
     def counted_pull(x, idx, dtype=np.float64):
         counts["sweeps"] += dtype is np.float32
@@ -94,14 +98,21 @@ def _counted_solve(coeffs):
         counts["points"] += x.size
         return log_derivative(both, x)
 
+    def counted_circle_log_derivative(forward, reverse, x, radius):
+        counts["sweeps"] += 1
+        counts["points"] += x.size
+        return circle_log_derivative(forward, reverse, x, radius)
+
     matpoly._aberth_pull = counted_pull
     matpoly._log_derivative = counted_log_derivative
+    matpoly._circle_log_derivative = counted_circle_log_derivative
     start = time.process_time()
     try:
         _aberth_eigenvalues(coeffs)
     finally:
         matpoly._aberth_pull = pull
         matpoly._log_derivative = log_derivative
+        matpoly._circle_log_derivative = circle_log_derivative
     share = counts["pull_s"] / (time.process_time() - start)
     return counts["sweeps"], counts["points"], share
 

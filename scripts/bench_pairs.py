@@ -15,13 +15,17 @@ Each run's last stdout line is its JSON result.  Per end-to-end metric of
 gap between the medians against the parent's quartile distance, and
 whether both rules for claiming a gain hold: wins in at least nine tenths
 of the pairs and a gap wider than that distance.  It also prints whether
-every pass on each side was ``correct``.  A last JSON line holds every
-run's metrics.  It writes nothing; the runs write only their own
-``.perfbench/`` scratch directories.
+every pass on each side was ``correct``, and how many runs of each side
+gave no result, by the exception named on each one's last stderr line, so
+that a benchmark race and a program fault can be told apart.  A last JSON
+line holds every run's metrics.  It writes nothing; the runs write only
+their own ``.perfbench/`` scratch directories.
 """
 
 import argparse
+import collections
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -31,20 +35,29 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+#: The exception a traceback's last line names: ``ZeroDivisionError: ...``
+#: or ``pkg.mod.Error``.
+_EXCEPTION = re.compile(r"([A-Za-z_][\w.]*)(?::|$)")
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """The JSON result of one benchmark run in ``root``, or the reason it
-    gave none as ``{"error": ...}``."""
+    gave none as ``{"error": ..., "cause": ...}``: the cause is the
+    exception named on the run's last stderr line, or that line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
     if res.returncode != 0 or not lines:
         tail = (res.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"error": f"exit {res.returncode}: {tail}"}
+        name = _EXCEPTION.match(tail.strip())
+        return {"error": f"exit {res.returncode}: {tail}",
+                "cause": name.group(1) if name else tail.strip()[:80]}
     try:
         return json.loads(lines[-1])
     except json.JSONDecodeError:
-        return {"error": f"last line is not JSON: {lines[-1][:80]!r}"}
+        return {"error": f"last line is not JSON: {lines[-1][:80]!r}",
+                "cause": "no JSON result"}
 
 
 def quartiles(values):
@@ -82,6 +95,13 @@ def summarize(runs: list, metrics: list) -> list:
             "claim": wins >= 0.9 * len(pairs) and gap > spread,
         })
     return rows
+
+
+def failures(runs: list) -> dict:
+    """Per side, the runs that gave no result, counted by cause."""
+    return {side: collections.Counter(r[side]["cause"] for r in runs
+                                      if "error" in r[side])
+            for side in SIDES}
 
 
 def _fmt_side(q) -> str:
@@ -122,10 +142,15 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload}: {args.pairs} pairs, seeds "
           f"{args.seed0}-{args.seed0 + args.pairs - 1}, {seconds} s per run")
+    failed = failures(runs)
     for side in SIDES:
         results = [r[side] for r in runs]
         ok = sum(1 for r in results if r.get("correct") is True)
-        print(f"{side}: {ok} of {len(results)} runs correct in every pass")
+        causes = ", ".join(f"{cause} x{count}"
+                           for cause, count in failed[side].items())
+        print(f"{side}: {ok} of {len(results)} runs correct in every pass; "
+              f"{sum(failed[side].values())} gave no result"
+              + (f" ({causes})" if causes else ""))
     for row in summarize(runs, bench["end_to_end"]):
         if not row["pairs"]:
             print(f"{row['metric']}: no pair with both sides measured")

@@ -14,11 +14,15 @@ kn roots as one matrix product against the flattened coefficients and
 their slopes, solves kn small n x n systems, and forms the pull between
 roots once per pair of active roots, which is cheaper there than dense QR
 at O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  The
-pull's terms are float32, its sums and everything else float64: the pull
-only steers the iteration, whose fixed points are the zeros of the float64
-Newton correction, so the roots do not depend on its precision.  A trial
-that fails its self-check falls back to the dense route.  Every other shape
-takes the spectrum of the block companion matrix
+first sweep starts from kn equispaced points on one circle, where P and P'
+are a DFT of the coefficients (n FFTs of length k) and the pull is exactly
+``(kn - 1) / 2x``.  The pull's terms are float32, its sums and everything
+else float64: the pull only steers the iteration, whose fixed points are
+the zeros of the float64 Newton correction, so the roots do not depend on
+its precision.  A trial that fails its self-check falls back to the dense
+route, or above kn = 2048 is retried once from a rotated start circle and
+then raises ``NumericalError``.  Every other shape takes the spectrum of
+the block companion matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import eigenvalues, singular_values, spectral_norm
 from .tolerances import EPS
 
@@ -489,13 +493,14 @@ def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
 #: of ``scripts/aberth_crossover.py`` (one BLAS thread, against building
 #: the companion and running dense ``eigvals`` on it; kn a multiple of 16)
 #: at which the iteration won on every draw.  As dense time over Aberth
-#: time, per draw, with the float32 pull terms: kn = 48: 0.45-0.77;
-#: kn = 64: 1.14-1.48; kn = 80: 1.35-3.65; kn = 96: 2.70-6.29;
-#: kn = 128: 1.66-7.37; kn = 256: 5.96-17.4; n = 4, k = 512: about 70
-#: (measured with float64 terms).  kn = 64 won every draw of this run,
-#: with float32 or float64 terms, but lost every draw at n = 4, k = 16 in
-#: an earlier one (0.92-1.28), and lowering the threshold would move the
-#: outputs of shapes solved dense today.  At k = 2n the sweep count grows
+#: time, per draw, with the first sweep by FFT and float32 pull terms:
+#: kn = 48: 0.59-1.02; kn = 64: 0.97-1.72; kn = 80: 1.88-4.32;
+#: kn = 96: 2.20-4.95; kn = 128: 1.61-8.46; kn = 256: 5.40-21.2;
+#: n = 4, k = 512: about 70 (measured with float64 terms and no FFT
+#: sweep).  kn = 64 lost one draw of this run at n = 4, k = 16 (0.97),
+#: and every draw of that shape in an earlier one (0.92-1.28); lowering
+#: the threshold would also move the outputs of shapes solved dense
+#: today.  At k = 2n the sweep count grows
 #: with n: 28 at n = 16, more than 60 at n = 32, k = 64, which falls back
 #: to dense and loses (0.80, float64 terms).
 _ABERTH_MIN_KN = 80
@@ -509,6 +514,12 @@ _ABERTH_TOL = 1e-10
 #: Sweeps allowed before a solve is abandoned for the dense route; the
 #: shapes above need 9-31.
 _ABERTH_MAX_ITER = 60
+
+#: Largest kn at which a failed Ehrlich-Aberth solve falls back to dense
+#: QR: the largest kn the dense route is timed at (n = 32, k = 64 in
+#: ``scripts/aberth_crossover.py``).  Its companion takes ``16 (kn)^2``
+#: bytes, 4.3 GB at kn = 16384.
+_FALLBACK_MAX_KN = 2048
 
 #: Points per block of ``_log_derivative``: its power table holds
 #: ``_ABERTH_BLOCK * (k + 1)`` entries, one product turns it into the
@@ -579,24 +590,72 @@ def _log_derivative(both: np.ndarray, x: np.ndarray):
     where ``P(x)`` is exactly singular, whose trace is left 0.
     """
     k, n = both.shape[0] - 1, both.shape[2]
-    nn = n * n
-    both = both.reshape(k + 1, 2 * nn)
-    trace = np.zeros(x.size, dtype=np.complex128)
-    singular = np.zeros(x.size, dtype=bool)
+    both = both.reshape(k + 1, 2 * n * n)
+    trace = np.empty(x.size, dtype=np.complex128)
+    singular = np.empty(x.size, dtype=bool)
     for lo in range(0, x.size, _ABERTH_BLOCK):
         xb = x[lo:lo + _ABERTH_BLOCK]
-        vals = _powers(xb, k) @ both
-        val = vals[:, :nn].reshape(xb.size, n, n)
-        der = vals[:, nn:].reshape(xb.size, n, n)
-        try:
-            trace[lo:lo + xb.size] = np.einsum(
-                "mii->m", np.linalg.solve(val, der))
-        except np.linalg.LinAlgError:
-            for i in range(xb.size):
-                try:
-                    trace[lo + i] = np.trace(np.linalg.solve(val[i], der[i]))
-                except np.linalg.LinAlgError:
-                    singular[lo + i] = True
+        block = slice(lo, lo + xb.size)
+        trace[block], singular[block] = _solve_trace(_powers(xb, k) @ both, n)
+    return trace, singular
+
+
+def _solve_trace(vals: np.ndarray, n: int):
+    """``tr(P^{-1} P')`` of each row of ``vals``, the flattened ``P`` and
+    ``P'`` (``n^2`` entries each) at one point, by one stacked solve.  The
+    second result flags the rows where ``P`` is exactly singular, whose
+    trace is 0."""
+    nn = n * n
+    val = vals[:, :nn].reshape(-1, n, n)
+    der = vals[:, nn:].reshape(-1, n, n)
+    trace = np.zeros(len(vals), dtype=np.complex128)
+    singular = np.zeros(len(vals), dtype=bool)
+    try:
+        trace[:] = np.einsum("mii->m", np.linalg.solve(val, der))
+    except np.linalg.LinAlgError:
+        for i in range(len(vals)):
+            try:
+                trace[i] = np.trace(np.linalg.solve(val[i], der[i]))
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    return trace, singular
+
+
+def _circle_log_derivative(forward: np.ndarray, reverse: np.ndarray,
+                           x: np.ndarray, radius: float):
+    """``tr(P(x)^{-1} P'(x))`` at the kn start points ``x``, by FFT.
+
+    ``x_j = radius * exp(2 pi i (j + phase) / kn)`` for any phase: point
+    ``r + n l`` of residue class ``r < n`` is ``x_r w^l``, w the k-th root
+    of unity ``exp(2 pi i / k)``.  With ``G_m = [C_m | D_m] x_r^m`` (the
+    operand rows scaled by powers of ``x_r``), ``[P | P'](x_r w^l) =
+    sum_{m<k} G_m w^{lm}``: one length-k DFT per class (an unscaled
+    inverse FFT), once row k is folded onto row 0, since ``w^k = 1`` (at
+    n = 1 the fold is the leading ``C_k = I``).  As in the later sweeps, a
+    radius above 1 evaluates the reversed operand at ``y = 1 / x`` instead,
+    which lies on the circle of radius ``1 / radius`` with point ``r + n l``
+    at ``y_r w^{-l}`` (a forward FFT), and returns
+    ``kn y - y^2 tr(Q^{-1} Q')(y)``; so no power exceeds 1 in modulus.
+    The working set is one class, a ``(k, 2 n^2)`` array like the operand.
+    Returns ``_log_derivative``'s two results.
+    """
+    from numpy import fft
+    k, n = forward.shape[0] - 1, forward.shape[2]
+    inner = radius <= 1.0
+    both, z = (forward, x[:n]) if inner else (reverse, 1.0 / x[:n])
+    both = both.reshape(k + 1, 2 * n * n)
+    powers = _powers(z, k)
+    trace = np.empty(k * n, dtype=np.complex128)
+    singular = np.empty(k * n, dtype=bool)
+    for r in range(n):
+        g = both[:k] * powers[r, :k, None]
+        g[0] += both[k] * powers[r, k]
+        g = (fft.ifft(g, axis=0, norm="forward") if inner
+             else fft.fft(g, axis=0))
+        trace[r::n], singular[r::n] = _solve_trace(g, n)
+    if not inner:
+        y = 1.0 / x
+        trace = k * n * y - y * y * trace
     return trace, singular
 
 
@@ -657,15 +716,21 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray,
     return pull[0] - 1j * pull[1]
 
 
-def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
+def _aberth_eigenvalues(coeffs: np.ndarray,
+                        phase: float = 0.25) -> np.ndarray | None:
     """Roots of ``det P``, given ``(k, n, n)`` coefficients, by Ehrlich-Aberth.
 
     [Bini & Noferini, LAA 439 (2013) 1130-1149].  The Newton correction of
     root x is ``1 / tr(P(x)^{-1} P'(x))``; roots with ``|x| > 1`` evaluate
     the reversed polynomial ``Q(y) = y^k P(1/y)`` at ``y = 1/x`` instead,
     using ``tr(P^{-1} P')(x) = kn y - y^2 tr(Q^{-1} Q')(y)``.  A root where
-    ``P(x)`` is exactly singular takes a zero step.  Start points lie on the
-    circle of radius ``|det C_0|^{1/kn}``.  The pull ``sum_j 1/(x_i - x_j)``
+    ``P(x)`` is exactly singular takes a zero step.  The kn start points
+    ``radius * exp(2 pi i (j + phase) / kn)`` lie on the circle of radius
+    ``|det C_0|^{1/kn}``.  They are the roots of ``x^kn = c``, so the first
+    sweep costs no pull, which is exactly ``(kn - 1) / 2x``, and its P and
+    P' come from one length-k FFT per residue class of the points mod n
+    (``_circle_log_derivative``).  Every later sweep evaluates them by
+    ``_log_derivative``, and its pull ``sum_j 1/(x_i - x_j)``
     (``_aberth_pull``) forms each pair of active roots once, in tiles
     of 512 KB or one row, and ``_log_derivative`` works in blocks of
     ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
@@ -686,28 +751,34 @@ def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     reverse = _value_slope_operand(forward[::-1, 0])
     sign, logdet = np.linalg.slogdet(coeffs[0])
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
-    x = radius * np.exp(2j * np.pi * (np.arange(kn) + 0.25) / kn)
+    x = radius * np.exp(2j * np.pi * (np.arange(kn) + phase) / kn)
     active = np.ones(kn, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_MAX_ITER):
+        for sweep in range(_ABERTH_MAX_ITER):
             idx = np.flatnonzero(active)
             if idx.size == 0:
                 break
             xa = x[idx]
-            trace = np.empty(idx.size, dtype=np.complex128)
-            singular = np.empty(idx.size, dtype=bool)
-            inner = np.abs(xa) <= 1.0
-            if inner.any():
-                trace[inner], singular[inner] = _log_derivative(
-                    forward, xa[inner])
-            if not inner.all():
-                y = 1.0 / xa[~inner]
-                rev, singular[~inner] = _log_derivative(reverse, y)
-                trace[~inner] = kn * y - y * y * rev
+            if sweep == 0:
+                trace, singular = _circle_log_derivative(
+                    forward, reverse, x, radius)
+                # The roots of x^kn = c pull each other by (kn - 1) / 2x.
+                pull = (kn - 1) / (2.0 * x)
+            else:
+                trace = np.empty(idx.size, dtype=np.complex128)
+                singular = np.empty(idx.size, dtype=bool)
+                inner = np.abs(xa) <= 1.0
+                if inner.any():
+                    trace[inner], singular[inner] = _log_derivative(
+                        forward, xa[inner])
+                if not inner.all():
+                    y = 1.0 / xa[~inner]
+                    rev, singular[~inner] = _log_derivative(reverse, y)
+                    trace[~inner] = kn * y - y * y * rev
+                pull = _aberth_pull(x, idx, np.float32)
+                if not np.all(np.isfinite(pull)):
+                    pull = _aberth_pull(x, idx)
             newton = np.where(singular, 0.0, 1.0 / trace)
-            pull = _aberth_pull(x, idx, np.float32)
-            if not np.all(np.isfinite(pull)):
-                pull = _aberth_pull(x, idx)
             step = newton / (1.0 - newton * pull)
             if not np.all(np.isfinite(step)):
                 return None
@@ -766,7 +837,10 @@ def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     Degree-dominated shapes use Ehrlich-Aberth iteration on ``det P``,
     trial by trial; a trial that fails its self-check (no convergence
     within ``_ABERTH_MAX_ITER`` sweeps, a non-finite root, or the trace
-    identity broken) alone falls back to the dense route.  Every other
+    identity broken) alone falls back to the dense route.  Above
+    ``_FALLBACK_MAX_KN`` it is solved once more from a start circle
+    rotated by half a point spacing instead, and raises ``NumericalError``
+    if that fails too.  Every other
     shape is dense: one stacked ``eigenvalues`` call on the ``(T, kn, kn)``
     companion matrices, so callers bound T to bound memory.  An empty
     stack is a ``ValidationError`` on either route.
@@ -779,8 +853,18 @@ def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
         return eigenvalues(_companion_stack(coeffs))
     rows = [_aberth_eigenvalues(c) for c in coeffs]
     for t, lam in enumerate(rows):
-        if lam is None:
+        if lam is not None:
+            continue
+        if k * n <= _FALLBACK_MAX_KN:
             rows[t] = eigenvalues(_companion_stack(coeffs[t:t + 1]))[0]
+            continue
+        # Half a point spacing on from the first start circle.
+        rows[t] = _aberth_eigenvalues(coeffs[t], 0.75)
+        if rows[t] is None:
+            raise NumericalError(
+                f"Ehrlich-Aberth failed on trial {t} of its stack (n={n}, "
+                f"k={k}) from two start circles, and a dense solve at "
+                f"kn={k * n} > {_FALLBACK_MAX_KN} is not attempted")
     return np.stack(rows)
 
 

@@ -58,3 +58,29 @@ def test_a_pair_with_a_failed_run_is_left_out():
     runs[0]["parent"] = {"error": "exit 1"}
     (row, _) = bench_pairs.summarize(runs, _METRICS)
     assert row == {"metric": "norm_cpu_s", "pairs": 0}
+
+
+@pytest.mark.parametrize("body,cause", [
+    ("1 / 0", "ZeroDivisionError"),
+    ("import sys; sys.exit('no pass completed')", "no pass completed"),
+    ("print('not json')", "no JSON result"),
+    ("print('{\"correct\": true}')", None)])
+def test_a_failed_run_is_named_by_its_last_stderr_line(tmp_path, body, cause):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body + "\n")
+    run = bench_pairs.run_once(tmp_path, "grow-k", 1, 1)
+    assert run.get("cause") == cause
+    assert ("error" in run) == (cause is not None)
+
+
+def test_failed_runs_are_counted_per_side_by_cause():
+    runs = _runs([(2.0, 1.0)] * 4)
+    runs[0]["parent"] = {"error": "exit 1: ZeroDivisionError: float "
+                         "division by zero", "cause": "ZeroDivisionError"}
+    runs[2]["parent"] = dict(runs[0]["parent"])
+    runs[3]["change"] = {"error": "exit 1: x", "cause": "ValueError"}
+    got = bench_pairs.failures(runs)
+    assert got == {"parent": {"ZeroDivisionError": 2},
+                   "change": {"ValueError": 1}}
+    assert bench_pairs.failures(_runs([(2.0, 1.0)])) == {"parent": {},
+                                                          "change": {}}

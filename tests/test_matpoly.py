@@ -9,6 +9,7 @@ import pytest
 
 from rmpoly import (
     MatrixPolynomial,
+    NumericalError,
     RngStream,
     ValidationError,
     backward_error,
@@ -495,6 +496,116 @@ class TestFiniteEigenvalues:
         assert calls == [(1, k * n, k * n)]
         np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
 
+    @staticmethod
+    def _count_aberth_phases(monkeypatch, fail_first=False):
+        """Start phases of every Ehrlich-Aberth solve; with ``fail_first``
+        the first solve returns None without running."""
+        solve = matpoly._aberth_eigenvalues
+        phases = []
+
+        def counted(c, phase=0.25):
+            phases.append(phase)
+            return None if fail_first and len(phases) == 1 else solve(c, phase)
+
+        monkeypatch.setattr(matpoly, "_aberth_eigenvalues", counted)
+        return phases
+
+    def test_failure_above_fallback_limit_raises(self, monkeypatch):
+        # With the dense limit patched below kn = 128, trial 1 (P = I x^k)
+        # fails from both start circles and is never solved dense.
+        n, k = 2, 64
+        coeffs = np.stack((sample_monic_gaussian(n, k, RngStream(41)).stack,
+                           np.zeros((k, n, n))))
+        monkeypatch.setattr(matpoly, "_FALLBACK_MAX_KN", 64)
+        phases = self._count_aberth_phases(monkeypatch)
+        calls = self._count_dense_calls(monkeypatch)
+        with pytest.raises(NumericalError, match=r"trial 1 .*n=2, k=64"):
+            matpoly.trial_eigenvalues(coeffs)
+        assert phases == [0.25, 0.25, 0.75] and calls == []
+
+    def test_retry_from_rotated_circle_replaces_fallback(self, monkeypatch):
+        p = sample_monic_gaussian(2, 64, RngStream(42))
+        monkeypatch.setattr(matpoly, "_FALLBACK_MAX_KN", 64)
+        phases = self._count_aberth_phases(monkeypatch, fail_first=True)
+        calls = self._count_dense_calls(monkeypatch)
+        lams = finite_eigenvalues(p)
+        assert phases == [0.25, 0.75] and calls == []
+        assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
+
+
+class TestCircleLogDerivative:
+    """The first Ehrlich-Aberth sweep, in closed form at the start points."""
+
+    @staticmethod
+    def _start(coeffs, phase=0.25):
+        """Operands, start points and radius as ``_aberth_eigenvalues``
+        forms them."""
+        k, n = coeffs.shape[:2]
+        forward = matpoly._value_slope_operand(
+            np.concatenate((coeffs, np.eye(n)[None])))
+        reverse = matpoly._value_slope_operand(forward[::-1, 0])
+        radius = float(np.exp(np.linalg.slogdet(coeffs[0])[1] / (k * n)))
+        x = radius * np.exp(2j * np.pi * (np.arange(k * n) + phase) / (k * n))
+        return forward, reverse, x, radius
+
+    @pytest.mark.parametrize("n,k,scale,phase", [
+        (1, 128, 1.0, 0.25),   # one class: row k folds onto row 0
+        (4, 512, 1.0, 0.25),
+        (16, 32, 1.0, 0.75),
+        (4, 64, 1e-3, 0.75),   # radius below 1 at n > 1
+        (4, 32, 1e3, 0.25),    # radius above 1: the reversed operand
+        (1, 96, 1e3, 0.75)])
+    def test_matches_log_derivative_at_start_points(self, n, k, scale,
+                                                    phase):
+        # Both evaluate P and P' to a few roundings of the largest term;
+        # the solve scales that by the conditioning of P at each point.
+        # Over 8 draws per shape the worst point was 50 kn eps.
+        coeffs = sample_monic_gaussian(n, k, RngStream(43, (n, k))).stack
+        coeffs = coeffs * np.r_[scale, np.ones(k - 1)][:, None, None]
+        forward, reverse, x, radius = self._start(coeffs, phase)
+        if scale != 1.0:
+            assert (radius > 1.0) == (scale > 1.0)
+        trace, singular = matpoly._circle_log_derivative(
+            forward, reverse, x, radius)
+        if radius <= 1.0:
+            ref, ref_singular = matpoly._log_derivative(forward, x)
+        else:
+            y = 1.0 / x
+            rev, ref_singular = matpoly._log_derivative(reverse, y)
+            ref = k * n * y - y * y * rev
+        assert not singular.any() and not ref_singular.any()
+        assert np.all(np.abs(trace - ref) <= 100 * k * n * EPS * np.abs(ref))
+
+    @pytest.mark.parametrize("n,k,scale", [(4, 512, 1.0), (1, 96, 1e3)])
+    def test_closed_form_pull_matches_pairwise_sum(self, n, k, scale):
+        coeffs = sample_monic_gaussian(n, k, RngStream(44, (n, k))).stack
+        coeffs = coeffs * np.r_[scale, np.ones(k - 1)][:, None, None]
+        # Within the float32 pull's own error bound of the exact sum.
+        x = self._start(coeffs)[2]
+        idx = np.arange(k * n)
+        closed = (k * n - 1) / (2.0 * x)
+        bound = TestAberthPull._float32_bound(x, idx)
+        for dtype in (np.float64, np.float32):
+            pull = matpoly._aberth_pull(x, idx, dtype)
+            assert np.all(np.abs(pull - closed) <= bound)
+
+    def test_first_sweep_makes_no_pull_and_no_log_derivative(self,
+                                                             monkeypatch):
+        calls = []
+        names = ("_circle_log_derivative", "_log_derivative", "_aberth_pull")
+        for name in names:
+            fn = getattr(matpoly, name)
+            monkeypatch.setattr(
+                matpoly, name,
+                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        p = sample_monic_gaussian(2, 64, RngStream(45))
+        lams = matpoly._aberth_eigenvalues(p.stack)
+        assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
+        # Each later sweep evaluates before it pulls, so no pull came
+        # before the second sweep.
+        assert calls[0] == names[0] and calls.count(names[0]) == 1
+        assert calls.index(names[1]) < calls.index(names[2])
+
 
 class TestLogDerivative:
     @staticmethod
@@ -590,6 +701,18 @@ class TestAberthPull:
             out[row] = np.sum(1.0 / (x[i] - np.delete(x, i)))
         return out
 
+    @staticmethod
+    def _float32_bound(x, idx):
+        """Twice the error bound of each root's float32 pull (see
+        ``test_float32_terms_match_brute_force``)."""
+        u = 2.0 ** -24
+        size = np.abs(x[idx, None]) + np.abs(x)
+        with np.errstate(divide="ignore"):
+            dist = 1.0 / np.abs(x[idx, None] - x)
+        dist[np.arange(idx.size), idx] = 0.0
+        return 2.0 * np.sum(np.sqrt(2.0) * u * size * dist ** 2
+                            + 6.0 * u * dist, axis=1)
+
     @pytest.mark.parametrize("kn,active", _PULL_SHAPES)
     def test_matches_brute_force(self, kn, active):
         g = np.random.default_rng(kn + active)
@@ -612,14 +735,7 @@ class TestAberthPull:
         idx = np.sort(g.choice(kn, active, replace=False))
         ref = self._brute_force(x, idx)
         got = matpoly._aberth_pull(x, idx, np.float32)
-        u = 2.0 ** -24
-        size = np.abs(x[idx, None]) + np.abs(x)
-        with np.errstate(divide="ignore"):
-            dist = 1.0 / np.abs(x[idx, None] - x)
-        dist[np.arange(active), idx] = 0.0
-        bound = 2.0 * np.sum(np.sqrt(2.0) * u * size * dist ** 2
-                             + 6.0 * u * dist, axis=1)
-        assert np.all(np.abs(got - ref) <= bound)
+        assert np.all(np.abs(got - ref) <= self._float32_bound(x, idx))
 
     def test_roots_equal_in_float32_give_non_finite_float32_pull(self):
         # 1 + 1e-9 rounds to 1 in float32, not in float64.
