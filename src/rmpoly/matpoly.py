@@ -130,17 +130,14 @@ def _sizes(n, k) -> tuple[int, int]:
 # Stream seeding
 #
 # A stream is numpy's ``SeedSequence(seed, spawn_key=key)`` feeding PCG64,
-# and PCG64 asks its seed sequence for ``generate_state(4, np.uint64)``
-# alone.  SeedSequence computes those words with fixed 32-bit integer
-# arithmetic (NEP 19 keeps it stable), so ``_seed_states`` does the same
-# arithmetic itself.  The trials of a cell share every entropy word but
-# the trial's own, so one pass over a column of trial words seeds a whole
-# chunk of trials with exactly the streams one SeedSequence per trial would
-# give.  Key words after the trial's, shared by every trial, are columns
-# too.
+# which asks it for ``generate_state(4, np.uint64)`` alone.  SeedSequence
+# computes those words with fixed 32-bit integer arithmetic (NEP 19 keeps
+# it stable).  The trials of a cell share every entropy word but their own,
+# so ``_seed_states`` mixes a column of trial words, and the key words
+# after it, into numpy's pool of the shared words: one pass seeds a chunk
+# of trials with exactly the streams one SeedSequence per trial gives.
 
-#: SeedSequence's pool size and hash constants.
-_POOL_SIZE = 4
+#: SeedSequence's hash constants.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -161,21 +158,6 @@ def _words(v: int) -> list[int]:
     return out
 
 
-def _entropy(seed: int, key: tuple) -> list[int]:
-    """Entropy words of ``SeedSequence(seed, spawn_key=key)``: the seed's
-    words zero-padded to the pool size, then each key index's words.
-    numpy pads only when there is a key, but without one the pool takes
-    ``hashmix(0)`` past short entropy, which is the same hash."""
-    out = _words(seed)
-    out += [0] * (_POOL_SIZE - len(out))
-    return out + _key_words(key)
-
-
-def _key_words(key) -> list[int]:
-    """Entropy words of the key indices ``key``, in order."""
-    return [word for i in key for word in _words(i)]
-
-
 def _hash(value, h: int, mult: int):
     """One SeedSequence hash step of a word (int) or of a uint32 array,
     under hash constant ``h``; returns the hash and the next constant."""
@@ -190,38 +172,31 @@ def _mix(x, y):
     return value ^ (value >> _XSHIFT)
 
 
-def _seed_states(words: list[int], columns=()) -> np.ndarray:
+def _seed_states(seed: int, key: tuple, columns: list) -> np.ndarray:
     """PCG64 seed words: ``generate_state(4, np.uint64)`` of SeedSequences.
 
-    Each SeedSequence has entropy ``words``, which ``_entropy`` pads to at
-    least the pool size, then one word per entry of ``columns``: an int is
-    a word they all share, a uint32 array holds one word per SeedSequence
-    (all arrays of one length).  Returns one uint64 row of four per
-    SeedSequence; without an array there is one.  The pool is mixed as
-    ``SeedSequence.mix_entropy`` mixes it, in Python ints until an array
-    enters and in uint32 arrays after that.
+    SeedSequence i has spawn key ``key`` and then one word per entry of
+    ``columns``: word i of the uint32 array ``columns[0]``, then the words
+    (ints) after it, which they all share.  Returns one uint64 row of four
+    per SeedSequence.  numpy mixes ``seed`` and ``key`` into the pool in
+    ``4 W`` hash steps, W their entropy words with the seed's padded to the
+    pool size; the columns go on from the hash constant it ends at.
     """
-    rows = next((c.size for c in columns if isinstance(c, np.ndarray)), 1)
-    h = _INIT_A
-    pool = []
-    for value in words[:_POOL_SIZE]:
-        word, h = _hash(value, h, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, h = _hash(pool[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for value in [*words[_POOL_SIZE:], *columns]:
-        for dst in range(_POOL_SIZE):
+    from numpy.random import SeedSequence
+    pool = [int(w) for w in SeedSequence(seed, spawn_key=key).pool]
+    size = len(pool)
+    words = max(size, len(_words(seed))) + sum(len(_words(i)) for i in key)
+    h = _INIT_A * pow(_MULT_A, size * words, _MASK32 + 1) & _MASK32
+    for value in columns:
+        for dst in range(size):
             word, h = _hash(value, h, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
     # generate_state: 32-bit words cycling over the pool, read as
     # little-endian pairs.
-    state = np.empty((rows, 2 * _POOL_SIZE), dtype="<u4")
+    state = np.empty((columns[0].size, 2 * size), dtype="<u4")
     h = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        state[:, i], h = _hash(pool[i % _POOL_SIZE], h, _MULT_B)
+    for i in range(2 * size):
+        state[:, i], h = _hash(pool[i % size], h, _MULT_B)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -266,8 +241,9 @@ class RngStream:
     with distinct paths are statistically independent.  A stream is numpy's
     ``SeedSequence(seed, spawn_key=key)`` feeding its own PCG64 state, so
     each (suite, cell, trial) has its own stream regardless of execution
-    order.  The seed words come from ``_seed_states``, which computes them
-    for a whole range of children at once (``_trial_generators``).
+    order.  ``generator`` builds exactly that; ``_trial_generators`` seeds
+    a whole range of children at once from their parent's pool
+    (``_seed_states``).
     """
 
     seed: int
@@ -285,7 +261,8 @@ class RngStream:
         return RngStream(self.seed, self.key + indices)
 
     def generator(self) -> np.random.Generator:
-        return next(_generators(_seed_states(_entropy(self.seed, self.key))))
+        from numpy.random import PCG64, Generator, SeedSequence
+        return Generator(PCG64(SeedSequence(self.seed, spawn_key=self.key)))
 
 
 def _trial_generators(rng: RngStream, lo, hi, *tail: int):
@@ -294,8 +271,8 @@ def _trial_generators(rng: RngStream, lo, hi, *tail: int):
     checked first.  ``tail`` holds non-negative Python ints."""
     lo, hi = _trial_range(lo, hi)
     trials = np.arange(lo, hi, dtype=np.uint32)
-    return _generators(_seed_states(_entropy(rng.seed, rng.key),
-                                    [trials, *_key_words(tail)]))
+    return _generators(_seed_states(
+        rng.seed, rng.key, [trials, *(w for i in tail for w in _words(i))]))
 
 
 def _generator(rng) -> np.random.Generator:

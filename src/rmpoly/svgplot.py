@@ -9,6 +9,7 @@ library version strings leak into the output.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -66,6 +67,9 @@ def _svg_chunks(points, overlay_unit_circle: bool):
     extent = max(float(np.abs(pts.real).max()),
                  float(np.abs(pts.imag).max()))
     half = max(1.1, 1.02 * extent)
+    if not math.isfinite(2.0 * half):
+        raise ValidationError(
+            f"points too large to render: |re| or |im| reaches {extent:g}")
     span = _SIZE - 2.0 * _MARGIN
 
     def sx(x):

@@ -515,3 +515,15 @@ class TestPlot:
         res = runner.invoke(main, ["plot", str(src), "--out", str(out)])
         assert res.exit_code == 1
         assert not out.exists()
+
+    def test_point_too_large_to_render_exits_one_without_output(
+            self, runner, tmp_path):
+        src = tmp_path / "pts.csv"
+        src.write_text("re,im\n1e308,0\n")
+        out = tmp_path / "plot.svg"
+        res = runner.invoke(main, ["plot", str(src), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "too large" in res.stderr
+        assert not out.exists()

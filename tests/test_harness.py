@@ -404,6 +404,17 @@ class TestRenderScatter:
         with pytest.raises(ValidationError, match="NaN"):
             svg_scatter([np.nan + 0j])
 
+    @pytest.mark.parametrize("z", [1e308 + 0j, -9e307j, complex(1, 1.7e308)])
+    def test_points_past_the_canvas_range_rejected(self, z):
+        # Twice the canvas half-width would overflow to inf, and every
+        # coordinate to NaN.
+        with pytest.raises(ValidationError, match="too large"):
+            svg_scatter([0j, z])
+
+    def test_largest_renderable_points_have_finite_coordinates(self):
+        svg = svg_scatter([8.8e307 + 0j, -8.8e307j])
+        assert "nan" not in svg and "inf" not in svg
+
 
 class TestStreamedPointFiles:
     """At 2e5 points, writing or reading a points file, and rendering the

@@ -127,6 +127,23 @@ def test_probe_loads_only_the_solver_layer():
     assert out["others"] == []
 
 
+_STREAMS = """
+import json, sys
+from rmpoly.matpoly import RngStream, complex_gaussian
+
+stream = RngStream(7).child(1)
+before = "numpy.random" in sys.modules
+complex_gaussian(stream, (2,))
+print(json.dumps({"before": before, "after": "numpy.random" in sys.modules}))
+"""
+
+
+def test_streams_load_numpy_random_on_the_first_draw():
+    # Loaded at import, numpy.random costs about 0.5 MB of resident memory.
+    out = _run(_STREAMS)
+    assert out == {"before": False, "after": True}
+
+
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

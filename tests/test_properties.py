@@ -115,6 +115,10 @@ tails = st.one_of(st.just(()), st.just((0,)),
 @example(2 ** 130 + 11, (2 ** 64 + 3, 0, 7), (2 ** 32 - 2, 2 ** 32), ())
 @example(7, (2, 3), (0, 33), (0,))
 @example(2 ** 32, (), (510, 514), (2 ** 32 - 1, 2 ** 64 - 1))
+@example(2 ** 128 - 1, (), (0, 2), ())
+@example(2 ** 128 - 1, (5,), (31, 33), (0,))
+@example(2 ** 128, (), (0, 2), ())
+@example(2 ** 128, (5,), (31, 33), (0,))
 def test_trial_generators_match_seed_sequence(seed, key, bounds, tail):
     lo, hi = bounds
     got = [_normal_bits(g)
@@ -127,6 +131,10 @@ def test_trial_generators_match_seed_sequence(seed, key, bounds, tail):
 @given(seeds, keys)
 @example(0, ())
 @example(2 ** 130 + 11, ())
+@example(2 ** 128 - 1, ())
+@example(2 ** 128 - 1, (5,))
+@example(2 ** 128, ())
+@example(2 ** 128, (5,))
 def test_stream_generator_matches_seed_sequence(seed, key):
     # The empty key is numpy's unpadded entropy, which hashes the same.
     assert _normal_bits(RngStream(seed, key).generator()) == \
