@@ -7,10 +7,10 @@ back to dense is charged both times, as ``finite_eigenvalues`` would be.
 One extra Aberth solve per draw counts its sweeps and its root
 evaluations per root (points evaluated, over kn), by wrapping three
 functions here: the first sweep is the one call of
-``matpoly._circle_log_derivative``, at all kn start points, which makes
-no pull; every later sweep makes one float32 call of
-``matpoly._aberth_pull`` (a sweep that redoes its pull in float64 calls it
-once more) and passes its points to ``matpoly._log_derivative``.
+``matpoly._circle_newton``, at all kn start points, which makes no pull;
+every later sweep makes one float32 call of ``matpoly._aberth_pull`` (a
+sweep that redoes its pull in float64 calls it once more) and passes its
+points to ``matpoly._newton``.
 ``pull_share`` is the CPU share of that solve spent in ``_aberth_pull``;
 ``dist`` is the paired distance (``match_distance``) of its roots to the
 dense spectrum.  ``peak_mb`` is
@@ -84,8 +84,8 @@ def _counted_solve(coeffs):
     """Sweeps of one Aberth solve, the points it evaluated and the CPU
     share of its pulls."""
     counts = {"sweeps": 0, "points": 0, "pull_s": 0.0}
-    pull, log_derivative = matpoly._aberth_pull, matpoly._log_derivative
-    circle_log_derivative = matpoly._circle_log_derivative
+    pull, newton = matpoly._aberth_pull, matpoly._newton
+    circle_newton = matpoly._circle_newton
 
     def counted_pull(x, idx, dtype=np.float64):
         counts["sweeps"] += dtype is np.float32
@@ -94,25 +94,25 @@ def _counted_solve(coeffs):
         counts["pull_s"] += time.process_time() - start
         return out
 
-    def counted_log_derivative(both, x):
+    def counted_newton(both, x):
         counts["points"] += x.size
-        return log_derivative(both, x)
+        return newton(both, x)
 
-    def counted_circle_log_derivative(forward, reverse, x, radius):
+    def counted_circle_newton(both, x, radius):
         counts["sweeps"] += 1
         counts["points"] += x.size
-        return circle_log_derivative(forward, reverse, x, radius)
+        return circle_newton(both, x, radius)
 
     matpoly._aberth_pull = counted_pull
-    matpoly._log_derivative = counted_log_derivative
-    matpoly._circle_log_derivative = counted_circle_log_derivative
+    matpoly._newton = counted_newton
+    matpoly._circle_newton = counted_circle_newton
     start = time.process_time()
     try:
         _aberth_eigenvalues(coeffs)
     finally:
         matpoly._aberth_pull = pull
-        matpoly._log_derivative = log_derivative
-        matpoly._circle_log_derivative = circle_log_derivative
+        matpoly._newton = newton
+        matpoly._circle_newton = circle_newton
     share = counts["pull_s"] / (time.process_time() - start)
     return counts["sweeps"], counts["points"], share
 

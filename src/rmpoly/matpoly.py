@@ -9,20 +9,22 @@ coefficient implicitly the identity.  Its kn finite eigenvalues are the
 roots of ``det P(x)``.  ``trial_eigenvalues`` alone chooses the solver, for
 a stack of trials; ``finite_eigenvalues`` is its one-trial case.
 Degree-dominated shapes (``k >= 2n``, ``n <= 16``, ``kn >= 80``) are solved
-by Ehrlich-Aberth iteration on ``det P``.  A sweep evaluates P and P' at all
-kn roots as one matrix product against the flattened coefficients and
-their slopes, solves kn small n x n systems, and forms the pull between
-roots once per pair of active roots, which is cheaper there than dense QR
-at O((kn)^3); both thresholds are measured (see ``_ABERTH_MIN_KN``).  The
-first sweep starts from kn equispaced points on one circle, where P and P'
-are a DFT of the coefficients (n FFTs of length k) and the pull is exactly
-``(kn - 1) / 2x``.  The pull's terms are float32, its sums and everything
-else float64: the pull only steers the iteration, whose fixed points are
-the zeros of the float64 Newton correction, so the roots do not depend on
-its precision.  A trial that fails its self-check falls back to the dense
-route, or above kn = 2048 is retried once from a rotated start circle and
-then raises ``NumericalError``.  Every other shape takes the spectrum of
-the block companion matrix
+by Ehrlich-Aberth iteration on ``det P``.  A sweep evaluates P and x P' at
+all kn roots as one matrix product against one operand, the coefficients
+and their slopes ``[C_j | j C_j]`` (roots past the unit circle take the
+powers of 1/x against its rows reversed), solves kn small n x n systems,
+and forms the pull between roots once per pair of active roots, which is
+cheaper there than dense QR at O((kn)^3); both thresholds are measured
+(see ``_ABERTH_MIN_KN``).  The first sweep starts from kn equispaced
+points on one circle, where P and x P' are a DFT of the coefficients (n
+FFTs of length k) and the pull is exactly ``(kn - 1) / 2x``.  The pull's
+terms are float32, its sums and everything else float64: the pull only
+steers the iteration, whose fixed points are the zeros of the float64
+Newton correction, so the roots do not depend on its precision.  A trial
+that fails its self-check falls back to the dense route, or above
+kn = 2048 is retried once from a rotated start circle and then raises
+``NumericalError``.  Every other shape takes the spectrum of the block
+companion matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -469,15 +471,15 @@ def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
 #: ``_ABERTH_MAX_N`` and ``kn`` at least ``_ABERTH_MIN_KN``, the smallest kn
 #: of ``scripts/aberth_crossover.py`` (one BLAS thread, against building
 #: the companion and running dense ``eigvals`` on it; kn a multiple of 16)
-#: at which the iteration won on every draw.  As dense time over Aberth
-#: time, per draw, with the first sweep by FFT and float32 pull terms:
-#: kn = 48: 0.59-1.02; kn = 64: 0.97-1.72; kn = 80: 1.88-4.32;
-#: kn = 96: 2.20-4.95; kn = 128: 1.61-8.46; kn = 256: 5.40-21.2;
-#: n = 4, k = 512: about 70 (measured with float64 terms and no FFT
-#: sweep).  kn = 64 lost one draw of this run at n = 4, k = 16 (0.97),
-#: and every draw of that shape in an earlier one (0.92-1.28); lowering
-#: the threshold would also move the outputs of shapes solved dense
-#: today.  At k = 2n the sweep count grows
+#: at which the iteration has won on every draw of every run.  As dense
+#: time over Aberth time, per draw, with the first sweep by FFT, float32
+#: pull terms and one operand: kn = 48: 0.40-1.12; kn = 64: 1.10-1.63;
+#: kn = 80: 2.04-4.56; kn = 96: 2.43-5.49; kn = 128: 1.64-8.49;
+#: kn = 256: 5.62-19.9; n = 4, k = 512: about 70 (measured with float64
+#: terms and no FFT sweep).  kn = 64 lost one draw at n = 4, k = 16 in an
+#: earlier run (0.97), and every draw of that shape in another
+#: (0.92-1.28); lowering the threshold would also move the outputs of
+#: shapes solved dense today.  At k = 2n the sweep count grows
 #: with n: 28 at n = 16, more than 60 at n = 32, k = 64, which falls back
 #: to dense and loses (0.80, float64 terms).
 _ABERTH_MIN_KN = 80
@@ -498,7 +500,7 @@ _ABERTH_MAX_ITER = 60
 #: bytes, 4.3 GB at kn = 16384.
 _FALLBACK_MAX_KN = 2048
 
-#: Points per block of ``_log_derivative``: its power table holds
+#: Points per block of ``_newton``: its power table holds
 #: ``_ABERTH_BLOCK * (k + 1)`` entries, one product turns it into the
 #: block's ``n x n`` values and derivatives, ``_ABERTH_BLOCK * 2 n^2``
 #: entries, and these are solved before the next block is formed.  The
@@ -542,51 +544,59 @@ def _powers(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _value_slope_operand(stack: np.ndarray) -> np.ndarray:
-    """``(k + 1, 2, n, n)`` operand ``[C | D]`` of ``P = sum_j stack[j] x^j``:
-    the coefficients ``C_0 .. C_k`` and the slopes
-    ``D = (1 C_1, ..., k C_k, 0)``, so that row j of its flattened
-    ``(k + 1, 2 n^2)`` form multiplies ``x^j`` in ``P`` and ``P'``."""
-    k = stack.shape[0] - 1
-    both = np.zeros((k + 1, 2) + stack.shape[1:], dtype=np.complex128)
+    """``(k + 1, 2, n, n)`` operand ``[C_j | j C_j]`` of
+    ``P = sum_j stack[j] x^j``, so that row j of its flattened
+    ``(k + 1, 2 n^2)`` form multiplies ``x^j`` in both ``P`` and
+    ``x P'``."""
+    both = np.empty((len(stack), 2) + stack.shape[1:], dtype=np.complex128)
     both[:, 0] = stack
-    both[:k, 1] = np.arange(1, k + 1)[:, None, None] * stack[1:]
+    both[:, 1] = np.arange(len(stack))[:, None, None] * stack
     return both
 
 
-def _log_derivative(both: np.ndarray, x: np.ndarray):
-    """``tr(P(x)^{-1} P'(x))`` at every point of ``x``, by matrix products.
+def _newton(both: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton correction ``x / tr(P(x)^{-1} x P'(x))`` of ``det P`` at
+    every point of ``x``, by matrix products.
 
     ``both`` is ``_value_slope_operand`` of P.  Per block of
-    ``_ABERTH_BLOCK`` points the powers ``x^0 .. x^k`` form one table V
-    (``_powers``), and one matrix product ``V [C | D]`` against the
-    flattened operand gives ``P(x)`` and ``P'(x)`` together.
-    The block's ``n x n`` solves follow at once: the working set is one
-    block's table, values and derivatives, whatever ``x.size`` is.
-    Callers keep ``|x| <= 1``, so every power is at most 1 and the rounding
-    error is of the order of Horner's.  The second result flags the points
-    where ``P(x)`` is exactly singular, whose trace is left 0.
+    ``_ABERTH_BLOCK`` points the powers ``z^0 .. z^k`` form one table V
+    (``_powers``), and one matrix product of V against the flattened
+    operand gives ``P`` and ``x P'`` together.  Points with ``|x| <= 1``
+    take ``z = x``; the others take ``z = 1 / x`` against the operand's
+    rows reversed (a transient copy), which gives ``x^{-k} [P | x P']``:
+    the trace is the same and no power exceeds 1 in modulus, so the
+    rounding error is of the order of Horner's.  The block's ``n x n``
+    solves follow at once: the working set is one block's table, values
+    and derivatives, whatever ``x.size`` is.
     """
     k, n = both.shape[0] - 1, both.shape[2]
-    both = both.reshape(k + 1, 2 * n * n)
-    trace = np.empty(x.size, dtype=np.complex128)
-    singular = np.empty(x.size, dtype=bool)
-    for lo in range(0, x.size, _ABERTH_BLOCK):
-        xb = x[lo:lo + _ABERTH_BLOCK]
-        block = slice(lo, lo + xb.size)
-        trace[block], singular[block] = _solve_trace(_powers(xb, k) @ both, n)
-    return trace, singular
+    flat = both.reshape(k + 1, 2 * n * n)
+    outer = np.abs(x) > 1.0
+    z = x.copy()
+    z[outer] = 1.0 / x[outer]
+    newton = np.empty(x.size, dtype=np.complex128)
+    for side, rows in ((~outer, flat), (outer, flat[::-1].copy())):
+        xs, zs = x[side], z[side]
+        part = np.empty(xs.size, dtype=np.complex128)
+        for lo in range(0, xs.size, _ABERTH_BLOCK):
+            block = slice(lo, lo + _ABERTH_BLOCK)
+            part[block] = _solve_newton(_powers(zs[block], k) @ rows,
+                                        xs[block])
+        newton[side] = part
+    return newton
 
 
-def _solve_trace(vals: np.ndarray, n: int):
-    """``tr(P^{-1} P')`` of each row of ``vals``, the flattened ``P`` and
-    ``P'`` (``n^2`` entries each) at one point, by one stacked solve.  The
-    second result flags the rows where ``P`` is exactly singular, whose
-    trace is 0."""
-    nn = n * n
+def _solve_newton(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x / tr(P^{-1} x P')`` of each row of ``vals``, the flattened
+    ``P`` and ``x P'`` (``n^2`` entries each, up to one common factor) at
+    point x, by one stacked solve.  Where ``P`` is exactly singular the
+    trace is infinite and the correction 0; at ``x = 0`` with ``P(0)``
+    nonsingular it is 0/0, a non-finite step."""
+    nn = vals.shape[1] // 2
+    n = math.isqrt(nn)
     val = vals[:, :nn].reshape(-1, n, n)
     der = vals[:, nn:].reshape(-1, n, n)
-    trace = np.zeros(len(vals), dtype=np.complex128)
-    singular = np.zeros(len(vals), dtype=bool)
+    trace = np.full(len(vals), np.inf, dtype=np.complex128)
     try:
         trace[:] = np.einsum("mii->m", np.linalg.solve(val, der))
     except np.linalg.LinAlgError:
@@ -594,46 +604,40 @@ def _solve_trace(vals: np.ndarray, n: int):
             try:
                 trace[i] = np.trace(np.linalg.solve(val[i], der[i]))
             except np.linalg.LinAlgError:
-                singular[i] = True
-    return trace, singular
+                pass
+    return x / trace
 
 
-def _circle_log_derivative(forward: np.ndarray, reverse: np.ndarray,
-                           x: np.ndarray, radius: float):
-    """``tr(P(x)^{-1} P'(x))`` at the kn start points ``x``, by FFT.
+def _circle_newton(both: np.ndarray, x: np.ndarray,
+                   radius: float) -> np.ndarray:
+    """``_newton`` at the kn start points ``x``, by FFT.
 
     ``x_j = radius * exp(2 pi i (j + phase) / kn)`` for any phase: point
     ``r + n l`` of residue class ``r < n`` is ``x_r w^l``, w the k-th root
-    of unity ``exp(2 pi i / k)``.  With ``G_m = [C_m | D_m] x_r^m`` (the
-    operand rows scaled by powers of ``x_r``), ``[P | P'](x_r w^l) =
-    sum_{m<k} G_m w^{lm}``: one length-k DFT per class (an unscaled
-    inverse FFT), once row k is folded onto row 0, since ``w^k = 1`` (at
-    n = 1 the fold is the leading ``C_k = I``).  As in the later sweeps, a
-    radius above 1 evaluates the reversed operand at ``y = 1 / x`` instead,
-    which lies on the circle of radius ``1 / radius`` with point ``r + n l``
-    at ``y_r w^{-l}`` (a forward FFT), and returns
-    ``kn y - y^2 tr(Q^{-1} Q')(y)``; so no power exceeds 1 in modulus.
-    The working set is one class, a ``(k, 2 n^2)`` array like the operand.
-    Returns ``_log_derivative``'s two results.
+    of unity ``exp(2 pi i / k)``.  With ``G_m`` the operand's row m scaled
+    by ``x_r^m``, ``[P | x P'](x_r w^l) = sum_{m<k} G_m w^{lm}``: one
+    length-k DFT per class (an unscaled inverse FFT), once row k is folded
+    onto row 0, since ``w^k = 1`` (at n = 1 the fold is the leading
+    ``C_k = I``).  As in ``_newton``, a radius above 1 takes the operand's
+    rows reversed at ``y = 1 / x``, which lies on the circle of radius
+    ``1 / radius`` with point ``r + n l`` at ``y_r w^{-l}`` (a forward
+    FFT); so no power exceeds 1 in modulus.  The working set is one class,
+    a ``(k, 2 n^2)`` array like the operand.
     """
     from numpy import fft
-    k, n = forward.shape[0] - 1, forward.shape[2]
+    k, n = both.shape[0] - 1, both.shape[2]
     inner = radius <= 1.0
-    both, z = (forward, x[:n]) if inner else (reverse, 1.0 / x[:n])
-    both = both.reshape(k + 1, 2 * n * n)
+    rows = both.reshape(k + 1, 2 * n * n)
+    rows, z = (rows, x[:n]) if inner else (rows[::-1], 1.0 / x[:n])
     powers = _powers(z, k)
-    trace = np.empty(k * n, dtype=np.complex128)
-    singular = np.empty(k * n, dtype=bool)
+    newton = np.empty(k * n, dtype=np.complex128)
     for r in range(n):
-        g = both[:k] * powers[r, :k, None]
-        g[0] += both[k] * powers[r, k]
+        g = rows[:k] * powers[r, :k, None]
+        g[0] += rows[k] * powers[r, k]
         g = (fft.ifft(g, axis=0, norm="forward") if inner
              else fft.fft(g, axis=0))
-        trace[r::n], singular[r::n] = _solve_trace(g, n)
-    if not inner:
-        y = 1.0 / x
-        trace = k * n * y - y * y * trace
-    return trace, singular
+        newton[r::n] = _solve_newton(g, x[r::n])
+    return newton
 
 
 def _aberth_pull(x: np.ndarray, idx: np.ndarray,
@@ -698,18 +702,20 @@ def _aberth_eigenvalues(coeffs: np.ndarray,
     """Roots of ``det P``, given ``(k, n, n)`` coefficients, by Ehrlich-Aberth.
 
     [Bini & Noferini, LAA 439 (2013) 1130-1149].  The Newton correction of
-    root x is ``1 / tr(P(x)^{-1} P'(x))``; roots with ``|x| > 1`` evaluate
-    the reversed polynomial ``Q(y) = y^k P(1/y)`` at ``y = 1/x`` instead,
-    using ``tr(P^{-1} P')(x) = kn y - y^2 tr(Q^{-1} Q')(y)``.  A root where
-    ``P(x)`` is exactly singular takes a zero step.  The kn start points
+    root x is ``x / tr(P(x)^{-1} x P'(x))``, from one operand
+    ``[C_j | j C_j]`` built once per solve: against ``x^j`` it gives
+    ``[P | x P']``, and for ``|x| > 1`` its rows reversed against the
+    powers of ``1/x`` give ``x^{-k} [P | x P']``, whose trace is the same.
+    A root where ``P(x)`` is exactly singular takes a zero step; a root at
+    0 where it is not gives 0/0, a non-finite step.  The kn start points
     ``radius * exp(2 pi i (j + phase) / kn)`` lie on the circle of radius
     ``|det C_0|^{1/kn}``.  They are the roots of ``x^kn = c``, so the first
     sweep costs no pull, which is exactly ``(kn - 1) / 2x``, and its P and
-    P' come from one length-k FFT per residue class of the points mod n
-    (``_circle_log_derivative``).  Every later sweep evaluates them by
-    ``_log_derivative``, and its pull ``sum_j 1/(x_i - x_j)``
+    x P' come from one length-k FFT per residue class of the points mod n
+    (``_circle_newton``).  Every later sweep evaluates them by
+    ``_newton``, and its pull ``sum_j 1/(x_i - x_j)``
     (``_aberth_pull``) forms each pair of active roots once, in tiles
-    of 512 KB or one row, and ``_log_derivative`` works in blocks of
+    of 512 KB or one row, and ``_newton`` works in blocks of
     ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
     does not grow with kn.  The pull's terms are float32 and its sums
     float64.  An error e in the pull changes a step ``N / (1 - N pull)``,
@@ -723,9 +729,8 @@ def _aberth_eigenvalues(coeffs: np.ndarray,
     """
     k, n = coeffs.shape[:2]
     kn = k * n
-    # Built once per solve; the operands alone keep the coefficients.
-    forward = _value_slope_operand(np.concatenate((coeffs, np.eye(n)[None])))
-    reverse = _value_slope_operand(forward[::-1, 0])
+    # Built once per solve; the operand alone keeps the coefficients.
+    both = _value_slope_operand(np.concatenate((coeffs, np.eye(n)[None])))
     sign, logdet = np.linalg.slogdet(coeffs[0])
     radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + phase) / kn)
@@ -737,25 +742,14 @@ def _aberth_eigenvalues(coeffs: np.ndarray,
                 break
             xa = x[idx]
             if sweep == 0:
-                trace, singular = _circle_log_derivative(
-                    forward, reverse, x, radius)
+                newton = _circle_newton(both, x, radius)
                 # The roots of x^kn = c pull each other by (kn - 1) / 2x.
                 pull = (kn - 1) / (2.0 * x)
             else:
-                trace = np.empty(idx.size, dtype=np.complex128)
-                singular = np.empty(idx.size, dtype=bool)
-                inner = np.abs(xa) <= 1.0
-                if inner.any():
-                    trace[inner], singular[inner] = _log_derivative(
-                        forward, xa[inner])
-                if not inner.all():
-                    y = 1.0 / xa[~inner]
-                    rev, singular[~inner] = _log_derivative(reverse, y)
-                    trace[~inner] = kn * y - y * y * rev
+                newton = _newton(both, xa)
                 pull = _aberth_pull(x, idx, np.float32)
                 if not np.all(np.isfinite(pull)):
                     pull = _aberth_pull(x, idx)
-            newton = np.where(singular, 0.0, 1.0 / trace)
             step = newton / (1.0 - newton * pull)
             if not np.all(np.isfinite(step)):
                 return None

@@ -534,26 +534,26 @@ class TestFiniteEigenvalues:
 
 
 class TestCircleLogDerivative:
-    """The first Ehrlich-Aberth sweep, in closed form at the start points."""
+    """The first Ehrlich-Aberth sweep, in closed form at the start points:
+    ``_circle_newton`` and the pull ``(kn - 1) / 2x``."""
 
     @staticmethod
     def _start(coeffs, phase=0.25):
-        """Operands, start points and radius as ``_aberth_eigenvalues``
+        """Operand, start points and radius as ``_aberth_eigenvalues``
         forms them."""
         k, n = coeffs.shape[:2]
-        forward = matpoly._value_slope_operand(
+        both = matpoly._value_slope_operand(
             np.concatenate((coeffs, np.eye(n)[None])))
-        reverse = matpoly._value_slope_operand(forward[::-1, 0])
         radius = float(np.exp(np.linalg.slogdet(coeffs[0])[1] / (k * n)))
         x = radius * np.exp(2j * np.pi * (np.arange(k * n) + phase) / (k * n))
-        return forward, reverse, x, radius
+        return both, x, radius
 
     @pytest.mark.parametrize("n,k,scale,phase", [
         (1, 128, 1.0, 0.25),   # one class: row k folds onto row 0
         (4, 512, 1.0, 0.25),
         (16, 32, 1.0, 0.75),
         (4, 64, 1e-3, 0.75),   # radius below 1 at n > 1
-        (4, 32, 1e3, 0.25),    # radius above 1: the reversed operand
+        (4, 32, 1e3, 0.25),    # radius above 1: the rows reversed
         (1, 96, 1e3, 0.75)])
     def test_matches_log_derivative_at_start_points(self, n, k, scale,
                                                     phase):
@@ -562,26 +562,19 @@ class TestCircleLogDerivative:
         # Over 8 draws per shape the worst point was 50 kn eps.
         coeffs = sample_monic_gaussian(n, k, RngStream(43, (n, k))).stack
         coeffs = coeffs * np.r_[scale, np.ones(k - 1)][:, None, None]
-        forward, reverse, x, radius = self._start(coeffs, phase)
+        both, x, radius = self._start(coeffs, phase)
         if scale != 1.0:
             assert (radius > 1.0) == (scale > 1.0)
-        trace, singular = matpoly._circle_log_derivative(
-            forward, reverse, x, radius)
-        if radius <= 1.0:
-            ref, ref_singular = matpoly._log_derivative(forward, x)
-        else:
-            y = 1.0 / x
-            rev, ref_singular = matpoly._log_derivative(reverse, y)
-            ref = k * n * y - y * y * rev
-        assert not singular.any() and not ref_singular.any()
-        assert np.all(np.abs(trace - ref) <= 100 * k * n * EPS * np.abs(ref))
+        newton = matpoly._circle_newton(both, x, radius)
+        ref = matpoly._newton(both, x)
+        assert np.all(np.abs(newton - ref) <= 100 * k * n * EPS * np.abs(ref))
 
     @pytest.mark.parametrize("n,k,scale", [(4, 512, 1.0), (1, 96, 1e3)])
     def test_closed_form_pull_matches_pairwise_sum(self, n, k, scale):
         coeffs = sample_monic_gaussian(n, k, RngStream(44, (n, k))).stack
         coeffs = coeffs * np.r_[scale, np.ones(k - 1)][:, None, None]
         # Within the float32 pull's own error bound of the exact sum.
-        x = self._start(coeffs)[2]
+        x = self._start(coeffs)[1]
         idx = np.arange(k * n)
         closed = (k * n - 1) / (2.0 * x)
         bound = TestAberthPull._float32_bound(x, idx)
@@ -592,7 +585,7 @@ class TestCircleLogDerivative:
     def test_first_sweep_makes_no_pull_and_no_log_derivative(self,
                                                              monkeypatch):
         calls = []
-        names = ("_circle_log_derivative", "_log_derivative", "_aberth_pull")
+        names = ("_circle_newton", "_newton", "_aberth_pull")
         for name in names:
             fn = getattr(matpoly, name)
             monkeypatch.setattr(
@@ -608,54 +601,38 @@ class TestCircleLogDerivative:
 
 
 class TestLogDerivative:
+    """The Newton correction ``1 / tr(P^{-1} P')`` of ``det P``, the
+    reciprocal of its log derivative, by ``_newton``."""
+
     @staticmethod
     def _stack(p):
         return np.stack(p.coeffs + (np.eye(p.n),))
 
-    @staticmethod
-    def _points(seed, size, radius):
-        g = np.random.default_rng(seed)
-        return radius * np.sqrt(g.random(size)) * np.exp(
-            2j * np.pi * g.random(size))
-
-    def test_forward_matches_reference(self):
-        # 300 points span one full block of 256 and a partial one.
+    def test_matches_reference_on_both_sides_of_the_circle(self):
+        # 600 points, inside and outside |x| = 1 in turn: each side spans
+        # one full block of 256 and a partial one, and every block holds
+        # points of both sides.
         p = sample_monic_gaussian(3, 20, RngStream(32))
+        g = np.random.default_rng(0)
+        x = 0.8 * np.sqrt(g.random(600)) * np.exp(2j * np.pi * g.random(600))
+        x[1::2] = 1.0 / x[1::2]
         stack = self._stack(p)
-        x = self._points(0, 300, 0.8)
-        trace, singular = matpoly._log_derivative(
-            matpoly._value_slope_operand(stack), x)
-        assert not singular.any()
-        for xi, t in zip(x, trace):
-            ref = np.trace(np.linalg.solve(evaluate(p, xi), sum(
+        newton = matpoly._newton(matpoly._value_slope_operand(stack), x)
+        for xi, t in zip(x, newton):
+            ref = 1.0 / np.trace(np.linalg.solve(evaluate(p, xi), sum(
                 j * stack[j] * xi ** (j - 1) for j in range(1, p.k + 1))))
             assert abs(t - ref) <= 1e-12 * abs(ref)
 
-    def test_reversed_matches_reference(self):
-        # The reversed polynomial sum_j C_{k-j} y^j is y^k P(1/y).
-        p = sample_monic_gaussian(3, 20, RngStream(33))
-        stack = self._stack(p)
-        y = self._points(1, 300, 0.8)
-        trace, singular = matpoly._log_derivative(
-            matpoly._value_slope_operand(stack[::-1]), y)
-        assert not singular.any()
-        rev = stack[::-1]
-        for yi, t in zip(y, trace):
-            val = yi ** p.k * evaluate(p, 1.0 / yi)
-            der = sum(j * rev[j] * yi ** (j - 1) for j in range(1, p.k + 1))
-            ref = np.trace(np.linalg.solve(val, der))
-            assert abs(t - ref) <= 1e-12 * abs(ref)
-
-    def test_exactly_singular_point_is_flagged(self):
+    def test_exactly_singular_point_takes_zero_correction(self):
         # A zero column in C_0 makes P(0) exactly singular.
         sampled = sample_monic_gaussian(2, 8, RngStream(34))
         c0 = sampled.coeffs[0].copy()
         c0[:, 1] = 0.0
         stack = np.stack((c0,) + sampled.coeffs[1:] + (np.eye(2),))
-        trace, singular = matpoly._log_derivative(
-            matpoly._value_slope_operand(stack), np.array([0.5, 0.0, 0.25j]))
-        np.testing.assert_array_equal(singular, [False, True, False])
-        assert trace[1] == 0.0 and trace[0] != 0.0 and trace[2] != 0.0
+        newton = matpoly._newton(matpoly._value_slope_operand(stack),
+                                 np.array([0.5, 0.0, 0.25j, 2.0]))
+        assert newton[1] == 0.0
+        assert np.all(np.isfinite(newton)) and np.all(newton[[0, 2, 3]] != 0)
 
     def test_partial_block_shape_matches_dense(self):
         # kn = 300: the first sweep evaluates one block of 256 roots and a
