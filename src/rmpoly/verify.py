@@ -20,10 +20,12 @@ Two kinds of check live here:
   and tail bounds for Gaussian matrix norms and smallest singular values of
   shifted rectangular Gaussians.
 
-The log-determinant diagnostics of the replacement principle follow them:
-``replacement_gap`` takes both log-determinants from one LU factorization
-each (``linalg.log_abs_det``), and ``tail_log_sum`` sums the logs of the
-smallest singular values.
+The log-determinant diagnostics of the replacement principle follow them.
+Both work on the matrices they are given, with no scale of their own, and
+divide by the dimension m: ``replacement_gap`` takes both log-determinants
+from one LU factorization each (``linalg.log_abs_det``), and
+``tail_log_sum`` sums the logs of the smallest singular values.  A caller
+that means ``n**-0.5 * M`` passes that product.
 
 The probabilistic suites walk their trials in the chunks an experiment
 uses (``matpoly._map_companions``), shift each fresh companion stack in
@@ -560,65 +562,54 @@ def beta_projection_check(big_n: int, trials: int, rng) -> LemmaReport:
 def _shifted(x, z: complex) -> np.ndarray:
     """``x - zI`` as a new array; ``x`` must be square."""
     z = _complex(z, "shift z")
-    a = np.array(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return _subtract_shift(a, z)
+    return _subtract_shift(_square(x).copy(), z)
 
 
 def replacement_gap(a, b, z: complex) -> float:
-    """Normalized log-determinant gap with internal ``m**-0.5`` scaling:
+    """Normalized log-determinant gap of two m x m matrices:
 
-        (1/m) * (log|det(a/sqrt(m) - zI)| - log|det(b/sqrt(m) - zI)|),
+        (1/m) * (log|det(a - zI)| - log|det(b - zI)|),
 
-    each log-determinant from an LU factorization (``log_abs_det``).  Pass
-    the raw (unscaled) entries; to study ``n**-0.5 * M`` for an M of size
-    kn, pass ``sqrt(k) * M``.  An exactly singular shifted matrix makes the
-    gap infinite; that is reported as ``inf`` with a warning, never dropped.
+    each log-determinant from an LU factorization (``log_abs_det``), on the
+    matrices as given: to study ``n**-0.5 * M``, pass that product.  An
+    exactly singular shifted matrix makes the gap infinite; ``log_abs_det``
+    warns, and the gap is reported as ``inf``, never dropped.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
     if aa.shape != bb.shape:
         raise ValidationError(
             f"replacement gap needs equal shapes, got {aa.shape} vs {bb.shape}")
-    m = aa.shape[0]
-    scale = 1.0 / math.sqrt(m)
-    la = log_abs_det(_shifted(scale * aa, z))
-    lb = log_abs_det(_shifted(scale * bb, z))
+    la = log_abs_det(_shifted(aa, z))
+    lb = log_abs_det(_shifted(bb, z))
     if not (math.isfinite(la) and math.isfinite(lb)):
-        warnings.warn("replacement gap hit a singular shifted matrix; "
-                      "reporting an infinite gap", RuntimeWarning,
-                      stacklevel=2)
         return math.inf
-    return (la - lb) / m
+    return (la - lb) / aa.shape[0]
 
 
-def tail_split_index(n: int, k: int, delta: float) -> int:
-    """Split index ``f = floor(kn - n**(1 - delta))`` for tail log sums.
+def tail_split_index(n: int, k: int) -> int:
+    """Split index ``f = floor(kn - n**(1 - DELTA))`` for tail log sums.
 
     Requires ``f >= n``, which holds for all large n; too-small n is
     rejected rather than silently clamped.
     """
     n, k = _sizes(n, k)
-    if not (_is_number(delta) and 0.0 < delta < 0.5):
-        raise ValidationError(f"delta must lie in (0, 1/2), got {delta}")
-    f = math.floor(k * n - n ** (1.0 - delta))
+    f = math.floor(k * n - n ** (1.0 - DELTA))
     if f < n:
         raise ValidationError(
             f"split index f = {f} < n = {n}; increase n (need kn - "
-            f"n**(1 - delta) >= n)")
+            f"n**(1 - DELTA) >= n)")
     return f
 
 
-def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
-    """Normalized log sum over the smallest singular values:
+def tail_log_sum(x, z: complex, from_index: int) -> float:
+    """Log sum over the smallest singular values of an m x m matrix,
+    normalized by its dimension:
 
-        (1 / normalizer) * sum_{i >= from_index} log sigma_i(x - zI),
+        (1/m) * sum_{i >= from_index} log sigma_i(x - zI),
 
-    with singular values indexed from 1 in descending order.  ``from_index
-    = dim + 1`` gives the empty sum (0.0).  ``normalizer`` sets the
-    averaging prefactor; convergence checks on companion matrices pass the
-    full companion dimension ``k * n``.
+    with singular values indexed from 1 in descending order, on ``x`` as
+    given.  ``from_index = m + 1`` gives the empty sum (0.0).
     """
     a = _shifted(x, z)
     dim = a.shape[0]
@@ -626,9 +617,6 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
     if not 1 <= from_index <= dim + 1:
         raise ValidationError(
             f"from_index must lie in [1, {dim + 1}], got {from_index}")
-    if not (_is_number(normalizer) and 0 < normalizer < math.inf):
-        raise ValidationError(
-            f"normalizer must be positive and finite, got {normalizer!r}")
     if from_index == dim + 1:
         return 0.0
     tail = singular_values(a)[from_index - 1:]
@@ -636,7 +624,7 @@ def tail_log_sum(x, z: complex, from_index: int, normalizer: float) -> float:
         warnings.warn("tail_log_sum hit an exactly singular shifted matrix",
                       RuntimeWarning, stacklevel=2)
         return -math.inf
-    return float(np.sum(np.log(tail)) / normalizer)
+    return float(np.sum(np.log(tail)) / dim)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +677,7 @@ def _grow_n_preconditions(cfg: LemmaCheckConfig) -> None:
         if k < 2:
             raise ValidationError(
                 f"dimension-grown suite needs degree k >= 2, got k={k}")
-        tail_split_index(n, k, DELTA)  # reject sizes with f(n) < n
+        tail_split_index(n, k)  # reject sizes with f(n) < n
 
 
 def _grow_k_preconditions(cfg: LemmaCheckConfig) -> None:
@@ -730,7 +718,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     z = cfg.z
     chunks = []
     for s_idx, (n, k) in enumerate(cfg.sizes):
-        f = tail_split_index(n, k, DELTA)
+        f = tail_split_index(n, k)
         n_floor = n ** -(EXPONENT_A + 2.0)
         tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5

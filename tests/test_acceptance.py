@@ -111,10 +111,11 @@ def test_03_degree_grown_circle_limit(degree_sweep):
 
 
 def test_04_replacement_gap_vanishes():
-    # The normalized log-determinant gap between the companion matrix and
-    # its block circulant at z = 0.5 must shrink with the degree: the
-    # 20-trial median decreases across k in {32, 128, 512} and ends
-    # below 0.05.
+    # The log-determinant gap, normalized by the dimension kn, between the
+    # unscaled companion matrix and its block circulant at z = 0.5 (the
+    # replacement step of the k -> inf limit) must shrink with the degree:
+    # the 20-trial median decreases across k in {32, 128, 512} and ends
+    # below 0.05.  Both matrices enter as they are, with no scale.
     medians = []
     for k_idx, k in enumerate((32, 128, 512)):
         gaps = []
@@ -202,12 +203,13 @@ def test_07_probabilistic_bound_sweeps(verification):
 
 
 def test_08_tail_log_sum_trend():
-    # The normalized log sum over the smallest singular values past the
-    # split index f(n) must shrink with n for both the companion matrix
-    # and its low-rank top-block form (k = 3, z = 0.7 + 0.3i, 25 trials).
+    # The log sum over the smallest singular values past the split index
+    # f(n), normalized by the dimension kn, must shrink with n for both the
+    # scaled companion matrix n**-0.5 M and its low-rank top-block form
+    # (k = 3, z = 0.7 + 0.3i, 25 trials).
     med_m, med_e = [], []
     for n in (16, 32, 64):
-        f = tail_split_index(n, 3, 0.3)
+        f = tail_split_index(n, 3)
         kn = 3 * n
         vm, ve = [], []
         for t in range(25):
@@ -216,8 +218,8 @@ def test_08_tail_log_sum_trend():
             e1ct = np.zeros((kn, kn), dtype=np.complex128)
             e1ct[:n, :] = m[:n]
             scale = n ** -0.5
-            vm.append(abs(tail_log_sum(scale * m, 0.7 + 0.3j, f + 1, kn)))
-            ve.append(abs(tail_log_sum(scale * e1ct, 0.7 + 0.3j, f + 1, kn)))
+            vm.append(abs(tail_log_sum(scale * m, 0.7 + 0.3j, f + 1)))
+            ve.append(abs(tail_log_sum(scale * e1ct, 0.7 + 0.3j, f + 1)))
         med_m.append(float(np.median(vm)))
         med_e.append(float(np.median(ve)))
     ok = med_m[0] > med_m[1] > med_m[2] and med_e[0] > med_e[1] > med_e[2]

@@ -446,6 +446,17 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert entered == []
 
+    @pytest.mark.parametrize("shift", ["1,2,3", "x", "0.5,"])
+    def test_unparsable_shift_is_a_usage_error(self, runner, monkeypatch,
+                                               shift):
+        entered = []
+        monkeypatch.setattr("rmpoly.verify._map_companions",
+                            lambda *a: entered.append(a) or [])
+        res = runner.invoke(main, self.SMALL + ["--z", shift])
+        assert res.exit_code == 2
+        assert "expected 're' or 're,im'" in res.stderr
+        assert entered == []
+
     def test_zero_shift_exits_one(self, runner):
         res = runner.invoke(main, self.SMALL + ["--z", "0", "--z", "0.5"])
         assert res.exit_code == 1

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, persistence, runs, verification."""
 
+import ast
 import json
 import warnings
 from pathlib import Path
@@ -516,6 +517,10 @@ class TestRunGrowN:
 
 
 class TestPooledEsd:
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValidationError, match="regime must be one of"):
+            harness.pooled_esd("grow-both", 2, 2, RngStream(1), 1)
+
     def test_takes_a_cell_stream_not_a_list_of_streams(self):
         with pytest.raises(ValidationError, match="RngStream"):
             harness.pooled_esd("grow-n", 2, 2, [RngStream(1)], 1)
@@ -716,18 +721,20 @@ def small_run():
                             deterministic_instances=20, mc_trials=2000)
 
 
+def _benchmark_verify_ids() -> set:
+    """``VERIFY_IDS`` of the benchmark's ``perfbench/run.py``, read from its
+    source: the one list of verify family ids."""
+    source = Path(__file__).parents[1] / "perfbench" / "run.py"
+    [value] = [node.value for node in ast.parse(source.read_text()).body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["VERIFY_IDS"]]
+    return set(ast.literal_eval(value))
+
+
 class TestRunVerification:
     #: All lemma/bound identifiers one full verification run must cover.
-    EXPECTED_IDS = {
-        "grow-n/sigma-min-companion-floor", "grow-n/sigma-min-lowrank-floor",
-        "grow-n/spectral-norm-cap", "grow-n/tail-index-floor",
-        "grow-k/top-sv-cap", "grow-k/block-sv-floor",
-        "grow-k/sigma-min-floor", "grow-k/interlacing-chain",
-        "lowrank-interlacing", "mirsky-sv-perturbation",
-        "submatrix-interlacing", "woodbury-identity",
-        "circulant-shift-sv-range", "pinv-tail-domination",
-        "unit-vector-projection-beta", "gaussian-norm-tail",
-    }
+    EXPECTED_IDS = _benchmark_verify_ids()
 
     def test_covers_every_lemma_id(self, small_run):
         ids = [r.lemma_id for r in small_run.reports]

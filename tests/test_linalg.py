@@ -169,6 +169,13 @@ class TestEigenvalues:
         with pytest.raises(ValidationError):
             eigenvalues(np.zeros((2, 3)))
 
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def no_convergence(_a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        with pytest.raises(ConvergenceError, match="3x3 matrix"):
+            eigenvalues(np.eye(3))
+
     def test_stack_matches_per_matrix_bits(self):
         stack = complex_gaussian(RngStream(35, (90,)), (4, 6, 6))
         got = eigenvalues(stack)
@@ -294,6 +301,7 @@ class TestLogAbsDet:
 class TestMatchDistance:
     def test_identical(self):
         assert match_distance([1.0, 2.0j], [1.0, 2.0j]) == 0.0
+        assert match_distance([], np.empty((0, 2))) == 0.0
 
     def test_permutation_invariant(self):
         a = np.array([1.0, 2.0, 3.0j])

@@ -146,6 +146,7 @@ class TestSampleMonicGaussian:
         a = sample_monic_gaussian(3, 4, RngStream(15, (0,)))
         b = sample_monic_gaussian(3, 4, RngStream(15, (1,)))
         assert a != b
+        assert a != (a.n, a.k, a.coeffs)  # not a polynomial: never equal
 
     def test_shapes_and_seed(self):
         p = sample_monic_gaussian(2, 3, RngStream(16))
@@ -259,6 +260,8 @@ class TestMatrixPolynomial:
             MatrixPolynomial(2, 3, coeffs)
         with pytest.raises(ValidationError, match=r"coefficient 0 has shape"):
             MatrixPolynomial(2, 1, (np.zeros((3, 3)),))
+        with pytest.raises(ValidationError, match=r"k=3 does not match 2"):
+            MatrixPolynomial(2, 3, coeffs[:2])
 
     def test_coefficients_are_read_only_views_of_one_copy(self):
         given = complex_gaussian(RngStream(18), (3, 2, 2))
@@ -494,6 +497,32 @@ class TestFiniteEigenvalues:
         calls = self._count_dense_calls(monkeypatch)
         lams = finite_eigenvalues(p)
         assert calls == [(1, k * n, k * n)]
+        np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
+
+    def test_broken_trace_identity_falls_back_to_dense(self, monkeypatch):
+        # With no pull, every sweep after the exact first one is plain
+        # Newton, and here two roots converge onto one: each step is
+        # finite and the iteration ends, but the roots' sum is off by
+        # about one root, so the trace identity rejects them.
+        monkeypatch.setattr(
+            matpoly, "_aberth_pull",
+            lambda x, idx, dtype=np.float64: np.zeros(idx.size, complex))
+        gap = matpoly._trace_gap
+        checked = []
+
+        def spy(coeffs, lam):
+            checked.append((gap(coeffs, lam),
+                            100.0 * lam.size * EPS * np.abs(lam).sum()))
+            return checked[-1][0]
+
+        monkeypatch.setattr(matpoly, "_trace_gap", spy)
+        p = sample_monic_gaussian(2, 64, RngStream(40))
+        assert matpoly._aberth_eigenvalues(p.stack) is None
+        [(found, limit)] = checked
+        assert found > 1e6 * limit  # 0.60 against 3.4e-10
+        calls = self._count_dense_calls(monkeypatch)
+        lams = finite_eigenvalues(p)
+        assert 128 <= matpoly._FALLBACK_MAX_KN and calls == [(1, 128, 128)]
         np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
 
     @staticmethod
@@ -927,6 +956,8 @@ class TestPolynomialJson:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
             polynomial_from_json("{not json")
+        with pytest.raises(ValidationError, match="must be an object"):
+            polynomial_from_json('[2, 1, [[[0, 0]]]]')
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValidationError):

@@ -408,7 +408,7 @@ class TestCirculantShiftBounds:
 @pytest.mark.parametrize("call", [
     lambda z: check_circulant_shift_bounds(2, 3, z),
     lambda z: replacement_gap(np.eye(3), np.eye(3), z),
-    lambda z: tail_log_sum(np.eye(3), z, 1, 3.0),
+    lambda z: tail_log_sum(np.eye(3), z, 1),
     lambda z: LemmaCheckConfig(z=z, sizes=((16, 3),)),
 ], ids=["circulant", "replacement_gap", "tail_log_sum", "config"])
 @pytest.mark.parametrize("z", ["x", True, np.bool_(False), None,
@@ -561,10 +561,26 @@ class TestReplacementGap:
             replacement_gap(np.eye(2), np.eye(3), 0.5)
 
     def test_degree_grown_pair_is_small(self):
-        # Companion vs block circulant at n=2, k=256, z=0.5.
+        # Unscaled companion vs block circulant at n=2, k=256, z=0.5.
         p = sample_monic_gaussian(2, 256, RngStream(93))
         assert abs(replacement_gap(companion(p), circulant_matrix(2, 256),
                                    0.5)) <= 0.05
+
+    def test_spectrum_off_the_circle_is_a_large_gap(self):
+        # Halving the companion moves its spectrum onto |x| = 1/2, the
+        # circle of the shift: against the block circulant the gap is
+        # 0.687 at acceptance 04's first k = 512 trial.  A hidden scale
+        # that moves both spectra deep inside |z| = 0.5 would hide it.
+        p = sample_monic_gaussian(2, 512, RngStream(7, (96, 2, 0)))
+        assert abs(replacement_gap(0.5 * companion(p),
+                                   circulant_matrix(2, 512), 0.5)) >= 0.5
+
+    def test_inputs_are_left_unchanged(self):
+        a = complex_gaussian(RngStream(94), (4, 4))
+        b = a.copy()
+        replacement_gap(a, np.eye(4), 0.5)
+        tail_log_sum(a, 0.5, 1)
+        assert np.array_equal(a, b)
 
     def test_dimension_grown_medians_decrease(self):
         # Companion vs its top-row form, scaled by n**-0.5, at fixed z.
@@ -577,8 +593,7 @@ class TestReplacementGap:
                 m = companion(p)
                 e1ct = np.zeros((3 * n, 3 * n), dtype=np.complex128)
                 e1ct[:n, :] = m[:n]
-                # The gap scales by (3n)**-0.5; sqrt(3) makes it n**-0.5.
-                s = math.sqrt(3)
+                s = n ** -0.5
                 gaps.append(abs(replacement_gap(s * m, s * e1ct, z)))
             medians.append(float(np.median(gaps)))
         assert medians[0] > medians[1] > medians[2]
@@ -587,55 +602,45 @@ class TestReplacementGap:
 class TestTailSplitIndex:
     def test_reference_value(self):
         # floor(3*16 - 16**0.7) = floor(48 - 6.9644) = 41.
-        assert tail_split_index(16, 3, 0.3) == 41
+        assert tail_split_index(16, 3) == 41
 
     def test_too_small_dimension_rejected(self):
         with pytest.raises(ValidationError):
-            tail_split_index(4, 1, 0.3)
-
-    def test_delta_validated(self):
-        with pytest.raises(ValidationError):
-            tail_split_index(16, 3, 0.6)
-        with pytest.raises(ValidationError, match="delta"):
-            tail_split_index(64, 3, "x")
+            tail_split_index(4, 1)
 
 
 class TestTailLogSum:
     def test_empty_range_is_zero(self):
         x = complex_gaussian(RngStream(96), (6, 6))
-        assert tail_log_sum(x, 0.5, 7, 2.0) == 0.0
+        assert tail_log_sum(x, 0.5, 7) == 0.0
 
     def test_unit_singular_values_sum_to_zero(self):
         # x = 0, z = 1: every singular value of -I is 1.
-        assert tail_log_sum(np.zeros((6, 6)), 1.0, 3, 2.0) == \
+        assert tail_log_sum(np.zeros((6, 6)), 1.0, 3) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_reference_magnitude(self):
-        # Scaled companion at n=64, k=3, z=0.7, tail from f(n)+1, delta=0.3;
-        # normalized by the companion dimension kn.
+        # Scaled companion at n=64, k=3, z=0.7, tail from f(n)+1; normalized
+        # by its dimension kn.
         n, k = 64, 3
-        f = tail_split_index(n, k, 0.3)
+        f = tail_split_index(n, k)
         m, _ = _lowrank_companion_pair(n, k, 97)
-        val = tail_log_sum(n ** -0.5 * m, 0.7, f + 1, k * n)
+        val = tail_log_sum(n ** -0.5 * m, 0.7, f + 1)
         assert abs(val) <= 0.5
 
     def test_exactly_singular_tail_flagged(self):
         with pytest.warns(RuntimeWarning):
-            val = tail_log_sum(np.diag([1.0, 0.0]), 0.0, 1, 1.0)
+            val = tail_log_sum(np.diag([1.0, 0.0]), 0.0, 1)
         assert val == -math.inf
 
     def test_bad_from_index_rejected(self):
         with pytest.raises(ValidationError):
-            tail_log_sum(np.eye(3), 0.5, 0, 1.0)
+            tail_log_sum(np.eye(3), 0.5, 0)
         with pytest.raises(ValidationError):
-            tail_log_sum(np.eye(3), 0.5, 5, 1.0)
+            tail_log_sum(np.eye(3), 0.5, 5)
         for index in (1.5, "2", True):
             with pytest.raises(ValidationError, match="from_index"):
-                tail_log_sum(np.eye(3), 0.5, index, 4)
-
-    def test_bad_normalizer_rejected(self):
-        with pytest.raises(ValidationError):
-            tail_log_sum(np.eye(3), 0.5, 1, 0.0)
+                tail_log_sum(np.eye(3), 0.5, index)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +653,7 @@ def _full_svd_grow_n(cfg, rng):
     floor_m, floor_e, cap, tail = [], [], [], []
     for s_idx, (n, k) in enumerate(cfg.sizes):
         kn = k * n
-        f = tail_split_index(n, k, DELTA)
+        f = tail_split_index(n, k)
         for t in range(cfg.trials):
             p = sample_monic_gaussian(n, k, rng.child(s_idx, t))
             m, e1ct = companion(p), np.zeros((kn, kn), dtype=np.complex128)
@@ -884,7 +889,7 @@ class TestGrowKSuite:
     lambda: mc_pseudoinverse_tail(2, 6, 0.1, None, 2.5, RngStream(1)),
     lambda: beta_projection_check(6, 2.5, RngStream(1)),
     lambda: sample_points(DiscMixture(2), 2.5, RngStream(1)),
-    lambda: tail_split_index(40.5, 3, 0.3),
+    lambda: tail_split_index(40.5, 3),
     lambda: pseudoinverse_tail_bound(1.5, 6, 0.1),
     lambda: DiscMixture(2.5),
     lambda: MatrixPolynomial(2.0, 1, (np.eye(2),)),
@@ -908,7 +913,6 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: complex_gaussian(RngStream(1), (2, 2), variance="1"),
     lambda: pseudoinverse_tail_bound(2, 6, math.nan),
     lambda: mc_pseudoinverse_tail(2, 6, math.nan, None, 10, RngStream(1)),
-    lambda: tail_log_sum(np.eye(3), 0.5, 1, math.nan),
     lambda: atom_mass(pooled_esd("grow-n", 2, 2, RngStream(1), 1), math.nan),
     lambda: radial_cdf(DiscMixture(2), math.nan),
     lambda: gaussian_norm_tail(4, math.nan, 10, RngStream(1)),
@@ -919,24 +923,24 @@ def test_non_integer_sizes_and_counts_rejected(call):
     lambda: pseudoinverse_tail_bound(2, 6, "0.1"),
     lambda: mc_pseudoinverse_tail(2, 6, "0.1", None, 10, RngStream(1)),
     lambda: atom_mass(pooled_esd("grow-n", 2, 2, RngStream(1), 1), "0.1"),
-    lambda: tail_log_sum(np.eye(3), 0.5, 1, "3"),
-    lambda: tail_log_sum(np.eye(3), 0.5, 1.5, 4),
-    lambda: tail_log_sum(np.eye(3), 0.5, "2", 4),
-    lambda: tail_log_sum(np.eye(3), 0.5, True, 4),
-    lambda: tail_split_index(64, 3, "x"),
+    lambda: tail_log_sum(np.eye(3), 0.5, 1.5),
+    lambda: tail_log_sum(np.eye(3), 0.5, "2"),
+    lambda: tail_log_sum(np.eye(3), 0.5, True),
     lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), "x"),
     lambda: evaluate(sample_monic_gaussian(2, 2, RngStream(1)), math.inf),
     lambda: match_distance([math.nan], [1.0]),
+    lambda: replacement_gap(np.full((2, 2), math.nan), np.eye(2), 0.5),
     lambda: EmpiricalSpectralDistribution([1, 2], True, 2, 1, 1),
     lambda: EmpiricalSpectralDistribution([1, 2], "1", 2, 1, 1),
 ], ids=["variance-nan", "variance-str", "pinv_bound-tau", "pinv_tail-tau",
-        "tail_log_sum-normalizer", "atom_mass-radius", "radial_cdf-r",
+        "atom_mass-radius", "radial_cdf-r",
         "norm_tail-nan", "norm_tail-inf", "norm_tail-str", "radial_cdf-str",
         "radial_cdf-str-array", "pinv_bound-str", "pinv_tail-str",
-        "atom_mass-str", "tail_log_sum-str", "tail_log_sum-index-float",
+        "atom_mass-str", "tail_log_sum-index-float",
         "tail_log_sum-index-str", "tail_log_sum-index-bool",
-        "tail_split-delta-str", "evaluate-str", "evaluate-inf",
-        "match_distance-nan", "esd-scale-bool", "esd-scale-str"])
+        "evaluate-str", "evaluate-inf",
+        "match_distance-nan", "replacement_gap-nan", "esd-scale-bool",
+        "esd-scale-str"])
 def test_nan_and_mistyped_thresholds_rejected(call):
     # NaN compares false both ways, so each guard is stated positively.
     with pytest.raises(ValidationError):
