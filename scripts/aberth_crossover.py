@@ -2,11 +2,13 @@
 
 For each shape it draws a few monic Gaussian polynomials and measures, in
 process CPU seconds, ``matpoly._aberth_eigenvalues`` against building the
-companion matrix and running dense ``eigvals`` on it.  A solve that falls
-back to dense is charged both times, as ``finite_eigenvalues`` would be.
+companion matrix and running dense ``eigvals`` on it.  The Aberth time
+and counts cover every start circle the solve tries, and a solve that
+fails from both falls back to dense and is charged both times, as
+``finite_eigenvalues`` would be.
 One extra Aberth solve per draw counts its sweeps and its root
 evaluations per root (points evaluated, over kn), by wrapping three
-functions here: the first sweep is the one call of
+functions here: the first sweep from a start circle is a call of
 ``matpoly._circle_newton``, at all kn start points, which makes no pull;
 every later sweep makes one float32 call of ``matpoly._aberth_pull`` (a
 sweep that redoes its pull in float64 calls it once more) and passes its

@@ -39,7 +39,6 @@ _EXPORTS = {
                 "complex_gaussian", "evaluate", "finite_eigenvalues",
                 "polynomial_from_json", "polynomial_to_json",
                 "sample_monic_gaussian", "trace_error"),
-    "svgplot": ("svg_scatter",),
     "verify": ("LemmaCheckConfig", "LemmaReport", "beta_projection_check",
                "check_circulant_shift_bounds", "check_lowrank_interlacing",
                "check_pinv_tail_domination", "check_submatrix_interlacing",

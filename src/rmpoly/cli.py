@@ -188,7 +188,7 @@ def verify(z_values, seed, trials, instances, mc_trials, out):
     else:
         Path(out).write_text(text)
     for r in result.reports:
-        status = "ok" if r.violations == 0 else f"{r.violations} VIOLATIONS"
+        status = "ok" if r.passed else f"{r.violations} VIOLATIONS"
         click.echo(f"{r.lemma_id}: {status} (min margin {r.min_margin:.1e})",
                    err=True)
     if not result.passed:

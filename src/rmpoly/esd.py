@@ -215,9 +215,14 @@ def radial_ks(esd: EmpiricalSpectralDistribution, law: LimitLaw,
     moduli, so the literal KS statistic stays pinned near the atom weight no
     matter how far the ESD has converged.  Moduli at or below ``atom_proxy``
     are therefore counted as origin hits before the comparison -- the same
-    proxy-radius convention as ``atom_mass`` -- which restores KS -> 0 as the
-    ESD converges to the law.  Laws without an origin atom never use the
-    proxy, so the statistic is the plain one-sample KS there.
+    proxy-radius convention as ``atom_mass``.  That leaves a floor, not 0:
+    the disc's mass inside the proxy, ``atom_proxy**2 / k``, moves to the
+    origin too, so exact draws from ``DiscMixture(k)`` read about 0.02 at
+    k = 2 and 0.01 at k = 4.  Laws without an origin atom never use the
+    proxy, so the statistic is the plain one-sample KS there; against
+    ``UnitCircle``, whose CDF jumps at 1, it is the sample's mass on one
+    side of the jump (about 0.24 on exact draws, whose moduli round below
+    1, and 0.5 on grow-k spectra).
     """
     if not (_is_number(atom_proxy) and 0.0 < atom_proxy <= 1.0):
         raise ValidationError(

@@ -492,7 +492,7 @@ class VerificationResult:
 
     @property
     def passed(self) -> bool:
-        return all(r.violations == 0 for r in self.reports)
+        return all(r.passed for r in self.reports)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"

@@ -21,10 +21,10 @@ FFTs of length k) and the pull is exactly ``(kn - 1) / 2x``.  The pull's
 terms are float32, its sums and everything else float64: the pull only
 steers the iteration, whose fixed points are the zeros of the float64
 Newton correction, so the roots do not depend on its precision.  A trial
-that fails its self-check falls back to the dense route, or above
-kn = 2048 is retried once from a rotated start circle and then raises
-``NumericalError``.  Every other shape takes the spectrum of the block
-companion matrix
+that fails its self-check is solved once more from the start circle
+rotated by half a point spacing; if that fails too, it falls back to the
+dense route up to kn = 2048 and raises ``NumericalError`` above.  Every
+other shape takes the spectrum of the block companion matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -490,14 +490,14 @@ _ABERTH_MAX_N = 16
 #: the corrected root is then at rounding level.
 _ABERTH_TOL = 1e-10
 
-#: Sweeps allowed before a solve is abandoned for the dense route; the
+#: Sweeps allowed from one start circle before it is abandoned; the
 #: shapes above need 9-31.
 _ABERTH_MAX_ITER = 60
 
-#: Largest kn at which a failed Ehrlich-Aberth solve falls back to dense
-#: QR: the largest kn the dense route is timed at (n = 32, k = 64 in
-#: ``scripts/aberth_crossover.py``).  Its companion takes ``16 (kn)^2``
-#: bytes, 4.3 GB at kn = 16384.
+#: Largest kn at which an Ehrlich-Aberth solve that failed from both start
+#: circles falls back to dense QR: the largest kn the dense route is timed
+#: at (n = 32, k = 64 in ``scripts/aberth_crossover.py``).  Its companion
+#: takes ``16 (kn)^2`` bytes, 4.3 GB at kn = 16384.
 _FALLBACK_MAX_KN = 2048
 
 #: Points per block of ``_newton``: its power table holds
@@ -697,8 +697,7 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray,
     return pull[0] - 1j * pull[1]
 
 
-def _aberth_eigenvalues(coeffs: np.ndarray,
-                        phase: float = 0.25) -> np.ndarray | None:
+def _aberth_eigenvalues(coeffs: np.ndarray) -> np.ndarray | None:
     """Roots of ``det P``, given ``(k, n, n)`` coefficients, by Ehrlich-Aberth.
 
     [Bini & Noferini, LAA 439 (2013) 1130-1149].  The Newton correction of
@@ -706,33 +705,44 @@ def _aberth_eigenvalues(coeffs: np.ndarray,
     ``[C_j | j C_j]`` built once per solve: against ``x^j`` it gives
     ``[P | x P']``, and for ``|x| > 1`` its rows reversed against the
     powers of ``1/x`` give ``x^{-k} [P | x P']``, whose trace is the same.
-    A root where ``P(x)`` is exactly singular takes a zero step; a root at
-    0 where it is not gives 0/0, a non-finite step.  The kn start points
-    ``radius * exp(2 pi i (j + phase) / kn)`` lie on the circle of radius
-    ``|det C_0|^{1/kn}``.  They are the roots of ``x^kn = c``, so the first
-    sweep costs no pull, which is exactly ``(kn - 1) / 2x``, and its P and
-    x P' come from one length-k FFT per residue class of the points mod n
-    (``_circle_newton``).  Every later sweep evaluates them by
-    ``_newton``, and its pull ``sum_j 1/(x_i - x_j)``
-    (``_aberth_pull``) forms each pair of active roots once, in tiles
-    of 512 KB or one row, and ``_newton`` works in blocks of
-    ``_ABERTH_BLOCK`` points, so apart from O(kn) vectors the working set
-    does not grow with kn.  The pull's terms are float32 and its sums
-    float64.  An error e in the pull changes a step ``N / (1 - N pull)``,
-    N the Newton correction, by about ``N^2 e``, which vanishes as N does;
-    the stopping test and N are float64, so the roots are the float64
+    The sweeps start on the circle of radius ``|det C_0|^{1/kn}`` at phase
+    0.25 (``_aberth_from_circle``) and, if that fails, once more at phase
+    0.75, half a point spacing on.  Returns None when both fail.
+    """
+    k, n = coeffs.shape[:2]
+    # Built once per solve; the operand alone keeps the coefficients.
+    both = _value_slope_operand(np.concatenate((coeffs, np.eye(n)[None])))
+    sign, logdet = np.linalg.slogdet(coeffs[0])
+    radius = float(np.exp(logdet / (k * n))) if sign != 0 else 1.0
+    for phase in (0.25, 0.75):
+        lam = _aberth_from_circle(coeffs, both, radius, phase)
+        if lam is not None:
+            return lam
+    return None
+
+
+def _aberth_from_circle(coeffs: np.ndarray, both: np.ndarray, radius: float,
+                        phase: float) -> np.ndarray | None:
+    """The sweeps of ``_aberth_eigenvalues`` from the kn start points
+    ``radius * exp(2 pi i (j + phase) / kn)``, with ``both`` its operand.
+
+    The start points are the roots of ``x^kn = c``, so the first sweep
+    costs no pull, which is exactly ``(kn - 1) / 2x``, and its P and x P'
+    come from one length-k FFT per residue class of the points mod n
+    (``_circle_newton``).  Every later sweep evaluates them by ``_newton``
+    and forms its pull ``sum_j 1/(x_i - x_j)`` by ``_aberth_pull``, each in
+    fixed blocks or tiles, so apart from O(kn) vectors the working set does
+    not grow with kn.  The pull's terms are float32 and its sums float64.
+    An error e in the pull changes a step ``N / (1 - N pull)``, N the
+    Newton correction, by about ``N^2 e``, which vanishes as N does; the
+    stopping test and N are float64, so the roots are the float64
     iteration's at rounding level.  A sweep whose float32 pull is
     non-finite (two roots equal once rounded to float32, or |x| past its
     range) redoes it in float64.  Returns None when a step is non-finite,
     when the sweeps run out, or when the roots break the trace identity
     ``sum(lam) = -tr(C_{k-1})`` (which a duplicated root does).
     """
-    k, n = coeffs.shape[:2]
-    kn = k * n
-    # Built once per solve; the operand alone keeps the coefficients.
-    both = _value_slope_operand(np.concatenate((coeffs, np.eye(n)[None])))
-    sign, logdet = np.linalg.slogdet(coeffs[0])
-    radius = float(np.exp(logdet / kn)) if sign != 0 else 1.0
+    kn = coeffs.shape[0] * coeffs.shape[1]
     x = radius * np.exp(2j * np.pi * (np.arange(kn) + phase) / kn)
     active = np.ones(kn, dtype=bool)
     with np.errstate(all="ignore"):
@@ -806,15 +816,14 @@ def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     The one solver dispatch: row t of the ``(T, kn)`` result is trial t's
     spectrum, with the same bits whatever the other trials are.
     Degree-dominated shapes use Ehrlich-Aberth iteration on ``det P``,
-    trial by trial; a trial that fails its self-check (no convergence
-    within ``_ABERTH_MAX_ITER`` sweeps, a non-finite root, or the trace
-    identity broken) alone falls back to the dense route.  Above
-    ``_FALLBACK_MAX_KN`` it is solved once more from a start circle
-    rotated by half a point spacing instead, and raises ``NumericalError``
-    if that fails too.  Every other
-    shape is dense: one stacked ``eigenvalues`` call on the ``(T, kn, kn)``
-    companion matrices, so callers bound T to bound memory.  An empty
-    stack is a ``ValidationError`` on either route.
+    trial by trial, from two start circles in turn.  A trial that fails
+    its self-check (no convergence within ``_ABERTH_MAX_ITER`` sweeps, a
+    non-finite root, or the trace identity broken) from both alone falls
+    back to the dense route, or raises ``NumericalError`` above
+    ``_FALLBACK_MAX_KN``.  Every other shape is dense: one stacked
+    ``eigenvalues`` call on the ``(T, kn, kn)`` companion matrices, so
+    callers bound T to bound memory.  An empty stack is a
+    ``ValidationError`` on either route.
     """
     if coeffs.ndim != 4 or coeffs.size == 0:
         raise ValidationError(
@@ -823,19 +832,13 @@ def trial_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     if not (k >= 2 * n and n <= _ABERTH_MAX_N and k * n >= _ABERTH_MIN_KN):
         return eigenvalues(_companion_stack(coeffs))
     rows = [_aberth_eigenvalues(c) for c in coeffs]
-    for t, lam in enumerate(rows):
-        if lam is not None:
-            continue
-        if k * n <= _FALLBACK_MAX_KN:
-            rows[t] = eigenvalues(_companion_stack(coeffs[t:t + 1]))[0]
-            continue
-        # Half a point spacing on from the first start circle.
-        rows[t] = _aberth_eigenvalues(coeffs[t], 0.75)
-        if rows[t] is None:
+    for t in [t for t, lam in enumerate(rows) if lam is None]:
+        if k * n > _FALLBACK_MAX_KN:
             raise NumericalError(
                 f"Ehrlich-Aberth failed on trial {t} of its stack (n={n}, "
                 f"k={k}) from two start circles, and a dense solve at "
                 f"kn={k * n} > {_FALLBACK_MAX_KN} is not attempted")
+        rows[t] = eigenvalues(_companion_stack(coeffs[t:t + 1]))[0]
     return np.stack(rows)
 
 

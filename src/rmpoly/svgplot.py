@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["svg_scatter"]
-
 _SIZE = 640.0
 _MARGIN = 48.0
 
@@ -44,20 +42,16 @@ def _text_blocks(line: str, pairs: np.ndarray):
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
-def svg_scatter(points, overlay_unit_circle: bool = True) -> str:
-    """Scatter plot of complex points on a square canvas with equal aspect.
+def _svg_chunks(points, overlay_unit_circle: bool):
+    """Scatter plot of complex points on a square canvas with equal aspect,
+    as an iterator of text chunks, one per ``_POINT_BLOCK`` points after
+    the head.
 
     Axes cross at the origin, ticks sit at -1, 0, 1, and the unit circle can
     be overlaid (element class ``unit-circle``) since both limit laws live
-    on or inside it.
+    on or inside it.  The points are checked before this returns, so a
+    caller can open its output after the call.
     """
-    return "".join(_svg_chunks(points, overlay_unit_circle))
-
-
-def _svg_chunks(points, overlay_unit_circle: bool):
-    """The markup of ``svg_scatter`` as an iterator of text chunks, one per
-    ``_POINT_BLOCK`` points after the head.  The points are checked before
-    this returns, so a caller can open its output after the call."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if pts.size == 0:
         raise ValidationError("cannot render an empty point set")

@@ -571,9 +571,10 @@ def replacement_gap(a, b, z: complex) -> float:
         (1/m) * (log|det(a - zI)| - log|det(b - zI)|),
 
     each log-determinant from an LU factorization (``log_abs_det``), on the
-    matrices as given: to study ``n**-0.5 * M``, pass that product.  An
-    exactly singular shifted matrix makes the gap infinite; ``log_abs_det``
-    warns, and the gap is reported as ``inf``, never dropped.
+    matrices as given: to study ``n**-0.5 * M``, pass that product.
+    ``log_abs_det`` warns of an exactly singular shifted matrix and gives
+    it ``-inf``, so the gap is ``-inf`` when only ``a - zI`` is singular,
+    ``inf`` when only ``b - zI`` is, and ``nan`` when both are.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
@@ -582,8 +583,6 @@ def replacement_gap(a, b, z: complex) -> float:
             f"replacement gap needs equal shapes, got {aa.shape} vs {bb.shape}")
     la = log_abs_det(_shifted(aa, z))
     lb = log_abs_det(_shifted(bb, z))
-    if not (math.isfinite(la) and math.isfinite(lb)):
-        return math.inf
     return (la - lb) / aa.shape[0]
 
 

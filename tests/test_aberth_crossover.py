@@ -5,8 +5,10 @@ import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rmpoly import matpoly
 from rmpoly.matpoly import RngStream, sample_monic_gaussian
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "aberth_crossover.py"
@@ -35,3 +37,24 @@ def test_counted_solve_sees_every_sweep(crossover):
     # evaluate the roots still moving.
     assert sweeps >= 2 and points > k * n
     assert 0.0 <= share <= 1.0
+
+
+def test_counted_solve_sees_both_start_circles(crossover, monkeypatch):
+    # With no pull, the solve of RngStream(40) at (2, 64) breaks the trace
+    # identity from the first circle, so it runs from the second as well.
+    # Every sweep after a circle's first evaluates by ``_newton``.
+    monkeypatch.setattr(
+        matpoly, "_aberth_pull",
+        lambda x, idx, dtype=np.float64: np.zeros(idx.size, complex))
+    circles, newtons = [], []
+    for name, seen in (("_circle_newton", circles), ("_newton", newtons)):
+        fn = getattr(matpoly, name)
+        monkeypatch.setattr(
+            matpoly, name,
+            lambda both, x, *a, fn=fn, seen=seen: seen.append(x.size)
+            or fn(both, x, *a))
+    coeffs = sample_monic_gaussian(2, 64, RngStream(40)).stack
+    sweeps, points, _ = crossover._counted_solve(coeffs)
+    assert circles == [128, 128]
+    assert sweeps == len(circles) + len(newtons)
+    assert points == sum(circles) + sum(newtons)

@@ -224,6 +224,16 @@ class TestRadialDistances:
         esd = _esd_from_points(sample_points(law, 10_000, RngStream(47)))
         assert radial_ks(esd, law) <= 0.03
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_ks_of_exact_mixture_draws_sits_at_proxy_floor(self, k):
+        # The proxy moves the disc's mass inside 0.2, 0.2**2 / k, to the
+        # atom as well, so exact draws read that, not 0 (0.0185 at k = 2,
+        # 0.0084 at k = 4 here).
+        law = DiscMixture(k)
+        esd = _esd_from_points(sample_points(law, 100_000,
+                                             RngStream(51, (k,))))
+        assert radial_ks(esd, law) == pytest.approx(0.04 / k, abs=0.005)
+
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_ks_in_unit_interval(self, law):
         esd = _esd_from_points(sample_points(DiscMixture(1), 100,

@@ -14,7 +14,7 @@ from rmpoly import (DiscMixture, EmpiricalSpectralDistribution,
                     ExperimentConfig, RngStream, ValidationError,
                     distance_report, export_result, read_points_csv,
                     render_scatter, run_experiment, run_grow_k, run_grow_n,
-                    run_verification, svg_scatter, write_points_csv)
+                    run_verification, write_points_csv)
 from rmpoly import cli, harness, matpoly, svgplot
 from rmpoly.harness import SCHEMA_VERSION
 
@@ -289,8 +289,15 @@ def _reference_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _svg_text(tmp_path, points, **kwargs) -> str:
+    """The markup ``render_scatter`` writes for ``points``."""
+    out = tmp_path / "plot.svg"
+    render_scatter(points, out, **kwargs)
+    return out.read_text()
+
+
 def _reference_svg_points(points) -> list:
-    # The per-point formulas svg_scatter used before bulk formatting.
+    # The per-point formulas of the scatter before bulk formatting.
     pts = np.asarray(points, dtype=np.complex128).ravel()
     extent = max(float(np.abs(pts.real).max()),
                  float(np.abs(pts.imag).max()))
@@ -352,16 +359,16 @@ class TestBulkFormatting:
         assert res.stdout == _reference_csv(pts)
 
     @pytest.mark.parametrize("count", _COUNTS)
-    def test_svg_points_match_per_point_formula(self, count):
+    def test_svg_points_match_per_point_formula(self, tmp_path, count):
         pts = _points_at_count(count)
-        lines = svg_scatter(pts).split("\n")
+        lines = _svg_text(tmp_path, pts).split("\n")
         assert lines[-2:] == ["</svg>", ""]
         assert lines[-2 - count:-2] == _reference_svg_points(pts)
         assert sum('class="pt"' in line for line in lines) == count
 
-    def test_svg_edge_values_match_per_point_formula(self):
+    def test_svg_edge_values_match_per_point_formula(self, tmp_path):
         pts = np.array(_EDGE_POINTS)
-        lines = svg_scatter(pts).split("\n")
+        lines = _svg_text(tmp_path, pts).split("\n")
         assert lines[-2 - pts.size:-2] == _reference_svg_points(pts)
 
 
@@ -397,23 +404,24 @@ class TestRenderScatter:
             if "." in token:
                 assert len(token.split(".")[1]) == 6
 
-    def test_circle_overlay_is_optional(self):
-        svg = svg_scatter([1 + 0j], overlay_unit_circle=False)
+    def test_circle_overlay_is_optional(self, tmp_path):
+        svg = _svg_text(tmp_path, [1 + 0j], overlay_unit_circle=False)
         assert 'unit-circle' not in svg
 
-    def test_nonfinite_points_rejected(self):
+    def test_nonfinite_points_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="NaN"):
-            svg_scatter([np.nan + 0j])
+            _svg_text(tmp_path, [np.nan + 0j])
 
     @pytest.mark.parametrize("z", [1e308 + 0j, -9e307j, complex(1, 1.7e308)])
-    def test_points_past_the_canvas_range_rejected(self, z):
+    def test_points_past_the_canvas_range_rejected(self, tmp_path, z):
         # Twice the canvas half-width would overflow to inf, and every
         # coordinate to NaN.
         with pytest.raises(ValidationError, match="too large"):
-            svg_scatter([0j, z])
+            _svg_text(tmp_path, [0j, z])
 
-    def test_largest_renderable_points_have_finite_coordinates(self):
-        svg = svg_scatter([8.8e307 + 0j, -8.8e307j])
+    def test_largest_renderable_points_have_finite_coordinates(self,
+                                                               tmp_path):
+        svg = _svg_text(tmp_path, [8.8e307 + 0j, -8.8e307j])
         assert "nan" not in svg and "inf" not in svg
 
 

@@ -525,40 +525,34 @@ class TestFiniteEigenvalues:
         assert 128 <= matpoly._FALLBACK_MAX_KN and calls == [(1, 128, 128)]
         np.testing.assert_array_equal(lams, eigenvalues(companion(p)))
 
-    @staticmethod
-    def _count_aberth_phases(monkeypatch, fail_first=False):
-        """Start phases of every Ehrlich-Aberth solve; with ``fail_first``
-        the first solve returns None without running."""
-        solve = matpoly._aberth_eigenvalues
+    @pytest.mark.parametrize("fails,limit,dense", [
+        (1, 2048, []),                # the rotated circle solves it
+        (2, 2048, [(1, 128, 128)]),   # both fail: one dense solve
+        (2, 64, None)],               # both fail above the limit: raises
+        ids=["rotated-circle", "dense", "raises"])
+    def test_failure_policy(self, monkeypatch, fails, limit, dense):
+        # The first ``fails`` start circles of a kn = 128 trial are made to
+        # fail.  Every trial tries phase 0.25, then 0.75, then dense QR up
+        # to ``_FALLBACK_MAX_KN``; past it the trial raises.
+        p = sample_monic_gaussian(2, 64, RngStream(42))
+        solve = matpoly._aberth_from_circle
         phases = []
 
-        def counted(c, phase=0.25):
+        def failing(coeffs, both, radius, phase):
             phases.append(phase)
-            return None if fail_first and len(phases) == 1 else solve(c, phase)
+            return (None if len(phases) <= fails
+                    else solve(coeffs, both, radius, phase))
 
-        monkeypatch.setattr(matpoly, "_aberth_eigenvalues", counted)
-        return phases
-
-    def test_failure_above_fallback_limit_raises(self, monkeypatch):
-        # With the dense limit patched below kn = 128, trial 1 (P = I x^k)
-        # fails from both start circles and is never solved dense.
-        n, k = 2, 64
-        coeffs = np.stack((sample_monic_gaussian(n, k, RngStream(41)).stack,
-                           np.zeros((k, n, n))))
-        monkeypatch.setattr(matpoly, "_FALLBACK_MAX_KN", 64)
-        phases = self._count_aberth_phases(monkeypatch)
+        monkeypatch.setattr(matpoly, "_aberth_from_circle", failing)
+        monkeypatch.setattr(matpoly, "_FALLBACK_MAX_KN", limit)
         calls = self._count_dense_calls(monkeypatch)
-        with pytest.raises(NumericalError, match=r"trial 1 .*n=2, k=64"):
-            matpoly.trial_eigenvalues(coeffs)
-        assert phases == [0.25, 0.25, 0.75] and calls == []
-
-    def test_retry_from_rotated_circle_replaces_fallback(self, monkeypatch):
-        p = sample_monic_gaussian(2, 64, RngStream(42))
-        monkeypatch.setattr(matpoly, "_FALLBACK_MAX_KN", 64)
-        phases = self._count_aberth_phases(monkeypatch, fail_first=True)
-        calls = self._count_dense_calls(monkeypatch)
+        if dense is None:
+            with pytest.raises(NumericalError, match=r"trial 0 .*n=2, k=64"):
+                matpoly.trial_eigenvalues(p.stack[None])
+            assert phases == [0.25, 0.75] and calls == []
+            return
         lams = finite_eigenvalues(p)
-        assert phases == [0.25, 0.75] and calls == []
+        assert phases == [0.25, 0.75] and calls == dense
         assert match_distance(lams, eigenvalues(companion(p))) <= 1e-10
 
 
@@ -569,7 +563,7 @@ class TestCircleLogDerivative:
     @staticmethod
     def _start(coeffs, phase=0.25):
         """Operand, start points and radius as ``_aberth_eigenvalues``
-        forms them."""
+        and ``_aberth_from_circle`` form them."""
         k, n = coeffs.shape[:2]
         both = matpoly._value_slope_operand(
             np.concatenate((coeffs, np.eye(n)[None])))

@@ -552,9 +552,15 @@ class TestReplacementGap:
         assert replacement_gap(z0, z0, 1.0) == 0.0
 
     def test_singular_shift_flagged_infinite(self):
+        # The gap keeps the side of the singular matrix: log|det| of a
+        # singular a - zI is -inf, and with both singular it is undefined.
+        zero, one = np.zeros((3, 3)), np.eye(3)
         with pytest.warns(RuntimeWarning):
-            gap = replacement_gap(np.zeros((3, 3)), np.eye(3), 0.0)
-        assert math.isinf(gap)
+            assert replacement_gap(zero, one, 0.0) == -math.inf
+        with pytest.warns(RuntimeWarning):
+            assert replacement_gap(one, zero, 0.0) == math.inf
+        with pytest.warns(RuntimeWarning):
+            assert math.isnan(replacement_gap(zero, zero, 0.0))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
