@@ -21,10 +21,12 @@ JSON lines, one digest per check family (``<label>/<lemma_id>``), so a
 sizes and once more at 15 suite trials, 50 instances and 2000 Monte Carlo
 draws (``verify-small``), whose suite trials fall into other chunks: one
 of 15 trials at (2, 8) and 14 + 1 at (16, 3).
-The grow-n run is made once more at ``--workers 2`` (at most one worker per
-CPU), so that a ``diff`` also covers what worker processes receive; its
-lines must carry the one-worker digests, and the script fails otherwise.
-A run takes about half a minute of CPU time per seed.
+The grow-n run, on the dense route, and the grow-k run, on the
+Ehrlich-Aberth route, are each made once more at ``--workers 2`` (at most
+one worker per CPU), so that a ``diff`` also covers what worker processes
+receive; their lines must carry the one-worker digests, and the script
+fails otherwise.
+A run takes about 20 seconds of CPU time per seed.
 """
 
 import argparse
@@ -54,6 +56,7 @@ EXPERIMENTS = (
     ("grow-k", "grow-k", (4,), (32, 128, 512), 2048, 1),
     ("small-many", "grow-n", (4, 8, 16), (2,), 100000, 1),
     ("grow-n-workers-2", "grow-n", (32, 64, 128), (4,), 4096, 2),
+    ("grow-k-workers-2", "grow-k", (4,), (32, 128, 512), 2048, 2),
 )
 
 #: ``verify`` runs: (label, extra arguments).
@@ -128,9 +131,10 @@ def main(argv=None) -> int:
         for line in lines.splitlines(keepends=True):
             lemma_id = json.loads(line)["lemma_id"]
             print(f"{_digest(line)}  {label}/{lemma_id}")
-    if files["grow-n-workers-2"] != files["grow-n"]:
-        sys.exit("error: the --workers 2 grow-n run wrote other bytes than "
-                 "the one-worker run")
+    for label in ("grow-n", "grow-k"):
+        if files[f"{label}-workers-2"] != files[label]:
+            sys.exit(f"error: the --workers 2 {label} run wrote other bytes "
+                     "than the one-worker run")
     return 0
 
 

@@ -18,13 +18,14 @@ cheaper there than dense QR at O((kn)^3); both thresholds are measured
 (see ``_ABERTH_MIN_KN``).  The first sweep starts from kn equispaced
 points on one circle, where P and x P' are a DFT of the coefficients (n
 FFTs of length k) and the pull is exactly ``(kn - 1) / 2x``.  The pull's
-terms are float32, its sums and everything else float64: the pull only
-steers the iteration, whose fixed points are the zeros of the float64
-Newton correction, so the roots do not depend on its precision.  A trial
-that fails its self-check is solved once more from the start circle
-rotated by half a point spacing; if that fails too, it falls back to the
-dense route up to kn = 2048 and raises ``NumericalError`` above.  Every
-other shape takes the spectrum of the block companion matrix
+terms and its sums within a tile are float32, everything else float64: the
+pull only steers the iteration, whose fixed points are the zeros of the
+float64 Newton correction, so the roots, as a set, depend on its precision
+only at rounding level.  A trial that fails its self-check is solved once
+more from the start circle rotated by half a point spacing; if that fails
+too, it falls back to the dense route up to kn = 2048 and raises
+``NumericalError`` above.  Every other shape takes the spectrum of the
+block companion matrix
 
     M = [ -C_{k-1}  -C_{k-2}  ...  -C_1  -C_0 ]
         [   I_n        0      ...    0     0  ]
@@ -473,9 +474,9 @@ def circulant_b_eigenvalues(n: int, k: int) -> np.ndarray:
 #: the companion and running dense ``eigvals`` on it; kn a multiple of 16)
 #: at which the iteration has won on every draw of every run.  As dense
 #: time over Aberth time, per draw, with the first sweep by FFT, float32
-#: pull terms and one operand: kn = 48: 0.40-1.12; kn = 64: 1.10-1.63;
-#: kn = 80: 2.04-4.56; kn = 96: 2.43-5.49; kn = 128: 1.64-8.49;
-#: kn = 256: 5.62-19.9; n = 4, k = 512: about 70 (measured with float64
+#: pull terms and tile sums and one operand: kn = 48: 0.45-1.13; kn = 64:
+#: 1.11-1.64; kn = 80: 2.00-4.78; kn = 96: 2.44-5.44; kn = 128: 1.98-8.99;
+#: kn = 256: 6.19-21.6; n = 4, k = 512: about 70 (measured with float64
 #: terms and no FFT sweep).  kn = 64 lost one draw at n = 4, k = 16 in an
 #: earlier run (0.97), and every draw of that shape in another
 #: (0.92-1.28); lowering the threshold would also move the outputs of
@@ -512,7 +513,9 @@ _ABERTH_BLOCK = 256
 #: rows spans ``max(_ABERTH_TILE**2, kn) // r`` roots, and its four float64
 #: temporaries hold ``4 * _ABERTH_TILE**2`` entries (512 KB) up to
 #: kn = 16384.  Float32 tiles keep the bytes, so their side is
-#: ``isqrt(2 * _ABERTH_TILE**2)`` = 181.  A tile never holds less than one
+#: ``isqrt(2 * _ABERTH_TILE**2)`` = 181; their row and column sums are
+#: float32 too, so one of those sums adds at most ``max(181**2, kn)`` terms
+#: along a row and 181 down a column.  A tile never holds less than one
 #: row's kn entries: the solve keeps O(kn) vectors anyway, and narrower
 #: tiles add only loop turns.
 _ABERTH_TILE = 128
@@ -649,9 +652,11 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray,
     formed once: a block of active rows meets the active roots after it,
     whose column sums are subtracted from their pulls, and the frozen
     roots, whose pulls are not needed.  A term is formed in real arithmetic
-    as ``conj(d) / |d|^2``, with the positions, ``d`` and ``1 / |d|^2`` in
-    ``dtype``; both sums accumulate in float64, so the tiling moves the
-    result only at float64 summation level.  Two roots closer than about
+    as ``conj(d) / |d|^2``, with the positions, ``d``, ``1 / |d|^2`` and a
+    tile's row and column sums in ``dtype``: the sums are BLAS products
+    with a vector of ones, which need no cast of the terms, and they
+    accumulate across tiles in float64, so the tiling moves the result at
+    ``dtype`` summation level.  Two roots closer than about
     1e-154 (4e-23 in float32), or equal once rounded to ``dtype``, give a
     non-finite pull; two farther apart than about 1e154 (2e19) give a zero
     term.  Rows and columns are taken in tiles of at most
@@ -669,6 +674,7 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray,
     size = min(area, min(m, side) * x.size)
     parts = np.empty((2, size), dtype)
     sq, tmp = np.empty(size, dtype), np.empty(size, dtype)
+    ones = np.ones(x.size, dtype)
     pull = np.zeros((2, m))
     for lo in range(0, m, side):
         hi = min(lo + side, m)
@@ -689,11 +695,11 @@ def _aberth_pull(x: np.ndarray, idx: np.ndarray,
                 np.fill_diagonal(s, np.inf)
             np.divide(1.0, s, out=s)
             d *= s
-            pull[:, lo:hi] += d.sum(axis=2, dtype=np.float64)
+            pull[:, lo:hi] += d @ ones[:w]
             later, end = max(c0, hi), min(c1, m)
             if later < end:
-                pull[:, later:end] -= d[:, :, later - c0:end - c0].sum(
-                    axis=1, dtype=np.float64)
+                cols = d[:, :, later - c0:end - c0]
+                pull[:, later:end] -= ones[:rows] @ cols
     return pull[0] - 1j * pull[1]
 
 
@@ -732,11 +738,12 @@ def _aberth_from_circle(coeffs: np.ndarray, both: np.ndarray, radius: float,
     (``_circle_newton``).  Every later sweep evaluates them by ``_newton``
     and forms its pull ``sum_j 1/(x_i - x_j)`` by ``_aberth_pull``, each in
     fixed blocks or tiles, so apart from O(kn) vectors the working set does
-    not grow with kn.  The pull's terms are float32 and its sums float64.
-    An error e in the pull changes a step ``N / (1 - N pull)``, N the
-    Newton correction, by about ``N^2 e``, which vanishes as N does; the
-    stopping test and N are float64, so the roots are the float64
-    iteration's at rounding level.  A sweep whose float32 pull is
+    not grow with kn.  The pull's terms and its sums within a tile are
+    float32.  An error e in the pull changes a step ``N / (1 - N pull)``, N
+    the Newton correction, by about ``N^2 e``, which vanishes as N does;
+    the stopping test and N are float64, so the roots are the float64
+    iteration's at rounding level, as a set: a start point may reach
+    another root than under a float64 pull.  A sweep whose float32 pull is
     non-finite (two roots equal once rounded to float32, or |x| past its
     range) redoes it in float64.  Returns None when a step is non-finite,
     when the sweeps run out, or when the roots break the trace identity

@@ -728,10 +728,26 @@ class TestAberthPull:
     def test_float32_terms_match_brute_force(self, kn, active):
         # Each term's error comes from rounding x_i, x_j to float32, at most
         # sqrt(2) u (|x_i| + |x_j|) in d, and from the few float32
-        # operations that form conj(d) / |d|^2, at most 6 u relative; the
-        # float64 sums add nothing at this scale.  The bound doubles both.
+        # operations that form conj(d) / |d|^2, at most 6 u relative.  A
+        # tile's row and column sums are float32 too, and add a summation
+        # error of a few u times the sum of the terms' moduli (under 3 u at
+        # kn = 2048, below): the bound doubles both term errors, and the
+        # second 6 u covers it.
         g = np.random.default_rng(kn + active)
         x = np.sqrt(g.random(kn)) * np.exp(2j * np.pi * g.random(kn))
+        idx = np.sort(g.choice(kn, active, replace=False))
+        ref = self._brute_force(x, idx)
+        got = matpoly._aberth_pull(x, idx, np.float32)
+        assert np.all(np.abs(got - ref) <= self._float32_bound(x, idx))
+
+    @pytest.mark.parametrize("active", [2048, 512])
+    def test_float32_sums_near_the_unit_circle(self, active):
+        # The grow-k spectra: kn = 2048 roots within 1% of the unit circle,
+        # so each pull sums the most terms, of like sizes and signs mixed.
+        kn = 2048
+        g = np.random.default_rng(active)
+        x = ((1.0 + 0.01 * (g.random(kn) - 0.5))
+             * np.exp(2j * np.pi * g.random(kn)))
         idx = np.sort(g.choice(kn, active, replace=False))
         ref = self._brute_force(x, idx)
         got = matpoly._aberth_pull(x, idx, np.float32)
@@ -798,22 +814,22 @@ class TestAberthPull:
 
 class TestAberthWorkingSet:
     """The pull works in fixed tiles, so the working set does not grow
-    with kn; a solve is repeatable to the bit, and the tile size moves its
-    roots only at rounding level."""
+    with kn; a solve is repeatable to the bit, and the tile size moves the
+    roots, as a set, only at rounding level."""
 
     @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
     @pytest.mark.parametrize("entries", [1, 2 ** 30])
     def test_roots_independent_of_pull_budget(self, monkeypatch, n, k,
                                               entries):
         # Tiles of one row, and one tile of all kn rows.  The tiles group
-        # the column sums of the pull, so the roots move, but only at
-        # rounding level.
+        # the float32 sums of the pull, so the roots move at rounding level,
+        # and a start point may reach another root: compare as multisets.
         p = sample_monic_gaussian(n, k, RngStream(38, (n, k)))
         ref = matpoly._aberth_eigenvalues(p.stack)
         monkeypatch.setattr(matpoly, "_ABERTH_TILE", math.isqrt(entries))
         got = matpoly._aberth_eigenvalues(p.stack)
         assert ref is not None and got is not None
-        assert np.abs(got - ref).max() <= k * n * EPS * np.abs(ref).max()
+        assert match_distance(got, ref) <= k * n * EPS * np.abs(ref).max()
 
     @pytest.mark.parametrize("n,k", [(4, 512), (16, 32), (2, 64)])
     def test_solve_is_repeatable_and_accurate(self, n, k):
