@@ -21,12 +21,14 @@ JSON lines, one digest per check family (``<label>/<lemma_id>``), so a
 sizes and once more at 15 suite trials, 50 instances and 2000 Monte Carlo
 draws (``verify-small``), whose suite trials fall into other chunks: one
 of 15 trials at (2, 8) and 14 + 1 at (16, 3).
-The grow-n run, on the dense route, and the grow-k run, on the
-Ehrlich-Aberth route, are each made once more at ``--workers 2`` (at most
-one worker per CPU), so that a ``diff`` also covers what worker processes
-receive; their lines must carry the one-worker digests, and the script
-fails otherwise.
-A run takes about 20 seconds of CPU time per seed.
+The grow-n run, on the dense route, the grow-k run, on the Ehrlich-Aberth
+route, and the small-many run, whose 172 chunks of tiny dense solves are
+the most tasks a pool is handed, are each made once more at
+``--workers 2`` (at most one worker per CPU), so that a ``diff`` also
+covers what worker processes receive; their lines must carry the
+one-worker digests, and the script fails otherwise.
+A run takes 21-26 seconds of CPU time and 17-22 seconds of wall time per
+seed on a 2-vCPU VM.
 """
 
 import argparse
@@ -57,6 +59,7 @@ EXPERIMENTS = (
     ("small-many", "grow-n", (4, 8, 16), (2,), 100000, 1),
     ("grow-n-workers-2", "grow-n", (32, 64, 128), (4,), 4096, 2),
     ("grow-k-workers-2", "grow-k", (4,), (32, 128, 512), 2048, 2),
+    ("small-many-workers-2", "grow-n", (4, 8, 16), (2,), 100000, 2),
 )
 
 #: ``verify`` runs: (label, extra arguments).
@@ -131,7 +134,7 @@ def main(argv=None) -> int:
         for line in lines.splitlines(keepends=True):
             lemma_id = json.loads(line)["lemma_id"]
             print(f"{_digest(line)}  {label}/{lemma_id}")
-    for label in ("grow-n", "grow-k"):
+    for label in ("grow-n", "grow-k", "small-many"):
         if files[f"{label}-workers-2"] != files[label]:
             sys.exit(f"error: the --workers 2 {label} run wrote other bytes "
                      "than the one-worker run")

@@ -40,9 +40,8 @@ import numpy as np
 from .errors import ValidationError
 from .esd import (DiscMixture, EmpiricalSpectralDistribution, UnitCircle,
                   atom_mass, distance_report, merge)
-from .matpoly import (RngStream, _chunks, _count, _is_int, _is_number,
-                      _sizes, _trial_draws, _trial_range,
-                      trial_eigenvalues)
+from .matpoly import (RngStream, _count, _is_int, _is_number, _map_trials,
+                      _sizes, _trial_range, trial_eigenvalues)
 from .svgplot import _svg_chunks, _text_blocks
 from .verify import (LemmaCheckConfig, _grow_k_preconditions,
                      _grow_n_preconditions, beta_projection_check,
@@ -116,12 +115,13 @@ def _check_types(values: dict) -> None:
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    The swept axis must carry the multiple values: ``grow-n`` needs exactly
-    one k and at least one n, ``grow-k`` the reverse.  With ``output_dir``
-    set, the run writes each cell's points there, plus its scatter when
-    ``format`` is ``svg``, and ``export_result`` writes the summary.  Every
-    field but ``workers`` changes what a run writes; ``workers`` is an upper
-    bound, and a run starts at most ``os.cpu_count()`` worker processes.
+    The swept axis must carry the multiple values, none twice: ``grow-n``
+    needs exactly one k and distinct n, ``grow-k`` the reverse.  With
+    ``output_dir`` set, the run writes each cell's points there, plus its
+    scatter when ``format`` is ``svg``, both named by the cell's (n, k), and
+    ``export_result`` writes the summary.  Every field but ``workers``
+    changes what a run writes; ``workers`` is an upper bound, and a run
+    starts at most ``os.cpu_count()`` worker processes.
     Only an override, never a config document, sets ``output_dir``.
     """
 
@@ -141,8 +141,11 @@ class ExperimentConfig:
         for name in ("target_points", "seed", "workers"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         for name in ("n_values", "k_values"):
-            object.__setattr__(self, name,
-                               tuple(map(operator.index, getattr(self, name))))
+            values = tuple(map(operator.index, getattr(self, name)))
+            object.__setattr__(self, name, values)
+            twice = [v for v in values if values.count(v) > 1]
+            if twice:
+                raise ValidationError(f"{name} lists {twice[0]} twice")
         # The atom radius likewise, as a Python float.
         object.__setattr__(self, "atom_radius", float(self.atom_radius))
         if self.regime not in _REGIMES:
@@ -347,24 +350,16 @@ def render_scatter(points, out_path, overlay_unit_circle: bool = True
 # Experiment runs
 
 
-def _chunk_points(task) -> np.ndarray:
-    n, k, scale, rng, lo, hi = task
-    coeffs = _trial_draws(rng, lo, hi, (k, n, n))
-    return scale * trial_eigenvalues(coeffs).ravel()
-
-
 def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
                mapper=map) -> EmpiricalSpectralDistribution:
     """Pool the scaled eigenvalues of trials ``0 .. trials-1`` of ``rng``,
     trial t drawn from ``rng.child(t)``.
 
-    The regime sets the scale: ``n**-0.5`` for ``grow-n``, 1 for
-    ``grow-k``.  Trials are solved in the chunks of ``matpoly._chunks``,
-    as the verification suites walk theirs, each companion stack of at most
-    ``_CHUNK_ENTRIES`` entries; ``mapper`` maps over the chunks (a worker
-    pool's ``map`` runs them in parallel), each task carrying only the
-    stream and its trial range.  Points follow trial order.  Every input is
-    checked before any draw, including ``trials <= 2**32``.
+    The regime sets the scale, ``n**-0.5`` for ``grow-n`` and 1 for
+    ``grow-k``, by which each chunk's points are multiplied in place.
+    ``mapper`` maps over the chunks of ``matpoly._map_trials`` (a worker
+    pool's ``map`` runs them in parallel); points follow trial order.  Every
+    input is checked before any draw, including ``trials <= 2**32``.
     """
     n, k = _sizes(n, k)
     if regime not in _REGIMES:
@@ -373,14 +368,12 @@ def pooled_esd(regime: str, n: int, k: int, rng: RngStream, trials: int,
     if not isinstance(rng, RngStream):
         raise ValidationError(f"rng must be an RngStream, got {type(rng)!r}")
     trials = _count(trials, "trials")
-    _trial_range(0, trials)
     scale = n ** -0.5 if regime == "grow-n" else 1.0
-    tasks = [(n, k, scale, rng, lo, hi)
-             for lo, hi in _chunks(trials, (k * n) ** 2)]
     return merge([
-        EmpiricalSpectralDistribution(points=pts, scale=scale, n=n, k=k,
-                                      trials=hi - lo)
-        for (*_, lo, hi), pts in zip(tasks, mapper(_chunk_points, tasks))
+        EmpiricalSpectralDistribution(
+            points=np.multiply(lam, scale, out=lam), scale=scale, n=n, k=k,
+            trials=len(lam))
+        for lam in _map_trials(trial_eigenvalues, n, k, rng, trials, mapper)
     ])
 
 
@@ -552,16 +545,16 @@ def run_verification(cfg: ExperimentConfig, suite_trials: int = 200,
         ("grow-n suite", lambda: lemma_suite_grow_n(cfg_n, rng.child(0))),
         ("grow-k suite", lambda: lemma_suite_grow_k(cfg_k, rng.child(1))),
         ("lowrank-interlacing", lambda: [sweep_lowrank_interlacing(
-            DETERMINISTIC_DIM, deterministic_instances, det)]),
+            DETERMINISTIC_DIM, deterministic_instances, det.child(0))]),
         ("mirsky-sv-perturbation", lambda: [sweep_mirsky(
-            DETERMINISTIC_DIM, deterministic_instances, det)]),
+            DETERMINISTIC_DIM, deterministic_instances, det.child(1))]),
         ("submatrix-interlacing", lambda: [sweep_submatrix_interlacing(
-            DETERMINISTIC_DIM, deterministic_instances, det)]),
+            DETERMINISTIC_DIM, deterministic_instances, det.child(2))]),
         ("woodbury-identity", lambda: [sweep_woodbury_identity(
-            DETERMINISTIC_DIM, deterministic_instances, det)]),
+            DETERMINISTIC_DIM, deterministic_instances, det.child(3))]),
         ("circulant-shift-sv-range",
          lambda: [sweep_circulant_shift_bounds(
-             CIRCULANT_SIZES, deterministic_instances, det)]),
+             CIRCULANT_SIZES, deterministic_instances, det.child(4))]),
         ("pinv-tail-domination R_D=0",
          lambda: [check_pinv_tail_domination(
              2, 6, 0.1, None, mc_trials, tail.child(0))]),

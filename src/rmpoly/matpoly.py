@@ -42,11 +42,11 @@ part gives the second exact splitting M = B + (M - B): B is the block
 circulant whose spectrum is the k-th roots of unity
 (``circulant_b_eigenvalues``), and M - B is nonzero only in its top block
 row, so it too has rank at most n.  The verification suites and the
-replacement-gap diagnostics compare M against B directly.  Trials of the
-harness and of the suites linearize with ``_companion_stack``, as
-``companion`` does for one polynomial, in the chunks of ``_chunks``
-(``_map_companions`` for the suites), which every batched loop takes under
-one budget.
+replacement-gap diagnostics compare M against B directly.  One walker,
+``_map_trials``, draws the trials of the experiments and of the suites in
+the chunks of ``_chunks``, which every batched loop takes under one
+budget; a chunk linearizes with ``_companion_stack``, as ``companion``
+does for one polynomial.
 
 Sampling convention: "standard complex Gaussian" means independent real and
 imaginary parts, each N(0, 1/2), so E|X|^2 = 1.  All randomness flows
@@ -58,6 +58,7 @@ trial, for the experiments, the suites and the stacked verify sweeps.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import numbers
@@ -436,12 +437,19 @@ def _chunks(count: int, entries: int) -> list:
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def _map_companions(fn, n: int, k: int, rng: RngStream, trials: int) -> list:
-    """``fn`` of each chunk's ``(T, kn, kn)`` companion stack, trials
-    ``0 .. trials-1`` of the cell stream ``rng`` in order.  A stack is fresh,
-    ``fn`` may change it, and it is dropped before the next one is built."""
-    return [fn(_companion_stack(_trial_draws(rng, lo, hi, (k, n, n))))
-            for lo, hi in _chunks(trials, (k * n) ** 2)]
+def _trial_chunk(fn, rng: RngStream, n: int, k: int, bounds: tuple):
+    """``fn`` of the ``(T, k, n, n)`` coefficients of trials ``bounds``."""
+    return fn(_trial_draws(rng, *bounds, (k, n, n)))
+
+
+def _map_trials(fn, n: int, k: int, rng: RngStream, trials: int, mapper=map):
+    """``fn`` of each chunk's fresh ``(T, k, n, n)`` coefficients, trials
+    ``0 .. trials-1`` of the cell stream ``rng`` in order, through
+    ``mapper``, once the range is checked.  A task is a ``functools.partial``
+    of a module-level function: a process pool runs it if ``fn`` is one."""
+    _trial_range(0, trials)
+    task = functools.partial(_trial_chunk, fn, rng, n, k)
+    return mapper(task, _chunks(trials, (k * n) ** 2))
 
 
 def _circulant_stack(n: int, k: int, t: int) -> np.ndarray:

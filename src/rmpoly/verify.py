@@ -7,7 +7,7 @@ Two kinds of check live here:
   the Woodbury identity, and the singular-value range of a shifted block
   circulant.  These are exact statements; a check fails only beyond a
   relative slack of ``DETERMINISTIC_SLACK``.  Each ``sweep_*`` runs one of
-  them on many random instances, each instance from its own stream.  All
+  them on many random instances, instance i from child i of its stream.  All
   but the submatrix sweep, whose draws mix Gaussians with integers, take
   their instances' draws as one stack (``matpoly._trial_draws``).  The
   Mirsky, low-rank and circulant sweeps check their instances stacked and
@@ -27,8 +27,8 @@ from one LU factorization each (``linalg.log_abs_det``), and
 ``tail_log_sum`` sums the logs of the smallest singular values.  A caller
 that means ``n**-0.5 * M`` passes that product.
 
-The probabilistic suites walk their trials in the chunks an experiment
-uses (``matpoly._map_companions``), shift each fresh companion stack in
+The probabilistic suites walk their trials with an experiment's walker
+(``matpoly._map_trials``), shift each chunk's fresh companion stack in
 place (``M - zI`` changes only the diagonal, and the entries are those of
 ``M - z * np.eye(kn)``), and take one stacked SVD per chunk.
 
@@ -50,9 +50,9 @@ from .errors import SingularUpdateError, ValidationError
 from .esd import _ks_statistic
 from .linalg import (_square, as_matrix, log_abs_det, singular_values,
                      woodbury_inverse)
-from .matpoly import (RngStream, _chunks, _circulant_stack, _complex,
-                      _count, _generator, _index, _is_number,
-                      _map_companions, _sizes, _trial_draws,
+from .matpoly import (RngStream, _chunks, _circulant_stack,
+                      _companion_stack, _complex, _count, _generator, _index,
+                      _is_number, _map_trials, _sizes, _trial_draws,
                       _trial_generators, circulant_b_eigenvalues,
                       complex_gaussian)
 from .tolerances import DETERMINISTIC_SLACK, KS_CRITICAL_1PCT, rank_cutoff
@@ -359,7 +359,7 @@ def sweep_lowrank_interlacing(dim: int, instances: int,
                               rng: RngStream) -> LemmaReport:
     instances = _count(instances, "instances")
     a, u, v = _matrix_and_update(_trial_draws(
-        rng.child(0), 0, instances, (dim * (dim + 2 * _UPDATE_RANK),)), dim)
+        rng, 0, instances, (dim * (dim + 2 * _UPDATE_RANK),)), dim)
     worst = np.empty(instances)
     for idx, margins in _lowrank_interlacing_margins(a, u @ v):
         worst[idx] = margins.min(axis=1)
@@ -367,8 +367,7 @@ def sweep_lowrank_interlacing(dim: int, instances: int,
 
 
 def sweep_mirsky(dim: int, instances: int, rng: RngStream) -> LemmaReport:
-    instances = _count(instances, "instances")
-    pairs = _trial_draws(rng.child(1), 0, instances, (2, dim, dim))
+    pairs = _trial_draws(rng, 0, _count(instances, "instances"), (2, dim, dim))
     return LemmaReport("mirsky-sv-perturbation",
                        tuple(_mirsky_margins(pairs[:, 0], pairs[:, 1])))
 
@@ -382,28 +381,27 @@ def sweep_submatrix_interlacing(dim: int, instances: int,
         rows = gg.choice(dim, size=p, replace=False)
         cols = gg.choice(dim, size=q, replace=False)
         return check_submatrix_interlacing(a, rows, cols)
-    gens = _trial_generators(rng.child(2), 0, _count(instances, "instances"))
+    gens = _trial_generators(rng, 0, _count(instances, "instances"))
     return _sweep("submatrix-interlacing", map(check, gens))
 
 
 def sweep_woodbury_identity(dim: int, instances: int,
                             rng: RngStream) -> LemmaReport:
-    """Attempt j of instance i draws from ``rng.child(3, i, j)``; the
-    first attempts are one stack (``_trial_draws``)."""
-    stream = rng.child(3)
+    """Attempt j of instance i draws from ``rng.child(i, j)``; the first
+    attempts are one stack (``_trial_draws``)."""
     flat = (dim * (dim + 2 * _UPDATE_RANK),)
 
     def check(i, draw):
         for attempt in range(100):
             if attempt:
-                draw = complex_gaussian(stream.child(i, attempt), flat)
+                draw = complex_gaussian(rng.child(i, attempt), flat)
             try:
                 return check_woodbury_identity(*_matrix_and_update(draw, dim))
             except SingularUpdateError:
                 continue  # precondition failed, redraw
         raise ValidationError(  # pragma: no cover - probability ~ 0
             "could not draw an invertible low-rank update in 100 tries")
-    first = _trial_draws(stream, 0, _count(instances, "instances"), flat, 0)
+    first = _trial_draws(rng, 0, _count(instances, "instances"), flat, 0)
     return _sweep("woodbury-identity",
                   (check(i, draw) for i, draw in enumerate(first)))
 
@@ -413,13 +411,13 @@ def sweep_circulant_shift_bounds(sizes, instances: int,
     """Range check for random shifts z cycling over the given (n, k) sizes.
 
     Instance i has size ``sizes[i % len(sizes)]`` and draws z from
-    ``rng.child(4, i)``, a complex Gaussian of ``E|z|^2 = 2``.  The
+    ``rng.child(i)``, a complex Gaussian of ``E|z|^2 = 2``.  The
     instances of one size are checked in stacks of at most
     ``_CHUNK_ENTRIES`` entries (``_chunks``), one SVD call per stack, with
     the margins of ``check_circulant_shift_bounds``, bit for bit.
     """
     sizes = _size_pairs(sizes)
-    z = _trial_draws(rng.child(4), 0, _count(instances, "instances"), (),
+    z = _trial_draws(rng, 0, _count(instances, "instances"), (),
                      variance=2.0)
     # Python's complex abs: numpy's can differ in the last bit.
     az = np.array([abs(zi) for zi in z.tolist()])
@@ -709,7 +707,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
     S_E is -zI plus a rank-n top block row, so kn - 2n of its singular
     values equal |z| and the other 2n are those of a 2n x 2n core
     (``_top_row_shift_singular_values``); S_M takes a full SVD.  A chunk
-    of trials makes one stacked SVD call for each (``_map_companions``).
+    of trials makes one stacked SVD call for each (``_map_trials``).
 
     Needs z != 0 and k >= 2 for every size.
     """
@@ -722,7 +720,8 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         tail_floor = CONSTANT_T * n ** (EPSILON - 0.5)
         scale = n ** -0.5
 
-        def margins(m):
+        def margins(coeffs):
+            m = _companion_stack(coeffs)
             se = _top_row_shift_singular_values(m[:, :n], scale, z)
             m *= scale
             sm = singular_values(_subtract_shift(m, z))
@@ -730,7 +729,7 @@ def lemma_suite_grow_n(cfg: LemmaCheckConfig, rng: RngStream) -> list:
                 sm[:, -1] - n_floor, se[:, -1] - n_floor,
                 np.minimum(CONSTANT_D - sm[:, 0], CONSTANT_D - se[:, 0]),
                 se[:, f - 1] - tail_floor, sm[:, -1], se[:, -1]])
-        chunks += _map_companions(margins, n, k, rng.child(s_idx), cfg.trials)
+        chunks += _map_trials(margins, n, k, rng.child(s_idx), cfg.trials)
     floor_m, floor_e, cap, tail, min_m, min_e = np.concatenate(chunks, axis=1)
     ns = [n for n, _ in cfg.sizes]
     return [
@@ -756,7 +755,7 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
       singular values of the shifted block circulant  (deterministic).
 
     R is ``CONSTANT_R``.  One stacked SVD call per chunk of trials
-    (``_map_companions``).  Needs |z| not in {0, 1} and k > 2 everywhere.
+    (``_map_trials``).  Needs |z| not in {0, 1} and k > 2 everywhere.
     """
     _grow_k_preconditions(cfg)
     z, az = cfg.z, abs(cfg.z)
@@ -767,8 +766,8 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
         cap_value = CONSTANT_R * math.sqrt(k) + 1.0 + az
         floor_value = CONSTANT_T / k ** 2
 
-        def margins(m):
-            s = singular_values(_subtract_shift(m, z))
+        def margins(coeffs):
+            s = singular_values(_subtract_shift(_companion_stack(coeffs), z))
             slack = DETERMINISTIC_SLACK * np.maximum(s[:, 0], 1.0)
             lower = np.min(s[:, idx] - sv_b[idx + n], axis=1)
             upper = np.min(sv_b[idx - n] - s[:, idx], axis=1)
@@ -776,7 +775,7 @@ def lemma_suite_grow_k(cfg: LemmaCheckConfig, rng: RngStream) -> list:
                 cap_value - s[:, 0], s[:, n - 1] - abs(1.0 - az) + slack,
                 s[:, -1] - floor_value, np.minimum(lower, upper) + slack,
                 s[:, -1]])
-        chunks += _map_companions(margins, n, k, rng.child(s_idx), cfg.trials)
+        chunks += _map_trials(margins, n, k, rng.child(s_idx), cfg.trials)
     cap, floor_block, floor_min, chain, mins = np.concatenate(chunks, axis=1)
     return [
         LemmaReport("grow-k/top-sv-cap", cap),

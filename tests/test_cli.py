@@ -209,6 +209,24 @@ class TestExperiment:
         assert "Traceback" not in res.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_repeated_swept_value_exits_one_and_writes_nothing(
+            self, runner, tmp_path, monkeypatch, source):
+        # Both cells would write points_grow-k_n2_k40_seed7.csv.
+        monkeypatch.chdir(tmp_path)
+        argv = ["experiment", "--regime", "grow-k", "--n", "2", "--k", "40",
+                "--k", "40", "--target-points", "400"]
+        if source == "config":
+            Path("cfg.json").write_text(json.dumps(
+                {"regime": "grow-k", "n_values": [2], "k_values": [40, 40],
+                 "target_points": 400}))
+            argv = ["experiment", "--config", "cfg.json"]
+        res = runner.invoke(main, argv + ["--out", "dup"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "k_values lists 40 twice" in res.stderr
+        assert not Path("dup").exists()
+
     def test_missing_axes_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, ["experiment", "--regime", "grow-n",
                                    "--out", str(tmp_path)])
@@ -396,8 +414,8 @@ class TestVerify:
         # |z| = 1 is invalid only for the degree-grown suite, which runs
         # second; it is rejected before the first suite draws a trial.
         entered = []
-        monkeypatch.setattr("rmpoly.verify._map_companions",
-                            lambda *a: entered.append(a) or [])
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: entered.append(a))
         res = runner.invoke(main, ["verify", "--z", "0.5", "--z", "1",
                                    "--instances", "5", "--mc-trials", "50"])
         assert res.exit_code == 1
@@ -410,8 +428,8 @@ class TestVerify:
                                                     monkeypatch):
         # Two suites take two shifts; a third is an error, not ignored.
         entered = []
-        monkeypatch.setattr("rmpoly.verify._map_companions",
-                            lambda *a: entered.append(a) or [])
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: entered.append(a))
         res = runner.invoke(main, ["verify", "--z", "0.7,0.3", "--z", "0.5",
                                    "--z", "9", "--instances", "5",
                                    "--mc-trials", "50"])
@@ -424,8 +442,8 @@ class TestVerify:
     def test_non_finite_shift_exits_before_any_suite(self, runner,
                                                      monkeypatch, shift):
         entered = []
-        monkeypatch.setattr("rmpoly.verify._map_companions",
-                            lambda *a: entered.append(a) or [])
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: entered.append(a))
         res = runner.invoke(main, ["verify", "--z", "0.5", "--z", shift,
                                    "--instances", "5", "--mc-trials", "50"])
         assert res.exit_code == 1
@@ -436,8 +454,8 @@ class TestVerify:
     def test_out_in_missing_directory_exits_one_before_any_suite(
             self, runner, monkeypatch, tmp_path):
         entered = []
-        monkeypatch.setattr("rmpoly.verify._map_companions",
-                            lambda *a: entered.append(a) or [])
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: entered.append(a))
         res = runner.invoke(main, self.SMALL + [
             "--out", str(tmp_path / "missing" / "r.jsonl")])
         assert res.exit_code == 1
@@ -450,8 +468,8 @@ class TestVerify:
     def test_unparsable_shift_is_a_usage_error(self, runner, monkeypatch,
                                                shift):
         entered = []
-        monkeypatch.setattr("rmpoly.verify._map_companions",
-                            lambda *a: entered.append(a) or [])
+        monkeypatch.setattr("rmpoly.matpoly._seed_states",
+                            lambda *a: entered.append(a))
         res = runner.invoke(main, self.SMALL + ["--z", shift])
         assert res.exit_code == 2
         assert "expected 're' or 're,im'" in res.stderr

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import pickle
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -80,6 +81,24 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="2\\*\\*32"):
             ExperimentConfig(regime="grow-n", n_values=(1,), k_values=(1,),
                              target_points=2 ** 32 + 1)
+
+    @pytest.mark.parametrize("regime,n_values,k_values,pattern", [
+        ("grow-k", (2,), (40, 64, 40), "k_values lists 40 twice"),
+        ("grow-n", (8, 4, 8, 4), (2,), "n_values lists 8 twice"),
+    ])
+    def test_rejects_a_repeated_swept_value(self, regime, n_values,
+                                            k_values, pattern):
+        # A cell's files are named by its (n, k): a repeated value would
+        # write a second cell over the first one's points and scatter.
+        with pytest.raises(ValidationError, match=pattern):
+            ExperimentConfig(regime=regime, n_values=n_values,
+                             k_values=k_values, target_points=400)
+
+    def test_from_json_rejects_a_repeated_swept_value(self):
+        doc = _small_cfg(n_values=(4, 8)).to_json_dict()
+        doc["n_values"] = [4, 8, 4]
+        with pytest.raises(ValidationError, match="n_values lists 4 twice"):
+            ExperimentConfig.from_json_dict(doc)
 
     def test_cells_follow_the_swept_axis(self):
         cfg = ExperimentConfig(regime="grow-n", n_values=(16, 32),
@@ -534,9 +553,30 @@ class TestPooledEsd:
             harness.pooled_esd("grow-n", 2, 2, [RngStream(1)], 1)
 
     def test_trials_past_32_bits_rejected_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(harness, "_chunk_points", None)
+        seeded = []
+        monkeypatch.setattr(matpoly, "_seed_states",
+                            lambda *a: seeded.append(a))
         with pytest.raises(ValidationError, match="2\\*\\*32"):
             harness.pooled_esd("grow-n", 1, 1, RngStream(1), 2 ** 32 + 1)
+        assert seeded == []
+
+    @pytest.mark.parametrize("regime,n,k,trials", [
+        ("grow-n", 8, 2, 300),  # dense: two full chunks and a partial one
+        ("grow-k", 2, 40, 7),   # Ehrlich-Aberth: chunks of 5 and 2 trials
+    ])
+    def test_tasks_survive_a_pickling_mapper(self, regime, n, k, trials):
+        # A process pool pickles each task and its argument; a mapper that
+        # does the same, in this process, must give the bytes of ``map``.
+        def pickling_map(fn, items):
+            for item in items:
+                yield pickle.loads(pickle.dumps(fn))(
+                    pickle.loads(pickle.dumps(item)))
+        rng = RngStream(13).child(2)
+        assert len(matpoly._chunks(trials, (k * n) ** 2)) >= 2
+        plain = harness.pooled_esd(regime, n, k, rng, trials)
+        pickled = harness.pooled_esd(regime, n, k, rng, trials, pickling_map)
+        assert pickled.points.tobytes() == plain.points.tobytes()
+        assert pickled.trials == plain.trials == trials
 
 
 class TestRunGrowK:

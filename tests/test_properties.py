@@ -21,7 +21,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def configs(draw):
     regime = draw(st.sampled_from(["grow-n", "grow-k"]))
-    swept = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    swept = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4,
+                          unique=True))
     fixed = [draw(st.integers(1, 8))]
     n_values, k_values = ((swept, fixed) if regime == "grow-n"
                           else (fixed, swept))

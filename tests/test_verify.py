@@ -168,7 +168,7 @@ class TestLowrankInterlacing:
         rng = RngStream(75)
         expected = []
         for i in range(40):
-            gg = rng.child(0, i).generator()
+            gg = rng.child(i).generator()
             a = complex_gaussian(gg, (6, 6))
             u = complex_gaussian(gg, (6, 1))
             v = complex_gaussian(gg, (1, 6))
@@ -220,7 +220,7 @@ class TestMirsky:
         rng = RngStream(77)
         expected = []
         for i in range(40):
-            gg = rng.child(1, i).generator()
+            gg = rng.child(i).generator()
             a = complex_gaussian(gg, (6, 6))
             b = complex_gaussian(gg, (6, 6))
             expected.append(check_mirsky(a, b).per_trial_margins[0])
@@ -298,12 +298,12 @@ class TestWoodburyCheck:
 
     def test_sweep_matches_per_instance_checks_with_a_redraw(
             self, monkeypatch):
-        # Attempt j of instance i draws from rng.child(3, i, j); the first
+        # Attempt j of instance i draws from rng.child(i, j); the first
         # check of instance 2 is made to fail, so it takes attempt 1.
         rng = RngStream(84)
 
         def draw(i, attempt):
-            gg = rng.child(3, i, attempt).generator()
+            gg = rng.child(i, attempt).generator()
             return (complex_gaussian(gg, (5, 5)), complex_gaussian(gg, (5, 1)),
                     complex_gaussian(gg, (1, 5)))
         expected = [min(check_woodbury_identity(*draw(i, 0 if i != 2 else 1))
@@ -361,7 +361,7 @@ class TestCirculantShiftBounds:
         rng = RngStream(85)
         expected = []
         for i in range(41):
-            gg = rng.child(4, i).generator()
+            gg = rng.child(i).generator()
             z = complex(gg.standard_normal(), gg.standard_normal())
             expected.append(min(check_circulant_shift_bounds(
                 *sizes[i % 4], z).per_trial_margins))
